@@ -7,7 +7,6 @@ batch-local threshold mu_p + k * sigma_p.  Frame-level ROC-AUC closes the
 loop for labeled evaluation sets.
 """
 
-from .autodiff import Var, affine, backward, silu, vsum
 from .data import (
     DataError,
     DataStats,
@@ -47,6 +46,7 @@ from .network import (
     param_count,
     save_checkpoint,
     scalings,
+    silu,
 )
 from .rng import Rng, gaussian
 from .sampling import (
@@ -86,10 +86,9 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Var", "affine", "backward", "silu", "vsum",
     "Rng", "gaussian",
     "NetworkConfig", "DenoiserParams", "Preconditioner", "CheckpointError",
-    "scalings", "fourier_embed", "film", "forward_raw", "denoise",
+    "scalings", "fourier_embed", "silu", "film", "forward_raw", "denoise",
     "as_denoiser", "init_params", "param_count", "save_checkpoint", "load_checkpoint",
     "ScheduleConfig", "karras_schedule", "noise_bounds", "ode_derivative",
     "multistep_coeff", "lms_sample", "partial_reconstruct",

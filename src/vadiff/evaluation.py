@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DataError, VideoRecord
 
@@ -45,21 +44,38 @@ def expand_segments(segment_scores: np.ndarray, segment_len: int,
     return np.repeat(scores, segment_len)[:frame_count]
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of `values`, each tie group sharing its mean rank."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    # a tie group at sorted positions [start, end) has mean 1-based rank (start+end+1)/2
+    new_group = sorted_vals[1:] != sorted_vals[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], new_group, [True])))
+    start, end = bounds[:-1], bounds[1:]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """P(random positive outranks random negative), ties counted half.
 
     Computed from midranks: (sum of positive ranks - P(P+1)/2) / (P*N).
+    Raises FloatingPointError on a non-finite score, which has no rank.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"shape mismatch: scores {scores.shape}, labels {labels.shape}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise FloatingPointError(f"non-finite score {scores[bad[0]]} at index {bad[0]}")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: both classes must be present")
-    ranks = rankdata(scores)  # midranks for ties
+    ranks = _midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -69,7 +85,8 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
 
     Every scored video must appear in the manifest with frame labels;
     manifest videos without scores are an error too, so the report always
-    covers the full test set.
+    covers the full test set.  A non-finite segment score raises
+    FloatingPointError naming its video and segment.
     """
     by_id = {rec.video_id: rec for rec in manifest}
     missing = sorted(set(scores_by_video) - set(by_id))
@@ -89,6 +106,11 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
             raise DataError(
                 f"video {rec.video_id!r}: {seg.size} scores for "
                 f"{rec.segment_count} segments"
+            )
+        bad = np.flatnonzero(~np.isfinite(seg))
+        if bad.size:
+            raise FloatingPointError(
+                f"video {rec.video_id!r}, segment {bad[0]}: non-finite score {seg[bad[0]]}"
             )
         frame_scores[rec.video_id] = expand_segments(seg, segment_len, rec.frame_count)
         frame_labels[rec.video_id] = np.asarray(rec.labels, dtype=np.int8)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .rng import Rng
 
 _TWO_PI = 2.0 * np.pi
@@ -115,43 +114,15 @@ class DenoiserParams:
     def trainable(self) -> list[np.ndarray]:
         return self.tensors()[1:]
 
-    def set_trainable(self, tensors) -> None:
-        expected = self.trainable()
-        if len(tensors) != len(expected):
-            raise ValueError("trainable tensor count mismatch")
-        i = 0
-        for lay in self.layers:
-            for name in self._TRAINABLE:
-                setattr(lay, name, tensors[i])
-                i += 1
-        self.out_w = tensors[i]
-        self.out_b = tensors[i + 1]
-
     def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            config=self.config,
-            freqs=self.freqs.copy(),
-            layers=[
-                LayerParams(**{n: getattr(lay, n).copy() for n in self._TRAINABLE})
-                for lay in self.layers
-            ],
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-        )
+        return _params_from_tensors(self.config, [t.copy() for t in self.tensors()])
 
     @property
     def dtype(self):
         return self.out_w.dtype
 
     def astype(self, dtype) -> "DenoiserParams":
-        p = self.copy()
-        p.freqs = p.freqs.astype(dtype)
-        for lay in p.layers:
-            for n in self._TRAINABLE:
-                setattr(lay, n, getattr(lay, n).astype(dtype))
-        p.out_w = p.out_w.astype(dtype)
-        p.out_b = p.out_b.astype(dtype)
-        return p
+        return _params_from_tensors(self.config, [t.astype(dtype) for t in self.tensors()])
 
 
 def param_count(cfg: NetworkConfig) -> int:
@@ -211,30 +182,57 @@ def fourier_embed(params: DenoiserParams, c_noise):
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
 
 
+def _sigmoid(x):
+    # tanh saturates instead of overflowing, at any magnitude and dtype
+    s = np.tanh(0.5 * x)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
+def silu(x):
+    """Sigmoid-weighted linear unit x * sigmoid(x)."""
+    return x * _sigmoid(x)
+
+
 def film(h, gamma, beta):
     """Per-unit scale and shift, broadcast over batch rows."""
-    gs = gamma.value.shape if isinstance(gamma, ad.Var) else np.asarray(gamma).shape
-    hs = h.value.shape if isinstance(h, ad.Var) else np.asarray(h).shape
-    if gs[-1] != hs[-1]:
-        raise ValueError(f"FiLM width mismatch: hidden {hs[-1]}, gamma {gs[-1]}")
-    return ad.add(ad.mul(gamma, h), beta)
+    if np.shape(gamma)[-1] != np.shape(h)[-1]:
+        raise ValueError(f"FiLM width mismatch: hidden {np.shape(h)[-1]}, "
+                         f"gamma {np.shape(gamma)[-1]}")
+    out = gamma * h
+    out += beta
+    return out
 
 
-def forward_raw(params, x_scaled, c_noise, *, embedding=None):
+def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None):
     """Raw network pass F(x_scaled; c_noise): encoder, decoder, output head.
 
-    Works on plain arrays or on autodiff Vars (pass a params view whose
-    tensors are Vars).  `embedding` overrides the Fourier embedding when
-    the caller already computed it.
+    `embedding` overrides the Fourier embedding when the caller already
+    computed it.  When `cache` is a list, each hidden layer appends the
+    tuple (input, pre-activation a, sigmoid(a), silu(a), gamma) its
+    backward needs, and the output head then appends its input.
     """
     emb = fourier_embed(params, c_noise) if embedding is None else embedding
     h = x_scaled
     for lay in params.layers:
-        h = ad.silu(ad.affine(h, lay.w, lay.b))
-        gamma = ad.affine(emb, lay.gamma_w, lay.gamma_b)
-        beta = ad.affine(emb, lay.beta_w, lay.beta_b)
-        h = film(h, gamma, beta)
-    return ad.affine(h, params.out_w, params.out_b)
+        # in-place bias adds: no second batch-sized buffer per affine
+        a = h @ lay.w
+        a += lay.b
+        s = _sigmoid(a)
+        u = a * s
+        gamma = emb @ lay.gamma_w
+        gamma += lay.gamma_b
+        beta = emb @ lay.beta_w
+        beta += lay.beta_b
+        if cache is not None:
+            cache.append((h, a, s, u, gamma))
+        h = film(u, gamma, beta)
+    if cache is not None:
+        cache.append(h)
+    f = h @ params.out_w
+    f += params.out_b
+    return f
 
 
 def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma) -> np.ndarray:

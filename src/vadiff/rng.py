@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 _U64 = (1 << 64) - 1
 
@@ -33,8 +34,8 @@ class Rng:
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed) & _U64
         self._key = tuple(_key)
-        ss = np.random.SeedSequence([self.seed, *self._key])
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        ss = SeedSequence([self.seed, *self._key])
+        self._gen = Generator(Philox(ss))
 
     def split(self, label: str) -> "Rng":
         """Independent stream for a named purpose."""

@@ -101,15 +101,19 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
                   center: np.ndarray | None = None) -> DatasetScores:
     """Score every segment, batching in manifest order (never shuffled).
 
-    A final short batch still gets its own mu_p / sigma_p.  Each batch
-    draws its noise from an independent stream split off `rng`, so batch
-    results do not depend on scoring order.
+    A final short batch still gets its own mu_p / sigma_p, unless it holds
+    a single row: a threshold needs at least two losses, so a one-row tail
+    joins the batch before it.  Each batch draws its noise from an
+    independent stream split off `rng`, so batch results do not depend on
+    scoring order.
     """
     x = fs.features
     if center is not None:
         x = x - center.astype(x.dtype)
     n = x.shape[0]
     batches = make_batches(n, cfg.batch_size, shuffle=False)
+    if len(batches) > 1 and batches[-1].size == 1:
+        batches[-2:] = [np.concatenate(batches[-2:])]
     mse = np.empty(n, dtype=np.float64)
     flags = np.empty(n, dtype=bool)
     batch_ids = np.empty(n, dtype=np.int64)

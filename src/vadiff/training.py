@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import autodiff as ad
+from .data import make_batches
 from .network import DenoiserParams, Preconditioner, fourier_embed, forward_raw, scalings
 from .rng import Rng
 
@@ -76,30 +75,15 @@ def loss_weight(p: Preconditioner, sigma):
     return (sigma**2 + sd**2) / (sigma * sd) ** 2
 
 
-def _var_view(params: DenoiserParams):
-    """params with every trainable tensor wrapped as an autodiff leaf."""
-    names = DenoiserParams._TRAINABLE
-    leaves = []
-    layers = []
-    for lay in params.layers:
-        wrapped = {n: ad.Var(getattr(lay, n), requires_grad=True) for n in names}
-        leaves.extend(wrapped[n] for n in names)
-        layers.append(SimpleNamespace(**wrapped))
-    out_w = ad.Var(params.out_w, requires_grad=True)
-    out_b = ad.Var(params.out_b, requires_grad=True)
-    leaves.extend([out_w, out_b])
-    view = SimpleNamespace(config=params.config, freqs=params.freqs,
-                           layers=layers, out_w=out_w, out_b=out_b)
-    return view, leaves
-
-
 def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
              sigma: np.ndarray, rng: Rng):
     """Weighted reconstruction loss on one batch, plus parameter gradients.
 
-    Returns (loss, grads): the loss reduced in float64, and gradients
-    aligned with params.trainable().  The corruption eps is drawn from
-    rng inside, one standard-normal row per instance.
+    Returns (loss, grads): the loss reduced in float64, and gradients in
+    params.dtype, aligned with params.trainable().  The corruption eps is
+    drawn from rng inside, one standard-normal row per instance.  The
+    gradients are the closed-form backward of the forward pass, run
+    through the activations forward_raw caches.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -117,19 +101,33 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     lam = loss_weight(p, sigma)
     emb = fourier_embed(params, c_noise)
 
-    view, leaves = _var_view(params)
-    f = forward_raw(view, (c_in[:, None] * noised).astype(dt), None, embedding=emb)
-    denoised = ad.add(ad.mul(f, c_out[:, None].astype(dt)),
-                      (c_skip[:, None] * noised).astype(dt))
-    diff = ad.sub(denoised, x.astype(dt))
-    row_err = ad.vsum(ad.mul(diff, diff), axis=1)
-    total = ad.vsum(ad.mul(row_err, lam.astype(dt)))
-    loss = ad.mul(total, dt.type(1.0 / (n * d)))
-    ad.backward(loss)
-    grads = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in leaves]
-
-    resid = denoised.value.astype(np.float64) - x.astype(np.float64)
+    cache = []
+    f = forward_raw(params, (c_in[:, None] * noised).astype(dt), None,
+                    embedding=emb, cache=cache)
+    denoised = f * c_out[:, None].astype(dt)
+    denoised += (c_skip[:, None] * noised).astype(dt)
+    resid = denoised.astype(np.float64) - x.astype(np.float64)
     reported = float(np.sum(np.sum(resid**2, axis=1) * lam) / (n * d))
+
+    # dL/dF = 2 lam c_out (D - x) / (n d), per row
+    g = denoised - x.astype(dt)
+    g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
+    head_in = cache.pop()
+    grads = [head_in.T @ g, g.sum(axis=0)]
+    g = g @ params.out_w.T
+    for i in reversed(range(len(params.layers))):
+        h, a, s, u, gamma = cache.pop()
+        # out = gamma * silu(a) + beta; g is dL/d(out)
+        g_gamma = g * u
+        layer_grads = [emb.T @ g_gamma, g_gamma.sum(axis=0), emb.T @ g, g.sum(axis=0)]
+        # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
+        g *= gamma
+        u *= 1.0 - s
+        u += s
+        g *= u
+        grads[:0] = [h.T @ g, g.sum(axis=0)] + layer_grads
+        if i:
+            g = g @ params.layers[i].w.T
     return reported, grads
 
 
@@ -236,10 +234,9 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     history: list[EpochLog] = []
     for epoch in range(cfg.epochs):
         lr_epoch = inverse_lr(state)
-        perm = shuffle_rng.permutation(n)
         losses = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = x[perm[lo : lo + cfg.batch_size]]
+        for idx in make_batches(n, cfg.batch_size, shuffle=True, rng=shuffle_rng):
+            batch = x[idx]
             sigma = sample_train_sigma(noise_rng, noise_cfg, batch.shape[0])
             loss, grads = dsm_loss(params, p, batch, sigma, noise_rng)
             if not math.isfinite(loss):

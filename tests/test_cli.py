@@ -162,6 +162,22 @@ def test_score_dim_mismatch_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("batch_size", [64, 16])
+def test_score_one_row_tail_joins_previous_batch(tmp_path, batch_size):
+    f, m = make_data(tmp_path, n_normal=65, fraction=0.0)
+    ck = train_tiny(tmp_path, f, m)
+    out = tmp_path / "s.csv"
+    code = run(
+        "score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+        "--out", str(out), "--batch-size", str(batch_size),
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 65
+    batch_ids = [int(r.split(",")[4]) for r in rows]
+    assert max(batch_ids) == 65 // batch_size - 1
+
+
 # --- eval -----------------------------------------------------------------------
 
 def score_tiny(tmp_path, f, m, ck, name="scores.csv", *extra):
@@ -203,6 +219,25 @@ def test_eval_unlabeled_manifest_is_data_error(tmp_path):
     code = run("eval", "--scores", str(scores), "--manifest", str(bare),
                "--out", str(tmp_path / "r.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_non_finite_score_is_numeric_error(tmp_path, capsys, bad):
+    f, m = make_data(tmp_path)
+    ck = train_tiny(tmp_path, f, m)
+    scores = score_tiny(tmp_path, f, m, ck)
+    lines = scores.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[2] = bad
+    lines[3] = ",".join(fields)
+    scores.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m), "--out", str(report))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"video {fields[0]!r}, segment {fields[1]}" in err
+    assert not report.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -59,6 +59,12 @@ def test_auc_single_class_rejected():
         roc_auc(np.array([0.1, 0.2]), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_non_finite_score_rejected(bad):
+    with pytest.raises(FloatingPointError, match="index 1"):
+        roc_auc(np.array([0.1, bad, 0.3]), np.array([0, 1, 1]))
+
+
 def brute_force_auc(scores, labels):
     pos = scores[labels == 1]
     neg = scores[labels == 0]

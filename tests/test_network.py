@@ -15,6 +15,7 @@ from vadiff import (
     param_count,
     save_checkpoint,
     scalings,
+    silu,
 )
 
 
@@ -137,7 +138,27 @@ def test_film_width_mismatch():
         film(np.ones((2, 3)), np.ones(4), np.zeros(4))
 
 
+# --- SiLU ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_does_not_overflow(dtype):
+    x = np.array([-1e4, -50.0, 50.0, 1e4], dtype=dtype)
+    with np.errstate(all="raise"):
+        got = silu(x)
+    assert got.dtype == dtype
+    assert np.abs(got[:2]).max() <= 1e-18
+    assert np.array_equal(got[2:], [50.0, 1e4])
+
+
 # --- raw forward and the preconditioned denoiser -------------------------------
+
+def test_forward_cache_leaves_output_unchanged():
+    params = tiny_params()
+    x = Rng(14).standard_normal((4, 6))
+    c_noise = np.array([0.1, -0.3, 0.7, 0.2])
+    assert np.array_equal(forward_raw(params, x, c_noise, cache=[]),
+                          forward_raw(params, x, c_noise))
+
 
 def test_forward_shape_contract():
     params = tiny_params()

@@ -150,6 +150,22 @@ def test_dsm_loss_gradient_matches_finite_differences():
     assert worst <= 1e-4
 
 
+def test_dsm_loss_float32_gradients_match_float64():
+    p64 = tiny_params()
+    p64.out_w = Rng(80).standard_normal(p64.out_w.shape) * 0.3
+    p64.out_b = Rng(81).standard_normal(p64.out_b.shape) * 0.1
+    p32 = p64.astype(np.float32)
+    p64 = p32.astype(np.float64)  # same weights, exactly representable in both
+    x = Rng(82).standard_normal((16, 6)).astype(np.float32)
+    sigma = sample_train_sigma(Rng(83), TrainNoiseConfig(), 16)
+    _, g32 = dsm_loss(p32, Preconditioner(1.0), x, sigma, Rng(84))
+    _, g64 = dsm_loss(p64, Preconditioner(1.0), x, sigma, Rng(84))
+    assert len(g32) == len(g64) == len(p64.trainable())
+    for a, b in zip(g32, g64):
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
+
+
 # --- optimizer -------------------------------------------------------------------
 
 def test_inverse_lr_examples():
