@@ -54,7 +54,6 @@ from .sampling import (
     karras_schedule,
     lms_sample,
     multistep_coeff,
-    noise_bounds,
     ode_derivative,
     partial_reconstruct,
 )
@@ -80,6 +79,7 @@ from .training import (
     fit,
     inverse_lr,
     loss_weight,
+    noise_bounds,
     sample_train_sigma,
 )
 

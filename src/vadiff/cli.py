@@ -33,9 +33,9 @@ from .network import (
     save_checkpoint,
 )
 from .rng import Rng
-from .sampling import ScheduleConfig, karras_schedule, noise_bounds
+from .sampling import ScheduleConfig, karras_schedule
 from .scoring import ScoringConfig, score_dataset, read_scores_csv, write_scores_csv
-from .training import TrainConfig, TrainNoiseConfig, fit
+from .training import TrainConfig, TrainNoiseConfig, fit, noise_bounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1

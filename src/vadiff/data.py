@@ -111,28 +111,66 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
         fh.write("\n")
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field(entry: dict, key: str, kind: type, where: str):
+    """entry[key], which must be present and of exactly the JSON type `kind`."""
+    if key not in entry:
+        raise DataError(f"{where}: missing key {key!r}")
+    value = entry[key]
+    if type(value) is not kind:
+        raise DataError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {_json_type(value)}")
+    return value
+
+
+def _video_record(i: int, entry) -> VideoRecord:
+    """Manifest entry i, checked for its keys and their JSON types."""
+    where = f"manifest video {i}"
+    if type(entry) is not dict:
+        raise DataError(f"{where}: expected an object, got {_json_type(entry)}")
+    labels = None
+    if entry.get("labels") is not None:
+        raw = _field(entry, "labels", list, where)
+        try:
+            labels = np.asarray(raw, dtype=np.int8)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"{where}: labels must be an array of 0/1 integers") from None
+    return VideoRecord(
+        video_id=_field(entry, "video_id", str, where),
+        frame_count=_field(entry, "frame_count", int, where),
+        segment_offset=_field(entry, "segment_offset", int, where),
+        segment_count=_field(entry, "segment_count", int, where),
+        labels=labels,
+    )
+
+
 def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
-    """(video records, segment_len) from a manifest JSON file."""
+    """(video records, segment_len) from a manifest JSON file.
+
+    Every structural fault (wrong JSON type, missing key) raises DataError
+    naming the video index and the key; the checks run once per video,
+    not per frame.
+    """
     with open(manifest_path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"manifest is not valid JSON: {e}") from e
+    if type(doc) is not dict:
+        raise DataError(f"manifest must be a JSON object, got {_json_type(doc)}")
     if doc.get("version") != _VERSION:
         raise DataError(f"unsupported manifest version {doc.get('version')!r}")
-    manifest = []
-    for entry in doc["videos"]:
-        labels = entry.get("labels")
-        manifest.append(
-            VideoRecord(
-                video_id=entry["video_id"],
-                frame_count=int(entry["frame_count"]),
-                segment_offset=int(entry["segment_offset"]),
-                segment_count=int(entry["segment_count"]),
-                labels=None if labels is None else np.asarray(labels, dtype=np.int8),
-            )
-        )
-    segment_len = int(doc.get("segment_len", SEGMENT_LEN))
+    videos = _field(doc, "videos", list, "manifest")
+    manifest = [_video_record(i, entry) for i, entry in enumerate(videos)]
+    segment_len = doc.get("segment_len", SEGMENT_LEN)
+    if type(segment_len) is not int or segment_len < 1:
+        raise DataError(f"manifest segment_len must be a positive integer, got {segment_len!r}")
     validate_manifest(manifest, segment_len)
     return manifest, segment_len
 

@@ -13,6 +13,7 @@ at high noise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -125,16 +126,23 @@ class DenoiserParams:
         return _params_from_tensors(self.config, [t.astype(dtype) for t in self.tensors()])
 
 
+def _tensor_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor in declaration order."""
+    out = [("freqs", (cfg.embed_dim // 2,))]
+    prev = cfg.input_dim
+    for i, w in enumerate(cfg.hidden_widths):
+        shapes = ((prev, w), (w,),  # affine
+                  (cfg.embed_dim, w), (w,), (cfg.embed_dim, w), (w,))  # FiLM gamma, beta
+        out.extend((f"layers[{i}].{name}", shape)
+                   for name, shape in zip(DenoiserParams._TRAINABLE, shapes))
+        prev = w
+    out.extend([("out_w", (prev, cfg.input_dim)), ("out_b", (cfg.input_dim,))])
+    return out
+
+
 def param_count(cfg: NetworkConfig) -> int:
     """Total tensor entry count; a pure function of the configuration."""
-    n = cfg.embed_dim // 2
-    prev = cfg.input_dim
-    for w in cfg.hidden_widths:
-        n += prev * w + w  # affine
-        n += 2 * (cfg.embed_dim * w + w)  # FiLM gamma/beta projections
-        prev = w
-    n += prev * cfg.input_dim + cfg.input_dim  # output projection
-    return n
+    return sum(math.prod(shape) for _, shape in _tensor_shapes(cfg))
 
 
 def init_params(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> DenoiserParams:
@@ -236,19 +244,18 @@ def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None):
 
 
 def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma) -> np.ndarray:
-    """Effective denoiser D(x; sigma) for inference.
+    """Effective denoiser D(x; sigma) for inference, in x's float dtype.
 
     sigma is a scalar or per-row (n,) array; columns are feature dims.
+    The network itself runs in the weights' dtype.
     """
     x = np.asarray(x)
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     if np.ndim(sigma) == 1:
         c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
-    else:
-        c_noise = np.full(x.shape[0], c_noise)
+    f = forward_raw(params, (c_in * x).astype(params.dtype), c_noise)
     dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    f = forward_raw(params, (c_in * x).astype(dt), c_noise.astype(dt))
-    return (c_skip * x + c_out * f).astype(dt)
+    return (c_skip * x + c_out * f).astype(dt, copy=False)
 
 
 def as_denoiser(params: DenoiserParams, p: Preconditioner):
@@ -344,7 +351,11 @@ def load_checkpoint(path):
         dec = tuple(_read_struct(fh, "<" + "I" * n_dec))
         (embed_dim,) = _read_struct(fh, "<I")
         (act_len,) = _read_struct(fh, "<B")
-        act = fh.read(act_len).decode("ascii")
+        raw_act = fh.read(act_len)
+        try:
+            act = raw_act.decode("ascii")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"activation name {raw_act!r} is not ASCII") from None
         (sigma_data,) = _read_struct(fh, "<d")
         (has_center,) = _read_struct(fh, "<B")
         center = None
@@ -353,19 +364,28 @@ def load_checkpoint(path):
             if len(raw) != 4 * input_dim:
                 raise CheckpointError("truncated checkpoint: center vector")
             center = np.frombuffer(raw, dtype="<f4").copy()
-        cfg = NetworkConfig(input_dim, enc, dec, embed_dim, act)
-        params = _params_from_tensors(cfg, _read_tensors(fh))
-        ema = _params_from_tensors(cfg, _read_tensors(fh))
+        try:
+            cfg = NetworkConfig(input_dim, enc, dec, embed_dim, act)
+        except ValueError as e:
+            raise CheckpointError(f"bad network config in checkpoint: {e}") from None
+        params = _params_from_tensors(cfg, _read_tensors(fh), "raw weights")
+        ema = _params_from_tensors(cfg, _read_tensors(fh), "EMA weights")
     return params, ema, sigma_data, center
 
 
-def _params_from_tensors(cfg: NetworkConfig, tensors) -> DenoiserParams:
-    n_per_layer = len(DenoiserParams._TRAINABLE)
-    expected = 1 + n_per_layer * len(cfg.hidden_widths) + 2
-    if len(tensors) != expected:
+def _params_from_tensors(cfg: NetworkConfig, tensors, what="weights") -> DenoiserParams:
+    """Unflatten declaration-order tensors, checking each shape against cfg."""
+    shapes = _tensor_shapes(cfg)
+    if len(tensors) != len(shapes):
         raise CheckpointError(
-            f"checkpoint holds {len(tensors)} tensors, config implies {expected}"
+            f"{what}: checkpoint holds {len(tensors)} tensors, config implies {len(shapes)}"
         )
+    for t, (name, shape) in zip(tensors, shapes):
+        if t.shape != shape:
+            raise CheckpointError(
+                f"{what}: tensor {name} has shape {t.shape}, config implies {shape}"
+            )
+    n_per_layer = len(DenoiserParams._TRAINABLE)
     freqs = tensors[0]
     layers = []
     i = 1

@@ -18,7 +18,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .rng import Rng
-from .training import TrainNoiseConfig
 
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
@@ -41,16 +40,6 @@ class ScheduleConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-
-
-def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
-    """(sigma_min, sigma_max) spanning five log-normal standard deviations
-    around the training noise distribution: e^(p_mean -+ 5 p_std).
-    """
-    return (
-        float(np.exp(cfg.p_mean - 5.0 * cfg.p_std)),
-        float(np.exp(cfg.p_mean + 5.0 * cfg.p_std)),
-    )
 
 
 def karras_schedule(cfg: ScheduleConfig) -> np.ndarray:

@@ -150,18 +150,33 @@ def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
                 ])
 
 
+def _bad_number(line: int, row: list[str]) -> str:
+    try:
+        int(row[1])
+    except ValueError:
+        return f"score CSV line {line}: segment_index {row[1]!r} is not an integer"
+    return f"score CSV line {line}: mse {row[2]!r} is not a number"
+
+
 def read_scores_csv(path) -> dict[str, np.ndarray]:
     """Per-video arrays of segment scores, ordered by segment_index."""
     rows: dict[str, list[tuple[int, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise DataError(f"unexpected score CSV header {header!r}")
-        for row in reader:
-            if len(row) != len(_CSV_HEADER):
-                raise DataError(f"malformed score CSV row {row!r}")
-            rows.setdefault(row[0], []).append((int(row[1]), float(row[2])))
+        try:
+            header = next(reader, None)
+            if header != _CSV_HEADER:
+                raise DataError(f"unexpected score CSV header {header!r}")
+            for row in reader:
+                if len(row) != len(_CSV_HEADER):
+                    raise DataError(f"malformed score CSV row {row!r}")
+                try:
+                    pair = (int(row[1]), float(row[2]))
+                except ValueError:
+                    raise DataError(_bad_number(reader.line_num, row)) from None
+                rows.setdefault(row[0], []).append(pair)
+        except UnicodeDecodeError as e:
+            raise DataError(f"score CSV is not valid text: {e}") from None
     out = {}
     for vid, pairs in rows.items():
         pairs.sort()

@@ -33,6 +33,16 @@ class TrainNoiseConfig:
             raise ValueError(f"need finite p_mean and p_std > 0, got ({self.p_mean}, {self.p_std})")
 
 
+def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
+    """(sigma_min, sigma_max) spanning five log-normal standard deviations
+    around the training noise distribution: e^(p_mean -+ 5 p_std).
+    """
+    return (
+        float(np.exp(cfg.p_mean - 5.0 * cfg.p_std)),
+        float(np.exp(cfg.p_mean + 5.0 * cfg.p_std)),
+    )
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50

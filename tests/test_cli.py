@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vadiff import load_features, read_scores_csv
+from vadiff import NetworkConfig, Rng, init_params, load_features, read_scores_csv, save_checkpoint
 from vadiff.cli import main
 
 
@@ -238,6 +238,80 @@ def test_eval_non_finite_score_is_numeric_error(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert f"video {fields[0]!r}, segment {fields[1]}" in err
     assert not report.exists()
+
+
+def _assert_data_error(code, capsys, *fragments):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("edit, fragments", [
+    (lambda doc: doc["videos"], ["manifest must be a JSON object, got an array"]),
+    (lambda doc: {**doc, "videos": [doc["videos"][0]]
+                  + [{k: v for k, v in doc["videos"][1].items() if k != "frame_count"}]},
+     ["manifest video 1", "'frame_count'"]),
+], ids=["top-level-list", "missing-frame-count"])
+def test_eval_malformed_manifest_is_data_error(tmp_path, capsys, edit, fragments):
+    _, m = make_data(tmp_path)
+    m.write_text(json.dumps(edit(json.loads(m.read_text()))))
+    capsys.readouterr()
+    code = run("eval", "--scores", str(tmp_path / "unused.csv"), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, *fragments)
+
+
+@pytest.mark.parametrize("column, field", [(1, "segment_index"), (2, "mse")])
+def test_eval_non_numeric_score_field_is_data_error(tmp_path, capsys, column, field):
+    _, m = make_data(tmp_path)
+    first = json.loads(m.read_text())["videos"][0]["video_id"]
+    fields = [first, "0", "0.5", "0", "0", "1.0"]
+    fields[column] = "abc"
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n"
+                      + ",".join(fields) + "\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, f"score CSV line 2: {field} 'abc'")
+
+
+@pytest.mark.parametrize("broken", ["manifest", "scores"])
+def test_eval_undecodable_bytes_are_data_error(tmp_path, capsys, broken):
+    _, m = make_data(tmp_path)
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n")
+    target = m if broken == "manifest" else scores
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, "manifest is not valid JSON" if broken == "manifest"
+                       else "score CSV is not valid text")
+
+
+@pytest.mark.parametrize("corrupt, fragment", [
+    ("activation", "activation name b'sil\\xe9' is not ASCII"),
+    ("shape", "EMA weights: tensor layers[0].w has shape (4, 5), config implies (6, 8)"),
+])
+def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
+    f, m = make_data(tmp_path)
+    params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
+    ema = params.copy()
+    if corrupt == "shape":
+        ema.layers[0].w = np.zeros((4, 5), dtype=np.float32)
+    ck = tmp_path / "model.bin"
+    save_checkpoint(ck, params, ema, sigma_data=1.0)
+    if corrupt == "activation":
+        ck.write_bytes(ck.read_bytes().replace(b"silu", b"sil\xe9", 1))
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+               "--out", str(out))
+    _assert_data_error(code, capsys, fragment)
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,33 @@ def test_load_manifest_rejects_invalid_json(tmp_path):
     mpath = tmp_path / "bad.json"
     mpath.write_text("{not json")
     with pytest.raises(DataError):
+        load_manifest(mpath)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["videos"], "manifest must be a JSON object, got an array"),
+    (lambda doc: {**doc, "videos": {}}, "manifest: videos must be an array"),
+    (lambda doc: {**doc, "videos": [doc["videos"][0], 7]},
+     "manifest video 1: expected an object, got an integer"),
+    (lambda doc: {**doc, "videos": [doc["videos"][0],
+                                    {k: v for k, v in doc["videos"][1].items()
+                                     if k != "frame_count"}]},
+     "manifest video 1: missing key 'frame_count'"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0], "segment_count": "3"}]},
+     "manifest video 0: segment_count must be an integer, got a string"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0], "video_id": 3}]},
+     "manifest video 0: video_id must be a string"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0], "labels": [0, [1]]}]},
+     "manifest video 0: labels must be an array of 0/1"),
+    (lambda doc: {**doc, "segment_len": 0}, "segment_len must be a positive integer"),
+], ids=["list", "videos-object", "video-integer", "missing-key", "string-count",
+        "integer-id", "nested-labels", "zero-segment-len"])
+def test_load_manifest_shape_errors_name_the_fault(tmp_path, edit, message):
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+    with pytest.raises(DataError, match=re.escape(message)):
         load_manifest(mpath)
 
 

@@ -17,6 +17,8 @@ from vadiff import (
     scalings,
     silu,
 )
+from vadiff import network
+from vadiff.network import _tensor_shapes
 
 
 def tiny_config(dim=6):
@@ -213,6 +215,55 @@ def test_denoise_per_row_sigma_matches_scalar_calls():
         assert np.abs(got[i] - row[0]).max() <= 1e-12
 
 
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_forward_scalar_c_noise_matches_per_row_embedding():
+    params = tiny_params(dtype=np.float32)
+    x = Rng(15).standard_normal((5, 6)).astype(np.float32)
+    shared = forward_raw(params, x, 0.4)
+    per_row = forward_raw(params, x, np.full(5, 0.4))
+    assert shared.dtype == np.float32
+    assert _rel_err(shared, per_row) <= 1e-6
+
+
+def test_denoise_runs_network_in_weight_dtype_keeps_input_dtype():
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(0.8)
+    x = Rng(16).standard_normal((7, 6))
+    got = denoise(params, p, x, 1.3)
+    assert got.dtype == np.float64
+    want = denoise(params.astype(np.float64), p, x, 1.3)
+    assert _rel_err(got, want) <= 1e-5
+    got32 = denoise(params, p, x.astype(np.float32), 1.3)
+    assert got32.dtype == np.float32
+
+
+def test_denoise_feeds_forward_weight_dtype_and_one_noise_level(monkeypatch):
+    seen = []
+
+    def spy(params, x_scaled, c_noise, **kwargs):
+        seen.append((x_scaled.dtype, np.shape(c_noise)))
+        return forward_raw(params, x_scaled, c_noise, **kwargs)
+
+    monkeypatch.setattr(network, "forward_raw", spy)
+    params = tiny_params(dtype=np.float32)
+    x = Rng(18).standard_normal((5, 6))
+    denoise(params, Preconditioner(1.0), x, 0.7)
+    denoise(params, Preconditioner(1.0), x, np.full(5, 0.7))
+    assert seen == [(np.float32, ()), (np.float32, (5,))]
+
+
+def test_denoise_float32_scalar_sigma_matches_per_row_sigma():
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(1.1)
+    x = Rng(17).standard_normal((6, 6))
+    scalar = denoise(params, p, x, 2.5)
+    per_row = denoise(params, p, x, np.full(6, 2.5))
+    assert _rel_err(scalar, per_row) <= 1e-6
+
+
 def test_denoise_identity_limit_small_sigma():
     params = tiny_params()
     p = Preconditioner(1.0)
@@ -318,4 +369,29 @@ def test_checkpoint_truncation(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_tensor_shapes_match_init_params():
+    cfg = tiny_config()
+    want = [t.shape for t in init_params(cfg, Rng(0)).tensors()]
+    assert [shape for _, shape in _tensor_shapes(cfg)] == want
+
+
+def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
+    params = tiny_params(dtype=np.float32)
+    bad = params.copy()
+    bad.layers[0].w = np.zeros((4, 5), dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, bad, params, sigma_data=1.0)
+    with pytest.raises(CheckpointError, match=r"layers\[0\]\.w has shape \(4, 5\), config implies \(6, 8\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_ascii_activation(tmp_path):
+    params = tiny_params(dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, params, sigma_data=1.0)
+    path.write_bytes(path.read_bytes().replace(b"silu", b"sil\xe9", 1))
+    with pytest.raises(CheckpointError, match="not ASCII"):
         load_checkpoint(path)

@@ -3,6 +3,7 @@ import pytest
 
 from vadiff import (
     BatchDecision,
+    DataError,
     FeatureSet,
     NetworkConfig,
     Preconditioner,
@@ -182,6 +183,20 @@ def test_score_batch_scores_ignore_k():
     assert a.flags.sum() >= b.flags.sum()
 
 
+def test_score_batch_float32_weights_keep_float64_losses():
+    cfg = NetworkConfig(input_dim=4, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
+    params = init_params(cfg, Rng(2))
+    params.out_w = (Rng(3).standard_normal(params.out_w.shape) * 0.1).astype(np.float32)
+    p = Preconditioner(1.0)
+    sig = short_schedule()
+    batch = Rng(12).standard_normal((16, 4))
+    scfg = ScoringConfig(start_index=0)
+    got = score_batch(params, p, sig, scfg, batch, Rng(13))
+    want = score_batch(params.astype(np.float64), p, sig, scfg, batch, Rng(13))
+    assert got.losses.dtype == np.float64
+    assert np.abs(got.losses - want.losses).max() <= 1e-5 * want.losses.max()
+
+
 def test_score_batch_start_index_validated():
     params, p = small_model()
     sig = short_schedule()
@@ -278,4 +293,17 @@ def test_scores_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("video,idx,loss\na,0,0.5\n")
     with pytest.raises(ValueError):
+        read_scores_csv(path)
+
+
+@pytest.mark.parametrize("index, mse, field", [("x1", "0.5", "segment_index"),
+                                                ("1", "abc", "mse")])
+def test_scores_csv_non_numeric_field_names_the_line(tmp_path, index, mse, field):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "video_id,segment_index,mse,flagged,batch_id,l_th\n"
+        "a,0,0.5,0,0,1.0\n"
+        f"a,{index},{mse},0,0,1.0\n"
+    )
+    with pytest.raises(DataError, match=f"line 3: {field}"):
         read_scores_csv(path)
