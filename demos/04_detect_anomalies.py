@@ -3,7 +3,7 @@
 Pipeline: generate features -> train the denoiser on all of them
 (unsupervised, labels never touch training) -> noise-and-reconstruct
 each segment -> flag segments whose reconstruction error clears the
-per-batch threshold mu + k * sigma -> expand to frames and measure
+per-batch threshold mu + k * sigma -> measure frame-level
 ROC-AUC against the held labels.
 """
 
@@ -22,6 +22,7 @@ from vadiff import (
     init_params,
     karras_schedule,
     score_dataset,
+    split_by_video,
     synth_generate,
 )
 
@@ -53,10 +54,6 @@ print(f"flagged {int(scores.flags.sum())} of {n} segments"
 
 # 4. frame-level ROC-AUC against the manifest labels; random scores would
 #    sit near 0.5
-by_video = {
-    rec.video_id: scores.mse[rec.segment_offset : rec.segment_offset + rec.segment_count]
-    for rec in fs.manifest
-}
-report = evaluate(by_video, fs.manifest, fs.segment_len)
+report = evaluate(split_by_video(scores.mse, fs.manifest), fs.manifest, fs.segment_len)
 print(f"frame AUC: {report.auc:.4f}  ({report.positive_count} anomalous"
       f" / {report.frame_count} frames)")

@@ -28,6 +28,7 @@ from .evaluation import (
     evaluate,
     expand_segments,
     roc_auc,
+    split_by_video,
     write_frames_csv,
     write_report_json,
 )
@@ -101,7 +102,7 @@ __all__ = [
     "ScoringConfig", "BatchDecision", "DatasetScores",
     "mse_per_instance", "batch_threshold", "score_batch", "score_dataset",
     "write_scores_csv", "read_scores_csv",
-    "EvalReport", "expand_segments", "roc_auc", "evaluate",
+    "EvalReport", "expand_segments", "split_by_video", "roc_auc", "evaluate",
     "write_report_json", "write_frames_csv",
     "__version__",
 ]

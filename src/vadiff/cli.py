@@ -23,7 +23,7 @@ from .data import (
     save_features,
     synth_generate,
 )
-from .evaluation import evaluate, write_frames_csv, write_report_json
+from .evaluation import evaluate, split_by_video, write_frames_csv, write_report_json
 from .network import (
     CheckpointError,
     NetworkConfig,
@@ -349,12 +349,7 @@ def cmd_sweep(args, config) -> int:
                     cfg = ScoringConfig(start_index=t, k=k_list[0], batch_size=batch_size)
                     scores = score_dataset(ema, p, sigmas, cfg, fs, Rng(seed),
                                            center=stats.center)
-                    by_video = {
-                        rec.video_id: scores.mse[
-                            rec.segment_offset : rec.segment_offset + rec.segment_count
-                        ]
-                        for rec in fs.manifest
-                    }
+                    by_video = split_by_video(scores.mse, fs.manifest)
                     auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
                     aucs[t] = auc
                     for k in k_list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
 
     Raises DataError naming the offending video.
     """
+    if segment_len < 1:
+        raise DataError(f"segment_len must be >= 1, got {segment_len}")
     offset = 0
     for rec in manifest:
         if rec.segment_offset != offset:
@@ -73,7 +76,7 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
                 raise DataError(
                     f"video {rec.video_id!r}: {labels.shape[0]} labels for {rec.frame_count} frames"
                 )
-            if not np.isin(labels, (0, 1)).all():
+            if not ((labels == 0) | (labels == 1)).all():
                 raise DataError(f"video {rec.video_id!r}: labels must be 0 or 1")
         offset += rec.segment_count
     return offset
@@ -188,13 +191,15 @@ def load_features(features_path, manifest_path) -> FeatureSet:
             raise DataError(f"unsupported feature file version {version}")
         if dim < 1:
             raise DataError(f"feature file declares dim {dim}")
-        raw = fh.read(4 * dim * count)
-        if len(raw) != 4 * dim * count:
+        # checked against the file size first, so a corrupt count cannot
+        # ask for an allocation larger than the file
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < 4 * dim * count:
             raise DataError(
                 f"truncated feature file: expected {count} rows of {dim}, "
-                f"got {len(raw) // 4} values"
+                f"got {available // 4} values"
             )
-        features = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+        features = np.fromfile(fh, dtype="<f4", count=dim * count).reshape(count, dim)
 
     manifest, segment_len = load_manifest(manifest_path)
     fs = FeatureSet(features, manifest, segment_len=segment_len)

@@ -1,9 +1,11 @@
 """Frame-level ROC-AUC over segment scores.
 
-Each segment's score is broadcast to the frames it covers (truncated to
-the video's real frame count), frames from all videos are concatenated,
-and one global AUC is computed with the rank (Mann-Whitney) formulation,
-ties counted one half.
+Each segment's score stands for every frame it covers (the last segment of
+a video is truncated to the video's real frame count), and one global AUC
+is taken over all frames of all videos, ties counted one half.  Frames are
+never materialised: each segment enters the AUC as one score weighted by
+its positive and negative frame counts, which gives exactly the
+frame-level midrank (Mann-Whitney) AUC.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, VideoRecord
+from .data import DataError, VideoRecord, validate_manifest
 
 
 @dataclass
@@ -22,9 +24,10 @@ class EvalReport:
     auc: float
     frame_count: int
     positive_count: int
-    # per-video frame-level arrays, keyed by video_id
-    frame_scores: dict[str, np.ndarray]
-    frame_labels: dict[str, np.ndarray]
+    # what write_frames_csv expands on demand
+    segment_scores: dict[str, np.ndarray]
+    manifest: list[VideoRecord]
+    segment_len: int
 
 
 def expand_segments(segment_scores: np.ndarray, segment_len: int,
@@ -44,23 +47,38 @@ def expand_segments(segment_scores: np.ndarray, segment_len: int,
     return np.repeat(scores, segment_len)[:frame_count]
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of `values`, each tie group sharing its mean rank."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    # a tie group at sorted positions [start, end) has mean 1-based rank (start+end+1)/2
-    new_group = sorted_vals[1:] != sorted_vals[:-1]
-    bounds = np.flatnonzero(np.concatenate(([True], new_group, [True])))
-    start, end = bounds[:-1], bounds[1:]
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
-    return ranks
+def split_by_video(scores: np.ndarray, manifest: list[VideoRecord]) -> dict[str, np.ndarray]:
+    """{video_id: that video's slice of a manifest-ordered segment vector}."""
+    return {
+        rec.video_id: scores[rec.segment_offset : rec.segment_offset + rec.segment_count]
+        for rec in manifest
+    }
+
+
+def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+    """AUC of finite `scores` where score i stands for pos[i] positive and
+    neg[i] negative items (int64 counts), ties counted one half.
+
+    Per tie group g: (2 * sum P_g * N_below_g + sum P_g * N_g) / (2 * P * N).
+    The pair counts are summed in int64, exact while 2 * P * N < 2**63, so
+    the final division is the only rounding.
+    """
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC undefined: both classes must be present")
+    order = np.argsort(scores)
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    pos_g = np.add.reduceat(pos[order], starts)
+    neg_g = np.add.reduceat(neg[order], starts)
+    neg_below = np.cumsum(neg_g) - neg_g
+    twice = 2 * int(np.dot(pos_g, neg_below)) + int(np.dot(pos_g, neg_g))
+    return twice / (2 * n_pos * n_neg)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """P(random positive outranks random negative), ties counted half.
 
-    Computed from midranks: (sum of positive ranks - P(P+1)/2) / (P*N).
     Raises FloatingPointError on a non-finite score, which has no rank.
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -70,60 +88,72 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise FloatingPointError(f"non-finite score {scores[bad[0]]} at index {bad[0]}")
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC undefined: both classes must be present")
-    ranks = _midranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    pos = (labels == 1).astype(np.int64)
+    return _tied_auc(scores, pos, 1 - pos)
+
+
+def _some(ids: list[str]) -> str:
+    """The first five ids and how many more there are, for an error message."""
+    return f"{ids[:5]}" + (f" and {len(ids) - 5} more" if len(ids) > 5 else "")
 
 
 def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord],
              segment_len: int) -> EvalReport:
-    """Expand every video to frames and compute one global AUC.
+    """One global frame-level AUC over every video of the manifest.
 
     Every scored video must appear in the manifest with frame labels;
     manifest videos without scores are an error too, so the report always
     covers the full test set.  A non-finite segment score raises
     FloatingPointError naming its video and segment.
     """
+    validate_manifest(manifest, segment_len)
     by_id = {rec.video_id: rec for rec in manifest}
     missing = sorted(set(scores_by_video) - set(by_id))
     if missing:
-        raise DataError(f"scored videos missing from manifest: {missing}")
+        raise DataError(f"{len(missing)} scored videos missing from manifest: {_some(missing)}")
     unscored = sorted(set(by_id) - set(scores_by_video))
     if unscored:
-        raise DataError(f"manifest videos missing from scores: {unscored}")
+        raise DataError(f"{len(unscored)} manifest videos missing from scores: {_some(unscored)}")
 
-    frame_scores: dict[str, np.ndarray] = {}
-    frame_labels: dict[str, np.ndarray] = {}
+    segments, labels = [], []
     for rec in manifest:
         if rec.labels is None:
             raise DataError(f"video {rec.video_id!r} has no frame labels")
-        seg = scores_by_video[rec.video_id]
-        if seg.size != rec.segment_count:
+        seg = np.asarray(scores_by_video[rec.video_id], dtype=np.float64)
+        if seg.shape != (rec.segment_count,):
             raise DataError(
                 f"video {rec.video_id!r}: {seg.size} scores for "
                 f"{rec.segment_count} segments"
             )
-        bad = np.flatnonzero(~np.isfinite(seg))
-        if bad.size:
-            raise FloatingPointError(
-                f"video {rec.video_id!r}, segment {bad[0]}: non-finite score {seg[bad[0]]}"
-            )
-        frame_scores[rec.video_id] = expand_segments(seg, segment_len, rec.frame_count)
-        frame_labels[rec.video_id] = np.asarray(rec.labels, dtype=np.int8)
+        segments.append(seg)
+        labels.append(np.asarray(rec.labels, dtype=np.int8))
+    scores = np.concatenate(segments or [np.empty(0)])
+    frame_pos = np.concatenate(labels or [np.empty(0, dtype=np.int8)]) == 1
 
-    all_scores = np.concatenate([frame_scores[r.video_id] for r in manifest])
-    all_labels = np.concatenate([frame_labels[r.video_id] for r in manifest])
-    auc = roc_auc(all_scores, all_labels)
+    counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
+    ends = np.cumsum(counts)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        v = int(np.searchsorted(ends, bad[0], side="right"))  # the video holding it
+        raise FloatingPointError(
+            f"video {manifest[v].video_id!r}, segment {bad[0] - ends[v] + counts[v]}: "
+            f"non-finite score {scores[bad[0]]}"
+        )
+
+    # frames per segment: segment_len, except each video's truncated last one
+    width = np.full(scores.size, segment_len, dtype=np.int64)
+    frames = np.array([rec.frame_count for rec in manifest], dtype=np.int64)
+    has = counts > 0
+    width[ends[has] - 1] = frames[has] - (counts[has] - 1) * segment_len
+    first_frame = np.cumsum(width) - width
+    pos = np.add.reduceat(frame_pos, first_frame, dtype=np.int64)
     return EvalReport(
-        auc=auc,
-        frame_count=int(all_labels.size),
-        positive_count=int((all_labels == 1).sum()),
-        frame_scores=frame_scores,
-        frame_labels=frame_labels,
+        auc=_tied_auc(scores, pos, width - pos),
+        frame_count=int(frame_pos.size),
+        positive_count=int(frame_pos.sum()),
+        segment_scores=scores_by_video,
+        manifest=manifest,
+        segment_len=segment_len,
     )
 
 
@@ -147,8 +177,9 @@ def write_frames_csv(path, report: EvalReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_index", "score", "label"])
-        for vid in report.frame_scores:
-            scores = report.frame_scores[vid]
-            labels = report.frame_labels[vid]
+        for rec in report.manifest:
+            scores = expand_segments(report.segment_scores[rec.video_id],
+                                     report.segment_len, rec.frame_count)
+            labels = np.asarray(rec.labels, dtype=np.int8)
             for i in range(scores.size):
-                writer.writerow([vid, i, repr(float(scores[i])), int(labels[i])])
+                writer.writerow([rec.video_id, i, repr(float(scores[i])), int(labels[i])])

@@ -11,6 +11,7 @@ moves only the flags.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,38 +151,85 @@ def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
                 ])
 
 
-def _bad_number(line: int, row: list[str]) -> str:
-    try:
-        int(row[1])
-    except ValueError:
-        return f"score CSV line {line}: segment_index {row[1]!r} is not an integer"
-    return f"score CSV line {line}: mse {row[2]!r} is not a number"
+_CSV_DTYPE = np.dtype([("video_id", object), ("segment_index", "i8"), ("mse", "f8"),
+                       ("flagged", object), ("batch_id", object), ("l_th", object)])
 
 
-def read_scores_csv(path) -> dict[str, np.ndarray]:
-    """Per-video arrays of segment scores, ordered by segment_index."""
-    rows: dict[str, list[tuple[int, float]]] = {}
+def _raise_first_fault(path) -> None:
+    """Rescan the score CSV row by row and raise DataError naming the first
+    faulty line; returns if every row is well formed.
+
+    Runs only after the fast parse in read_scores_csv failed or met an
+    empty line, so a valid file never pays for it.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != _CSV_HEADER:
-                raise DataError(f"unexpected score CSV header {header!r}")
+            next(reader)
             for row in reader:
+                where = f"score CSV line {reader.line_num}"
                 if len(row) != len(_CSV_HEADER):
-                    raise DataError(f"malformed score CSV row {row!r}")
-                try:
-                    pair = (int(row[1]), float(row[2]))
-                except ValueError:
-                    raise DataError(_bad_number(reader.line_num, row)) from None
-                rows.setdefault(row[0], []).append(pair)
-        except UnicodeDecodeError as e:
-            raise DataError(f"score CSV is not valid text: {e}") from None
-    out = {}
-    for vid, pairs in rows.items():
-        pairs.sort()
-        indices = [i for i, _ in pairs]
-        if indices != list(range(len(indices))):
-            raise DataError(f"video {vid!r}: segment indices are not contiguous from 0")
-        out[vid] = np.array([s for _, s in pairs], dtype=np.float64)
-    return out
+                    raise DataError(f"{where}: expected {len(_CSV_HEADER)} fields, "
+                                    f"got {row!r:.80}")
+                for name, field, kind, noun in (("segment_index", row[1], int, "an integer"),
+                                                ("mse", row[2], float, "a number")):
+                    try:
+                        kind(field)
+                    except ValueError:
+                        raise DataError(f"{where}: {name} {field!r:.40} is not {noun}") from None
+        except csv.Error as e:
+            raise DataError(f"score CSV line {reader.line_num}: {e}") from None
+
+
+def read_scores_csv(path) -> dict[str, np.ndarray]:
+    """Per-video arrays of segment scores, ordered by segment_index.
+
+    Videos come in the order of their first row.  The header is checked
+    with the csv module and the body is parsed in C by np.loadtxt; a body
+    that fails that parse raises DataError naming the first faulty line.
+    Only the video_id, segment_index and mse columns are converted; the
+    other three must be present but are not read.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header != _CSV_HEADER:
+                raise DataError(f"unexpected score CSV header {header!r:.200}")
+            body = fh.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"score CSV is not valid text: {e}") from None
+    except csv.Error as e:
+        raise DataError(f"score CSV line 1: {e}") from None
+    if not body:
+        return {}
+    # np.loadtxt skips empty lines, which the csv format reads as empty rows:
+    # a line end ("\n", "\r" or "\r\n") right after another, or at the start
+    if body.startswith(("\n", "\r")) or any(p in body for p in ("\n\n", "\n\r", "\r\r")):
+        _raise_first_fault(path)  # returns when the empty lines sit inside quotes
+    del body  # np.loadtxt reads the file itself; hold one copy at a time
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that parse an integer field such as "1.5"
+            # through float warn instead of failing; fail on every release
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(path, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
+                              comments=None, skiprows=1, ndmin=1)
+    except (ValueError, DeprecationWarning) as e:
+        _raise_first_fault(path)
+        raise DataError(f"malformed score CSV: {e}") from None
+
+    ids, index = rows["video_id"], rows["segment_index"]
+    # video codes in first-appearance order, hashing one id per run of rows
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    codes: dict[str, int] = {}
+    run_codes = [codes.setdefault(vid, len(codes)) for vid in ids[starts]]
+    code = np.repeat(run_codes, np.diff(np.append(starts, ids.size)))
+    order = np.lexsort((index, code))
+    code = code[order]
+    counts = np.bincount(code, minlength=len(codes))
+    first = np.cumsum(counts) - counts
+    bad = np.flatnonzero(index[order] != np.arange(ids.size) - first[code])
+    if bad.size:
+        vid = list(codes)[code[bad[0]]]
+        raise DataError(f"video {vid!r}: segment indices are not contiguous from 0")
+    return dict(zip(codes, np.split(rows["mse"][order], first[1:])))

@@ -1,9 +1,25 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vadiff import NetworkConfig, Rng, init_params, load_features, read_scores_csv, save_checkpoint
+from vadiff import (
+    DatasetScores,
+    NetworkConfig,
+    Rng,
+    SynthConfig,
+    init_params,
+    load_features,
+    read_scores_csv,
+    save_checkpoint,
+    save_features,
+    synth_generate,
+    write_scores_csv,
+)
 from vadiff.cli import main
 
 
@@ -290,6 +306,74 @@ def test_eval_undecodable_bytes_are_data_error(tmp_path, capsys, broken):
                "--out", str(tmp_path / "r.json"))
     _assert_data_error(code, capsys, "manifest is not valid JSON" if broken == "manifest"
                        else "score CSV is not valid text")
+
+
+def test_eval_missing_videos_message_is_capped(tmp_path, capsys):
+    _, m = make_data(tmp_path, n_normal=1000)
+    videos = len(json.loads(m.read_text())["videos"])
+    assert videos > 5
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{videos} manifest videos missing from scores: " in err
+    assert f"and {videos - 5} more" in err
+    assert len(err) < 200
+
+
+# --- corrupted eval inputs ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """Bytes of a labelled manifest and its score CSV, and a scratch directory."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    fs = synth_generate(SynthConfig(n_normal=60, n_anomalous=6, dim=2, seed=5))
+    save_features(tmp / "f.vadf", tmp / "m.json", fs)
+    mse = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+    n = mse.size
+    write_scores_csv(tmp / "s.csv", fs, DatasetScores(
+        mse, mse > 1.0, np.zeros(n, dtype=np.int64), np.ones(n), []))
+    files = {"manifest": (tmp / "m.json").read_bytes(), "scores": (tmp / "s.csv").read_bytes()}
+    assert _eval_bytes(tmp, **files) == (0, "")
+    return files, tmp
+
+
+def _eval_bytes(directory, manifest: bytes, scores: bytes):
+    """(exit code, stderr) of `vadiff eval` on the given file contents."""
+    (directory / "cm.json").write_bytes(manifest)
+    (directory / "cs.csv").write_bytes(scores)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--scores", str(directory / "cs.csv"), "--manifest",
+                     str(directory / "cm.json"), "--out", str(directory / "r.json")])
+    return code, err.getvalue()
+
+
+@given(target=st.sampled_from(["manifest", "scores"]), data=st.data())
+def test_eval_truncated_input_is_data_error(eval_inputs, target, data):
+    files, tmp = eval_inputs
+    cut = data.draw(st.integers(0, len(files[target]) - 1), label="cut")
+    code, err = _eval_bytes(tmp, **{**files, target: files[target][:cut]})
+    assert "Traceback" not in err
+    assert code in (0, 2), err
+    last_row = files["scores"].rstrip(b"\r\n").rfind(b"\n") + 1
+    if target == "scores" and cut <= last_row:  # at least one whole row is gone
+        assert code == 2, err
+
+
+@given(target=st.sampled_from(["manifest", "scores"]), data=st.data())
+def test_eval_flipped_byte_is_data_error(eval_inputs, target, data):
+    files, tmp = eval_inputs
+    raw = bytearray(files[target])
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    code, err = _eval_bytes(tmp, **{**files, target: bytes(raw)})
+    assert "Traceback" not in err
+    # a digit flipped to "e" can make an mse overflow to inf: the numeric exit
+    assert code in (0, 2) or (code == 3 and "non-finite score" in err), err
 
 
 @pytest.mark.parametrize("corrupt, fragment", [

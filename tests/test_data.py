@@ -62,6 +62,21 @@ def test_validate_rejects_bad_labels():
         validate_manifest(manifest, 16)
 
 
+@pytest.mark.parametrize("labels", [np.array([0, -1], dtype=np.int8),
+                                    np.array([0, 2], dtype=np.int8),
+                                    np.array([0.0, 0.5]), [True, 3]],
+                         ids=["int8-minus-one", "int8-two", "float-half", "list"])
+def test_validate_rejects_labels_outside_0_1(labels):
+    manifest = [VideoRecord("a", 2, 0, 1, labels=labels)]
+    with pytest.raises(DataError, match="'a': labels must be 0 or 1"):
+        validate_manifest(manifest, 16)
+
+
+def test_validate_rejects_segment_len_below_one():
+    with pytest.raises(DataError, match="segment_len must be >= 1, got 0"):
+        validate_manifest([VideoRecord("a", 2, 0, 1)], 0)
+
+
 # --- binary feature file + manifest round trip ----------------------------------------
 
 def test_round_trip_bit_identical(tmp_path):
@@ -94,6 +109,17 @@ def test_load_rejects_truncated_payload(tmp_path):
     raw = fpath.read_bytes()
     fpath.write_bytes(raw[:-8])
     with pytest.raises(DataError):
+        load_features(fpath, mpath)
+
+
+def test_load_rejects_row_count_beyond_file_size(tmp_path):
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    raw = bytearray(fpath.read_bytes())
+    raw[10:18] = (2**40).to_bytes(8, "little")  # the header's row count
+    fpath.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="expected 1099511627776 rows of 4, got 20 values"):
         load_features(fpath, mpath)
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vadiff import (
+    DataError,
     Rng,
     VideoRecord,
     evaluate,
@@ -158,16 +161,76 @@ def test_evaluate_rejects_missing_videos():
         evaluate(extra, manifest, 16)
 
 
+def test_evaluate_names_the_non_finite_segment():
+    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, np.nan])}
+    with pytest.raises(FloatingPointError, match="video 'b', segment 1: non-finite score nan"):
+        evaluate(scores, labeled_manifest(), 16)
+
+
 def test_evaluate_requires_labels():
     manifest = [VideoRecord("a", 32, 0, 2, labels=None)]
     with pytest.raises(ValueError):
         evaluate({"a": np.array([0.2, 0.8])}, manifest, 16)
 
 
+@st.composite
+def tied_segment_sets(draw):
+    """(scores_by_video, manifest, segment_len) with scores on a coarse grid
+    and random truncation of each video's last segment."""
+    segment_len = draw(st.integers(1, 6))
+    scores, manifest, offset = {}, [], 0
+    for v in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(0, 5))
+        cut = draw(st.integers(0, segment_len - 1)) if count else 0
+        frames = count * segment_len - cut
+        labels = draw(st.lists(st.integers(0, 1), min_size=frames, max_size=frames))
+        grid = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+        scores[f"v{v}"] = np.array(grid, dtype=np.float64) / 4
+        manifest.append(VideoRecord(f"v{v}", frames, offset, count,
+                                    labels=np.array(labels, dtype=np.int8)))
+        offset += count
+    return scores, manifest, segment_len
+
+
+@given(tied_segment_sets())
+def test_evaluate_equals_frame_auc_and_pairwise_oracle(case):
+    scores, manifest, segment_len = case
+    frames = np.concatenate([expand_segments(scores[r.video_id], segment_len, r.frame_count)
+                             for r in manifest])
+    labels = np.concatenate([r.labels for r in manifest])
+    if not 0 < labels.sum() < labels.size:
+        with pytest.raises(ValueError, match="both classes"):
+            evaluate(scores, manifest, segment_len)
+        return
+    report = evaluate(scores, manifest, segment_len)
+    assert report.frame_count == labels.size
+    assert report.positive_count == int(labels.sum())
+    assert abs(report.auc - roc_auc(frames, labels)) <= 1e-12
+    assert abs(report.auc - brute_force_auc(frames, labels)) <= 1e-12
+
+
+def test_evaluate_names_at_most_five_missing_videos():
+    manifest = [VideoRecord(f"v{i}", 16, i, 1, labels=[0] * 16) for i in range(8)]
+    with pytest.raises(ValueError) as info:
+        evaluate({}, manifest, 16)
+    assert str(info.value) == ("8 manifest videos missing from scores: "
+                               "['v0', 'v1', 'v2', 'v3', 'v4'] and 3 more")
+
+
 def test_evaluate_requires_score_count_match():
     manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)]
     with pytest.raises(ValueError):
         evaluate({"a": np.array([0.2, 0.8, 0.3])}, manifest, 16)
+
+
+def test_evaluate_checks_the_manifest():
+    scores = {"a": np.array([0.2, 0.8])}
+    with pytest.raises(DataError, match="segment_len must be >= 1, got 0"):
+        evaluate(scores, [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)], 0)
+    with pytest.raises(DataError, match="'a': 48 frames need 3 segments of 16"):
+        evaluate(scores, [VideoRecord("a", 48, 0, 2, labels=[0] * 24 + [1] * 24)], 16)
+    with pytest.raises(DataError, match="'a': 31 labels for 32 frames"):
+        evaluate(scores, [VideoRecord("a", 32, 0, 2, labels=[0] * 15 + [1] * 16)], 16)
 
 
 # --- report artifacts ----------------------------------------------------------------
@@ -200,3 +263,13 @@ def test_frames_csv_layout(tmp_path):
     assert len(lines) == 1 + 52
     assert lines[1].startswith("a,0,")
     assert lines[-1].split(",")[:2] == ["b", "19"]
+
+
+def test_frames_csv_bytes(tmp_path):
+    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
+    path = tmp_path / "frames.csv"
+    write_frames_csv(path, evaluate(scores, labeled_manifest(), 16))
+    rows = ([f"a,{i},0.2,0" for i in range(16)] + [f"a,{i},0.8,1" for i in range(16, 32)]
+            + [f"b,{i},0.5,0" for i in range(16)] + [f"b,{i},0.1,0" for i in range(16, 20)])
+    want = "".join(f"{row}\r\n" for row in ["video_id,frame_index,score,label"] + rows)
+    assert path.read_bytes() == want.encode()

@@ -3,6 +3,7 @@ import pytest
 
 from vadiff import (
     BatchDecision,
+    DatasetScores,
     DataError,
     FeatureSet,
     NetworkConfig,
@@ -297,7 +298,9 @@ def test_scores_csv_rejects_wrong_header(tmp_path):
 
 
 @pytest.mark.parametrize("index, mse, field", [("x1", "0.5", "segment_index"),
-                                                ("1", "abc", "mse")])
+                                                ("1", "abc", "mse"),
+                                                ("1.5", "0.5", "segment_index"),
+                                                ("1e0", "0.5", "segment_index")])
 def test_scores_csv_non_numeric_field_names_the_line(tmp_path, index, mse, field):
     path = tmp_path / "scores.csv"
     path.write_text(
@@ -306,4 +309,49 @@ def test_scores_csv_non_numeric_field_names_the_line(tmp_path, index, mse, field
         f"a,{index},{mse},0,0,1.0\n"
     )
     with pytest.raises(DataError, match=f"line 3: {field}"):
+        read_scores_csv(path)
+
+
+def test_scores_csv_videos_in_first_appearance_order(tmp_path):
+    rows = [("b", 1, 0.25), ("c", 0, 0.5), ("a", 1, 0.75), ("b", 0, 1.0),
+            ("a", 0, 1.25), ("b", 2, 1.5), ("c", 1, 1.75)]
+    order = [3, 0, 6, 4, 1, 5, 2]  # a fixed shuffle: c is the first video seen
+    path = tmp_path / "scores.csv"
+    path.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n" + "".join(
+        f"{rows[i][0]},{rows[i][1]},{rows[i][2]},0,0,1.0\n" for i in order))
+    by_video = read_scores_csv(path)
+    assert list(by_video) == ["b", "c", "a"]
+    assert by_video["a"].tolist() == [1.25, 0.75]
+    assert by_video["b"].tolist() == [1.0, 0.25, 1.5]
+    assert by_video["c"].tolist() == [0.5, 1.75]
+
+
+def test_scores_csv_quoted_ids_round_trip(tmp_path):
+    # the last id puts an empty line inside quotes, which is no empty row
+    ids = ['cam 1, door', 'say "hi"', 'two\n\nlines']
+    fs = FeatureSet(np.zeros((4, 2), dtype=np.float32),
+                    [VideoRecord(ids[0], 16, 0, 1), VideoRecord(ids[1], 32, 1, 2),
+                     VideoRecord(ids[2], 3, 3, 1)])
+    mse = np.array([0.5, 0.25, 2.0, 4.0])
+    scores = DatasetScores(mse, mse > 1.0, np.zeros(4, dtype=np.int64), np.full(4, 1.0), [])
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, fs, scores)
+    by_video = read_scores_csv(path)
+    assert list(by_video) == ids
+    assert by_video[ids[0]].tolist() == [0.5]
+    assert by_video[ids[1]].tolist() == [0.25, 2.0]
+    assert by_video[ids[2]].tolist() == [4.0]
+
+
+@pytest.mark.parametrize("line", ["", "a,1,0.5,0,0", "a,1,0.5,0,0,1.0,7"],
+                         ids=["blank", "five-columns", "seven-columns"])
+def test_scores_csv_malformed_row_names_the_line(tmp_path, line):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "video_id,segment_index,mse,flagged,batch_id,l_th\n"
+        "a,0,0.5,0,0,1.0\n"
+        f"{line}\n"
+        "a,1,0.6,0,0,1.0\n"
+    )
+    with pytest.raises(DataError, match="line 3: expected 6 fields"):
         read_scores_csv(path)
