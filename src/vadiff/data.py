@@ -158,7 +158,9 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
 
     Every structural fault (wrong JSON type, missing key) raises DataError
     naming the video index and the key; the checks run once per video,
-    not per frame.
+    not per frame.  The records' consistency (offsets, segment counts,
+    labels) is checked once by the stage that uses them: load_features
+    through validate, evaluate through validate_manifest.
     """
     with open(manifest_path) as fh:
         try:
@@ -174,7 +176,6 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     segment_len = doc.get("segment_len", SEGMENT_LEN)
     if type(segment_len) is not int or segment_len < 1:
         raise DataError(f"manifest segment_len must be a positive integer, got {segment_len!r}")
-    validate_manifest(manifest, segment_len)
     return manifest, segment_len
 
 

@@ -103,8 +103,9 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
 
     Every scored video must appear in the manifest with frame labels;
     manifest videos without scores are an error too, so the report always
-    covers the full test set.  A non-finite segment score raises
-    FloatingPointError naming its video and segment.
+    covers the full test set, and its labels must hold both classes.  A
+    non-finite segment score raises FloatingPointError naming its video
+    and segment.
     """
     validate_manifest(manifest, segment_len)
     by_id = {rec.video_id: rec for rec in manifest}
@@ -140,6 +141,13 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
             f"non-finite score {scores[bad[0]]}"
         )
 
+    n_pos = int(frame_pos.sum())
+    absent = [name for name, count in (("anomalous (1)", n_pos),
+                                       ("normal (0)", frame_pos.size - n_pos)) if count == 0]
+    if absent:
+        raise DataError(f"AUC undefined: the manifest labels no {' or '.join(absent)} "
+                        f"frames; both classes must be present")
+
     # frames per segment: segment_len, except each video's truncated last one
     width = np.full(scores.size, segment_len, dtype=np.int64)
     frames = np.array([rec.frame_count for rec in manifest], dtype=np.int64)
@@ -150,7 +158,7 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
     return EvalReport(
         auc=_tied_auc(scores, pos, width - pos),
         frame_count=int(frame_pos.size),
-        positive_count=int(frame_pos.sum()),
+        positive_count=n_pos,
         segment_scores=scores_by_video,
         manifest=manifest,
         segment_len=segment_len,

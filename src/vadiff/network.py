@@ -190,9 +190,9 @@ def fourier_embed(params: DenoiserParams, c_noise):
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # tanh saturates instead of overflowing, at any magnitude and dtype
-    s = np.tanh(0.5 * x)
+    s = np.tanh(np.multiply(x, 0.5, out=out), out=out)
     s *= 0.5
     s += 0.5
     return s
@@ -203,39 +203,58 @@ def silu(x):
     return x * _sigmoid(x)
 
 
-def film(h, gamma, beta):
-    """Per-unit scale and shift, broadcast over batch rows."""
+def film(h, gamma, beta, out=None):
+    """Per-unit scale and shift, broadcast over batch rows; into `out` if given."""
     if np.shape(gamma)[-1] != np.shape(h)[-1]:
         raise ValueError(f"FiLM width mismatch: hidden {np.shape(h)[-1]}, "
                          f"gamma {np.shape(gamma)[-1]}")
-    out = gamma * h
+    out = np.multiply(gamma, h, out=out)
     out += beta
     return out
 
 
-def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None):
+def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None, work=None):
     """Raw network pass F(x_scaled; c_noise): encoder, decoder, output head.
 
     `embedding` overrides the Fourier embedding when the caller already
     computed it.  When `cache` is a list, each hidden layer appends the
     tuple (input, pre-activation a, sigmoid(a), silu(a), gamma) its
     backward needs, and the output head then appends its input.
+
+    Without a cache, and with input, embedding and weights in one dtype
+    (as denoise calls it), each hidden layer runs in place in two buffers
+    of rows x widest layer that take turns: the affine product lands in
+    one, the sigmoid in the other (its input is dead once multiplied),
+    and SiLU and FiLM overwrite the affine product.  The list `work` keeps
+    the buffers between calls.  Every path gives the same bits.
     """
     emb = fourier_embed(params, c_noise) if embedding is None else embedding
-    h = x_scaled
-    for lay in params.layers:
+    h = np.asarray(x_scaled)
+    inplace = cache is None and h.dtype == emb.dtype == params.dtype
+    if inplace:
+        work = [] if work is None else work
+        room = h.size // h.shape[-1] * max(params.config.hidden_widths)
+        if not work or work[0].size < room or work[0].dtype != h.dtype:
+            work[:] = [np.empty(room, h.dtype), np.empty(room, h.dtype)]
+    a_out = s_out = None
+    for i, lay in enumerate(params.layers):
+        if inplace:
+            shape = h.shape[:-1] + lay.b.shape
+            size = math.prod(shape)
+            a_out = work[i % 2][:size].reshape(shape)
+            s_out = work[1 - i % 2][:size].reshape(shape)
         # in-place bias adds: no second batch-sized buffer per affine
-        a = h @ lay.w
+        a = np.matmul(h, lay.w, out=a_out)
         a += lay.b
-        s = _sigmoid(a)
-        u = a * s
+        s = _sigmoid(a, out=s_out)
+        u = np.multiply(a, s, out=a_out)
         gamma = emb @ lay.gamma_w
         gamma += lay.gamma_b
         beta = emb @ lay.beta_w
         beta += lay.beta_b
         if cache is not None:
             cache.append((h, a, s, u, gamma))
-        h = film(u, gamma, beta)
+        h = film(u, gamma, beta, out=a_out)
     if cache is not None:
         cache.append(h)
     f = h @ params.out_w
@@ -243,26 +262,30 @@ def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None):
     return f
 
 
-def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma) -> np.ndarray:
+def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
+            work=None) -> np.ndarray:
     """Effective denoiser D(x; sigma) for inference, in x's float dtype.
 
     sigma is a scalar or per-row (n,) array; columns are feature dims.
-    The network itself runs in the weights' dtype.
+    The network itself runs in the weights' dtype, in place in the
+    buffers `work` keeps (see forward_raw).
     """
     x = np.asarray(x)
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     if np.ndim(sigma) == 1:
         c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
-    f = forward_raw(params, (c_in * x).astype(params.dtype), c_noise)
+    f = forward_raw(params, (c_in * x).astype(params.dtype), c_noise, work=work)
     dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
     return (c_skip * x + c_out * f).astype(dt, copy=False)
 
 
 def as_denoiser(params: DenoiserParams, p: Preconditioner):
     """The effective denoiser as a plain (x, sigma) -> x_hat callable,
-    the form the ODE sampler consumes.
+    the form the ODE sampler consumes.  Its calls share one set of
+    activation buffers, so a sampling chain allocates them once.
     """
-    return lambda x, sigma: denoise(params, p, x, sigma)
+    work = []
+    return lambda x, sigma: denoise(params, p, x, sigma, work=work)
 
 
 # --- checkpoint serialization (magic "VADW") --------------------------------

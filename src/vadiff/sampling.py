@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .rng import Rng
 
@@ -73,15 +72,21 @@ def multistep_coeff(sigmas, i: int, j: int, cur_order: int) -> float:
     """
     if not 0 <= j < cur_order:
         raise ValueError(f"j must lie in [0, {cur_order}), got {j}")
-    poly = Polynomial([1.0])
+    coef = [1.0]  # ascending powers of sigma
     xj = sigmas[i - j]
     for k in range(cur_order):
         if k == j:
             continue
         xk = sigmas[i - k]
-        poly = poly * Polynomial([-xk, 1.0]) / (xj - xk)
-    anti = poly.integ()
-    return float(anti(sigmas[i + 1]) - anti(sigmas[i]))
+        # times (sigma - xk) / (xj - xk)
+        coef = [(lo - hi * xk) / (xj - xk) for lo, hi in zip([0.0] + coef, coef + [0.0])]
+    # Horner on the antiderivative, whose sigma^(m + 1) coefficient is coef[m] / (m + 1)
+    a, b = sigmas[i], sigmas[i + 1]
+    fa = fb = 0.0
+    for m in reversed(range(len(coef))):
+        c = coef[m] / (m + 1)
+        fa, fb = fa * a + c, fb * b + c
+    return float(fb * b - fa * a)
 
 
 def lms_sample(denoiser: Denoiser, x: np.ndarray, sigmas: np.ndarray,

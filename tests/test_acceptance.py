@@ -206,6 +206,7 @@ def _default_experiment(shift: float) -> float:
     return _frame_auc(fs, scores.mse)
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_end_to_end():
     # label-free ceiling on the same corpus: each row's squared distance from
     # the normal mean (the origin); ties the corpus to the bound below

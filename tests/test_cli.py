@@ -18,8 +18,10 @@ from vadiff import (
     save_checkpoint,
     save_features,
     synth_generate,
+    validate_manifest,
     write_scores_csv,
 )
+from vadiff import data, evaluation
 from vadiff.cli import main
 
 
@@ -324,6 +326,50 @@ def test_eval_missing_videos_message_is_capped(tmp_path, capsys):
     assert len(err) < 200
 
 
+def stand_in_scores(path, fs):
+    """A score CSV for fs without a model: each row's distance from the origin."""
+    mse = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+    n = mse.size
+    write_scores_csv(path, fs, DatasetScores(
+        mse, mse > 1.0, np.zeros(n, dtype=np.int64), np.ones(n), []))
+    return path
+
+
+def test_each_stage_validates_the_manifest_once(tmp_path, monkeypatch):
+    f, m = make_data(tmp_path, n_normal=40)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return validate_manifest(*args)
+
+    monkeypatch.setattr(data, "validate_manifest", spy)
+    monkeypatch.setattr(evaluation, "validate_manifest", spy)
+    load_features(f, m)
+    assert len(calls) == 1
+    assert run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json")) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("label, absent", [(0, "anomalous (1)"), (1, "normal (0)")],
+                         ids=["all-0", "all-1"])
+def test_eval_single_class_manifest_is_data_error(tmp_path, capsys, label, absent):
+    f, m = make_data(tmp_path, n_normal=40)
+    fs = load_features(f, m)
+    doc = json.loads(m.read_text())
+    for video in doc["videos"]:
+        video["labels"] = [label] * video["frame_count"]
+    m.write_text(json.dumps(doc))
+    scores = stand_in_scores(tmp_path / "s.csv", fs)
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m), "--out", str(report))
+    _assert_data_error(code, capsys, f"the manifest labels no {absent} frames")
+    assert not report.exists()
+
+
 # --- corrupted eval inputs ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -332,10 +378,7 @@ def eval_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("corrupt")
     fs = synth_generate(SynthConfig(n_normal=60, n_anomalous=6, dim=2, seed=5))
     save_features(tmp / "f.vadf", tmp / "m.json", fs)
-    mse = np.linalg.norm(fs.features.astype(np.float64), axis=1)
-    n = mse.size
-    write_scores_csv(tmp / "s.csv", fs, DatasetScores(
-        mse, mse > 1.0, np.zeros(n, dtype=np.int64), np.ones(n), []))
+    stand_in_scores(tmp / "s.csv", fs)
     files = {"manifest": (tmp / "m.json").read_bytes(), "scores": (tmp / "s.csv").read_bytes()}
     assert _eval_bytes(tmp, **files) == (0, "")
     return files, tmp

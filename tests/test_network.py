@@ -6,6 +6,7 @@ from vadiff import (
     NetworkConfig,
     Preconditioner,
     Rng,
+    as_denoiser,
     denoise,
     film,
     forward_raw,
@@ -291,6 +292,39 @@ def test_batch_equivariance_under_permutation():
     a = denoise(params, p, x, 0.9)[perm]
     b = denoise(params, p, x[perm], 0.9)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_forward_in_place_equals_cached_path_bitwise(dtype, per_row):
+    # the widths 8, 4, 4, 8 make each layer use a different prefix of the buffers
+    params = tiny_params(dtype=dtype)
+    x = Rng(19).standard_normal((9, 6)).astype(dtype)
+    c_noise = np.linspace(-0.5, 0.8, 9) if per_row else 0.3
+    cached = forward_raw(params, x, c_noise, cache=[])
+    work = []
+    assert np.array_equal(forward_raw(params, x, c_noise), cached)
+    assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
+    assert len(work) == 2 and all(buf.dtype == dtype for buf in work)
+    assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_denoiser_closure_reuse_matches_fresh_denoise(per_row):
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(0.9)
+    den = as_denoiser(params, p)
+    previous = None
+    # the buffers shrink to a prefix, serve the full row count again, then grow
+    for step, rows in enumerate((840, 2, 840, 1000)):
+        x = Rng(30 + step).standard_normal((rows, 6))
+        sigma = np.geomspace(0.05, 40.0, rows) if per_row else 1.7
+        got = den(x, sigma)
+        assert np.array_equal(got, denoise(params, p, x, sigma))
+        if previous is not None:
+            # a returned result never aliases the reused buffers
+            assert np.array_equal(previous[0], previous[1])
+        previous = (got, got.copy())
 
 
 def test_denoise_rejects_nonpositive_sigma():

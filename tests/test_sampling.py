@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from vadiff import (
     NetworkConfig,
@@ -130,6 +131,33 @@ def test_multistep_order1_coefficient_is_exact_step():
     for i in range(len(sig) - 1):
         c = multistep_coeff(sig, i, 0, 1)
         assert c == sig[i + 1] - sig[i]
+
+
+def polynomial_coeff(sigmas, i, j, cur_order):
+    """Oracle: the Lagrange basis polynomial built, integrated and evaluated
+    with numpy's Polynomial class."""
+    poly = Polynomial([1.0])
+    xj = sigmas[i - j]
+    for k in range(cur_order):
+        if k != j:
+            xk = sigmas[i - k]
+            poly = poly * Polynomial([-xk, 1.0]) / (xj - xk)
+    anti = poly.integ()
+    return float(anti(sigmas[i + 1]) - anti(sigmas[i]))
+
+
+@pytest.mark.parametrize("cfg", [ScheduleConfig(), ScheduleConfig(0.002, 80.0, 7.0, 40),
+                                 ScheduleConfig(0.01, 25.0, 3.0, 50),
+                                 ScheduleConfig(0.1, 10.0, 1.0, 20)],
+                         ids=["default", "steps40", "rho3", "rho1"])
+def test_multistep_coeff_equals_polynomial_oracle_exactly(cfg):
+    sig = karras_schedule(cfg)
+    for order in range(1, 7):
+        for i in range(len(sig) - 1):
+            cur_order = min(order, i + 1)
+            for j in range(cur_order):
+                assert multistep_coeff(sig, i, j, cur_order) == \
+                    polynomial_coeff(sig, i, j, cur_order), (order, i, j)
 
 
 def test_order1_matches_handwritten_euler_bitwise():

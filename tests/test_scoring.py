@@ -13,9 +13,11 @@ from vadiff import (
     ScoringConfig,
     VideoRecord,
     batch_threshold,
+    denoise,
     init_params,
     karras_schedule,
     mse_per_instance,
+    partial_reconstruct,
     read_scores_csv,
     score_batch,
     score_dataset,
@@ -236,6 +238,26 @@ def test_dataset_batches_follow_manifest_order():
     assert len(scores.decisions) == 3
     # the short tail batch still computed its own threshold
     assert scores.decisions[2].losses.shape == (2,)
+
+
+def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
+    # uniform float32 weights, so every NFE runs in the reused buffers
+    cfg_net = NetworkConfig(input_dim=4, encoder_widths=(16, 8), decoder_widths=(8, 16),
+                            embed_dim=8)
+    params = init_params(cfg_net, Rng(21), dtype=np.float32)
+    params.out_w = (Rng(22).standard_normal(params.out_w.shape) * 0.1).astype(np.float32)
+    p = Preconditioner(1.0)
+    sig = short_schedule()
+    feats = Rng(23).standard_normal((23, 4)).astype(np.float32)
+    fs = FeatureSet(feats, [VideoRecord("a", 23 * 16, 0, 23)])
+    cfg = ScoringConfig(start_index=0, batch_size=8)  # batches of 8, 8 and 7 rows
+    scores = score_dataset(params, p, sig, cfg, fs, Rng(24))
+    assert scores.batch_ids.tolist() == [0] * 8 + [1] * 8 + [2] * 7
+    for b, lo in enumerate(range(0, 23, 8)):
+        x = feats[lo : lo + 8]
+        recon = partial_reconstruct(lambda v, s: denoise(params, p, v, s), x, sig, 0,
+                                    Rng(24).split(f"batch{b}"))
+        assert np.array_equal(scores.mse[lo : lo + 8], mse_per_instance(x, recon))
 
 
 def test_dataset_determinism():
