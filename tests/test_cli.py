@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from vadiff import (
     write_scores_csv,
 )
 from vadiff import data, evaluation
-from vadiff.cli import main
+from vadiff.cli import build_parser, main
 
 
 def run(*argv):
@@ -444,6 +445,31 @@ def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fra
 def test_unknown_subcommand_is_usage_error():
     assert run("frobnicate") == 1
     assert run("--help") == 0
+
+
+_COMMON = {"-h", "--help", "--config", "--seed"}
+_SURFACE = {
+    "synth": {"--features", "--manifest", "--n-normal", "--anomaly-fraction", "--dim",
+              "--shift", "--segment-len"},
+    "train": {"--features", "--manifest", "--checkpoint", "--out", "--p-mean", "--p-std",
+              "--batch-size", "--epochs", "--lr", "--ema-decay", "--center"},
+    "score": {"--features", "--manifest", "--checkpoint", "--out", "--p-mean", "--p-std",
+              "--sigma-min", "--sigma-max", "--rho", "--steps", "--start-t", "--k",
+              "--batch-size", "--raw-weights"},
+    "eval": {"--scores", "--manifest", "--out", "--frames-csv"},
+    "sweep": {"--features", "--manifest", "--out", "--p-mean", "--p-std", "--start-t", "--k",
+              "--sigma-min", "--sigma-max", "--rho", "--steps", "--batch-size", "--epochs",
+              "--lr", "--ema-decay", "--center"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SURFACE))
+def test_subcommand_option_strings_are_pinned(command, capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for action in sub.choices[command]._actions for s in action.option_strings}
+    assert options == _COMMON | _SURFACE[command]
+    assert run(command, "--help") == 0
+    assert f"usage: vadiff {command}" in capsys.readouterr().out
 
 
 # --- sweep ----------------------------------------------------------------------
