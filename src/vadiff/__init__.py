@@ -49,7 +49,7 @@ from .network import (
     scalings,
     silu,
 )
-from .rng import Rng, gaussian
+from .rng import Rng
 from .sampling import (
     ScheduleConfig,
     karras_schedule,
@@ -87,7 +87,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rng", "gaussian",
+    "Rng",
     "NetworkConfig", "DenoiserParams", "Preconditioner", "CheckpointError",
     "scalings", "fourier_embed", "silu", "film", "forward_raw", "denoise",
     "as_denoiser", "init_params", "param_count", "save_checkpoint", "load_checkpoint",

@@ -1,14 +1,19 @@
 """Command-line entry point: synth | train | score | eval | sweep.
 
-Values resolve as flags > --config JSON file > built-in defaults.  Exit
-codes: 0 success, 1 usage error, 2 data error (unreadable or inconsistent
-files), 3 numeric failure (non-finite loss or score).
+Every tunable flag is one row of `FLAGS`, which builds each subparser, the
+--config key set and the defaults.  `main` resolves each value once, as
+flag > --config JSON file > built-in default, into plain typed attributes
+of `args` that the cmd_* functions read.  Exit codes: 0 success, 1 usage
+error, 2 data error (unreadable or inconsistent files), 3 numeric failure
+(non-finite loss or score).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import sys
 
@@ -42,26 +47,69 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-DEFAULTS = {
-    "seed": 0,
-    "p_mean": -1.2,
-    "p_std": 1.2,
-    "rho": 7.0,
-    "steps": 10,
-    "k": 1.0,
-    "batch_size": 8192,
-    "epochs": 50,
-    "lr": 2e-4,
-    "ema_decay": 0.999,
-    "center": False,
-    "n_normal": 20000,
-    "anomaly_fraction": 0.05,
-    "dim": 64,
-    "shift": 3.0,
-    "segment_len": 16,
+
+# name: (type, default, help).  The name is also the flag (with dashes) and its
+# --config key.  A None default is unset: the command reading it derives the
+# value, as the help says.  Training and scoring share one batch-size default.
+FLAGS = {
+    "seed": (int, 0, "master seed"),
+    "n_normal": (int, SynthConfig.n_normal, "normal segments to generate"),
+    "anomaly_fraction": (float, 0.05, "anomalous segments as a fraction of the normal count"),
+    "dim": (int, SynthConfig.dim, "feature dimension"),
+    "shift": (float, SynthConfig.shift, "distance between the two cluster means"),
+    "segment_len": (int, SynthConfig.segment_len, "frames per segment"),
+    "p_mean": (float, TrainNoiseConfig.p_mean, "mean of ln sigma in training"),
+    "p_std": (float, TrainNoiseConfig.p_std, "standard deviation of ln sigma in training"),
+    "batch_size": (int, TrainConfig.batch_size, "rows per training step or scoring batch"),
+    "epochs": (int, TrainConfig.epochs, "passes over the training set"),
+    "lr": (float, TrainConfig.base_lr, "initial learning rate"),
+    "ema_decay": (float, TrainConfig.ema_decay, "decay of the weights' moving average"),
+    "center": (bool, False, "subtract per-dimension means before training"),
+    "sigma_min": (float, None, "smallest schedule sigma (default: exp(p_mean - 5 p_std))"),
+    "sigma_max": (float, None, "largest schedule sigma (default: exp(p_mean + 5 p_std))"),
+    "rho": (float, ScheduleConfig.rho, "schedule exponent"),
+    "steps": (int, ScheduleConfig.steps, "schedule length"),
+    "start_t": (int, None, "corruption level as a schedule index (default: steps-1; sweep: all)"),
+    "k": (float, ScoringConfig.k, "threshold sensitivity"),
+    "raw_weights": (bool, False, "use the raw weights instead of the EMA"),
 }
 
-_CONFIG_KEYS = set(DEFAULTS) | {"sigma_min", "sigma_max", "start_t", "raw_weights"}
+_NOISE = ("p_mean", "p_std")
+_FIT = ("batch_size", "epochs", "lr", "ema_decay", "center")
+_SCHEDULE = ("sigma_min", "sigma_max", "rho", "steps")
+# sweep's grid flags take one or more values: name -> default grid (None: every index)
+_GRID = {"p_mean": [FLAGS["p_mean"][1]], "p_std": [FLAGS["p_std"][1]], "start_t": None,
+         "k": [0.1, 0.3, 0.5, 0.7, 1.0]}
+_INPUTS = {"features": "input feature file", "manifest": "input manifest JSON"}
+
+# command -> (summary, file arguments, tunable flags besides --seed).  A file
+# argument is required unless its help starts with "optional".
+COMMANDS = {
+    "synth": ("write a synthetic feature file and manifest",
+              {"features": "output feature file", "manifest": "output manifest JSON"},
+              ("n_normal", "anomaly_fraction", "dim", "shift", "segment_len")),
+    "train": ("train a denoiser on a feature file",
+              {**_INPUTS, "checkpoint": "output checkpoint path",
+               "out": "optional training log CSV (default: <checkpoint>.log.csv)"},
+              _NOISE + _FIT),
+    "score": ("score segments with a trained checkpoint",
+              {**_INPUTS, "checkpoint": "trained checkpoint", "out": "output score CSV"},
+              _NOISE + _SCHEDULE + ("start_t", "k", "batch_size", "raw_weights")),
+    "eval": ("frame-level ROC-AUC from a score CSV",
+             {"scores": "score CSV from the score command", "manifest": "labelled manifest JSON",
+              "out": "output report JSON", "frames_csv": "optional per-frame score dump"},
+             ()),
+    "sweep": ("grid over noise, start index, and k",
+              {**_INPUTS, "out": "output results CSV"},
+              tuple(_GRID) + _SCHEDULE + _FIT),
+}
+
+
+def _default(command, name):
+    """(default, is_grid) of a tunable flag in one command."""
+    if command == "sweep" and name in _GRID:
+        return _GRID[name], True
+    return FLAGS[name][1], False
 
 
 def _load_config(path):
@@ -74,32 +122,51 @@ def _load_config(path):
         raise ValueError(f"cannot read config file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(FLAGS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     return doc
 
 
-def _resolve(args, config, key, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, DEFAULTS.get(key, default))
-    return value
+def _typed(name, value, grid=False):
+    """A --config value as its flag's type; null only if unset by default, lists only in a grid."""
+    kind, default, _ = FLAGS[name]
+    if value is None and default is None:
+        return None
+    if grid and isinstance(value, list) and value:
+        return [_typed(name, v) for v in value]
+    if isinstance(value, (int, float)) and isinstance(value, bool) == (kind is bool):
+        with contextlib.suppress(OverflowError):
+            if kind is not int or isinstance(value, int) or value.is_integer():
+                return [kind(value)] if grid else kind(value)
+    expected = kind.__name__ + (" or a nonempty list of them" if grid else "")
+    raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
 
 
-def _build_schedule(args, config):
-    p_mean = float(_resolve(args, config, "p_mean"))
-    p_std = float(_resolve(args, config, "p_std"))
-    lo, hi = noise_bounds(TrainNoiseConfig(p_mean, p_std))
-    sigma_min = _resolve(args, config, "sigma_min")
-    sigma_max = _resolve(args, config, "sigma_max")
-    cfg = ScheduleConfig(
-        sigma_min=float(sigma_min) if sigma_min is not None else lo,
-        sigma_max=float(sigma_max) if sigma_max is not None else hi,
-        rho=float(_resolve(args, config, "rho")),
-        steps=int(_resolve(args, config, "steps")),
-    )
-    return karras_schedule(cfg), cfg
+def _resolve(args, config):
+    """Set each tunable of the command on `args`: flag, else --config, else default."""
+    for name in ("seed", *COMMANDS[args.command][2]):
+        default, grid = _default(args.command, name)
+        value = getattr(args, name)
+        if value is None and name in config:
+            value = _typed(name, config[name], grid)
+        setattr(args, name, default if value is None else value)
+
+
+def _config(cls, args, **given):
+    """A `cls` from `given` and, for its other fields, the flags of the same name."""
+    names = {f.name for f in dataclasses.fields(cls)} & set(FLAGS) - set(given)
+    return cls(**given, **{name: getattr(args, name) for name in names})
+
+
+def _build_schedule(args, noise):
+    """Karras grid from the schedule flags; unset sigma bounds follow `noise`."""
+    lo, hi = noise_bounds(noise)
+    return karras_schedule(_config(
+        ScheduleConfig, args,
+        sigma_min=lo if args.sigma_min is None else args.sigma_min,
+        sigma_max=hi if args.sigma_max is None else args.sigma_max,
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,101 +175,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Video-anomaly scoring by diffusion reconstruction of segment features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (summary, files, tunables) in COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("--config", help="JSON file supplying defaults for any flag")
-        sp.add_argument("--seed", type=int, help="master seed (default 0)")
-
-    sp = sub.add_parser("synth", help="write a synthetic feature file and manifest")
-    common(sp)
-    sp.add_argument("--features", required=True, help="output feature file")
-    sp.add_argument("--manifest", required=True, help="output manifest JSON")
-    sp.add_argument("--n-normal", type=int, dest="n_normal")
-    sp.add_argument("--anomaly-fraction", type=float, dest="anomaly_fraction",
-                    help="anomalous segments as a fraction of the normal count")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--shift", type=float,
-                    help="distance between the normal and anomalous cluster means")
-    sp.add_argument("--segment-len", type=int, dest="segment_len")
-
-    sp = sub.add_parser("train", help="train a denoiser on a feature file")
-    common(sp)
-    sp.add_argument("--features", required=True)
-    sp.add_argument("--manifest", required=True)
-    sp.add_argument("--checkpoint", required=True, help="output checkpoint path")
-    sp.add_argument("--out", help="training log CSV (default: <checkpoint>.log.csv)")
-    sp.add_argument("--p-mean", type=float, dest="p_mean")
-    sp.add_argument("--p-std", type=float, dest="p_std")
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--ema-decay", type=float, dest="ema_decay")
-    sp.add_argument("--center", action="store_true", default=None,
-                    help="subtract per-dimension means before training")
-
-    sp = sub.add_parser("score", help="score segments with a trained checkpoint")
-    common(sp)
-    sp.add_argument("--features", required=True)
-    sp.add_argument("--manifest", required=True)
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--out", required=True, help="output score CSV")
-    sp.add_argument("--p-mean", type=float, dest="p_mean")
-    sp.add_argument("--p-std", type=float, dest="p_std")
-    sp.add_argument("--sigma-min", type=float, dest="sigma_min")
-    sp.add_argument("--sigma-max", type=float, dest="sigma_max")
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--start-t", type=int, dest="start_t",
-                    help="schedule index of the corruption level (default steps-1)")
-    sp.add_argument("--k", type=float, help="threshold sensitivity")
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--raw-weights", action="store_true", default=None, dest="raw_weights",
-                    help="use the raw weights instead of the EMA")
-
-    sp = sub.add_parser("eval", help="frame-level ROC-AUC from a score CSV")
-    common(sp)
-    sp.add_argument("--scores", required=True, help="score CSV from the score command")
-    sp.add_argument("--manifest", required=True, help="manifest with frame labels")
-    sp.add_argument("--out", required=True, help="output report JSON")
-    sp.add_argument("--frames-csv", dest="frames_csv",
-                    help="optional per-frame score dump for plotting")
-
-    sp = sub.add_parser("sweep", help="grid over noise, start index, and k")
-    common(sp)
-    sp.add_argument("--features", required=True)
-    sp.add_argument("--manifest", required=True)
-    sp.add_argument("--out", required=True, help="output results CSV")
-    sp.add_argument("--p-mean", type=float, nargs="+", dest="p_mean")
-    sp.add_argument("--p-std", type=float, nargs="+", dest="p_std")
-    sp.add_argument("--start-t", type=int, nargs="+", dest="start_t",
-                    help="start indices to score (default: all of 0..steps-1)")
-    sp.add_argument("--k", type=float, nargs="+")
-    sp.add_argument("--sigma-min", type=float, dest="sigma_min")
-    sp.add_argument("--sigma-max", type=float, dest="sigma_max")
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--ema-decay", type=float, dest="ema_decay")
-    sp.add_argument("--center", action="store_true", default=None)
-
+        for name, text in files.items():
+            sp.add_argument("--" + name.replace("_", "-"), help=text,
+                            required=not text.startswith("optional"))
+        for name in ("seed", *tunables):
+            kind, _, text = FLAGS[name]
+            default, grid = _default(command, name)
+            if default is not None:
+                text += f" (default: {' '.join(map(str, default)) if grid else default})"
+            how = ({"action": "store_true"} if kind is bool
+                   else {"type": kind, "nargs": "+" if grid else None})
+            sp.add_argument("--" + name.replace("_", "-"), default=None, help=text, **how)
     return parser
 
 
-def cmd_synth(args, config) -> int:
-    n_normal = int(_resolve(args, config, "n_normal"))
-    fraction = float(_resolve(args, config, "anomaly_fraction"))
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"--anomaly-fraction must lie in [0, 1), got {fraction}")
-    cfg = SynthConfig(
-        n_normal=n_normal,
-        n_anomalous=round(fraction * n_normal),
-        dim=int(_resolve(args, config, "dim")),
-        shift=float(_resolve(args, config, "shift")),
-        seed=int(_resolve(args, config, "seed")),
-        segment_len=int(_resolve(args, config, "segment_len")),
-    )
+def cmd_synth(args) -> int:
+    if not 0.0 <= args.anomaly_fraction < 1.0:
+        raise ValueError(f"--anomaly-fraction must lie in [0, 1), got {args.anomaly_fraction}")
+    cfg = _config(SynthConfig, args, n_anomalous=round(args.anomaly_fraction * args.n_normal))
     fs = synth_generate(cfg)
     save_features(args.features, args.manifest, fs)
     print(
@@ -212,35 +205,22 @@ def cmd_synth(args, config) -> int:
     return EXIT_OK
 
 
-def _train_model(fs, args, config, progress=None):
-    """Shared by train and sweep: estimate stats, init, fit.
-
-    Returns (params, ema, stats, history, noise_cfg)."""
-    center = bool(_resolve(args, config, "center"))
-    stats = estimate_sigma_data(fs, center=center)
-    if stats.center is not None:
-        stats.center = stats.center.astype(np.float32)
+def _train_model(fs, args, noise, progress=None):
+    """Estimate stats, init and fit at training noise `noise`: (params, ema, stats, history)."""
+    stats = estimate_sigma_data(fs, center=args.center)
     x = np.asarray(fs.features, dtype=np.float32)
     if stats.center is not None:
+        stats.center = stats.center.astype(np.float32)
         x = x - stats.center
-    rng = Rng(int(_resolve(args, config, "seed")))
+    rng = Rng(args.seed)
     params = init_params(NetworkConfig(input_dim=x.shape[1]), rng)
-    train_cfg = TrainConfig(
-        epochs=int(_resolve(args, config, "epochs")),
-        batch_size=int(_resolve(args, config, "batch_size")),
-        base_lr=float(_resolve(args, config, "lr")),
-        ema_decay=float(_resolve(args, config, "ema_decay")),
-    )
-    noise_cfg = TrainNoiseConfig(
-        p_mean=float(_resolve(args, config, "p_mean")),
-        p_std=float(_resolve(args, config, "p_std")),
-    )
+    train_cfg = _config(TrainConfig, args, base_lr=args.lr)
     ema, history = fit(x, params, Preconditioner(stats.sigma_data), train_cfg,
-                       noise_cfg, rng, on_epoch=progress)
-    return params, ema, stats, history, noise_cfg
+                       noise, rng, on_epoch=progress)
+    return params, ema, stats, history
 
 
-def cmd_train(args, config) -> int:
+def cmd_train(args) -> int:
     fs = load_features(args.features, args.manifest)
 
     def progress(entry):
@@ -250,19 +230,19 @@ def cmd_train(args, config) -> int:
             file=sys.stderr,
         )
 
-    params, ema, stats, history, _ = _train_model(fs, args, config, progress)
+    params, ema, stats, log = _train_model(fs, args, _config(TrainNoiseConfig, args), progress)
     save_checkpoint(args.checkpoint, params, ema, stats.sigma_data, stats.center)
     log_path = args.out or args.checkpoint + ".log.csv"
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "step", "lr", "mean_loss"])
-        for entry in history:
+        for entry in log:
             writer.writerow([entry.epoch, entry.step, repr(entry.lr), repr(entry.mean_loss)])
     print(f"checkpoint written to {args.checkpoint}; log at {log_path}")
     return EXIT_OK
 
 
-def cmd_score(args, config) -> int:
+def cmd_score(args) -> int:
     params, ema, sigma_data, center = load_checkpoint(args.checkpoint)
     fs = load_features(args.features, args.manifest)
     if fs.features.shape[1] != params.config.input_dim:
@@ -270,19 +250,14 @@ def cmd_score(args, config) -> int:
             f"feature dim {fs.features.shape[1]} does not match "
             f"checkpoint input_dim {params.config.input_dim}"
         )
-    sigmas, sched = _build_schedule(args, config)
-    start_t = _resolve(args, config, "start_t")
-    start_t = sched.steps - 1 if start_t is None else int(start_t)
-    if not 0 <= start_t < sched.steps:
-        raise ValueError(f"--start-t must lie in [0, {sched.steps - 1}], got {start_t}")
-    cfg = ScoringConfig(
-        start_index=start_t,
-        k=float(_resolve(args, config, "k")),
-        batch_size=int(_resolve(args, config, "batch_size")),
-    )
-    weights = params if bool(_resolve(args, config, "raw_weights", False)) else ema
+    sigmas = _build_schedule(args, _config(TrainNoiseConfig, args))
+    start_t = args.steps - 1 if args.start_t is None else args.start_t
+    if not 0 <= start_t < args.steps:
+        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}], got {start_t}")
+    cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
+    weights = params if args.raw_weights else ema
     scores = score_dataset(weights, Preconditioner(sigma_data), sigmas, cfg, fs,
-                           Rng(int(_resolve(args, config, "seed"))), center=center)
+                           Rng(args.seed), center=center)
     write_scores_csv(args.out, fs, scores)
     print(
         f"scored {scores.mse.size} segments in {len(scores.decisions)} batches; "
@@ -291,7 +266,7 @@ def cmd_score(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, config) -> int:
+def cmd_eval(args) -> int:
     manifest, segment_len = load_manifest(args.manifest)
     scores_by_video = read_scores_csv(args.scores)
     report = evaluate(scores_by_video, manifest, segment_len)
@@ -305,67 +280,42 @@ def cmd_eval(args, config) -> int:
     return EXIT_OK
 
 
-def _grid_values(args, config, key, default_list):
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = config.get(key)
-    if raw is None:
-        return list(default_list)
-    if not isinstance(raw, (list, tuple)):
-        raw = [raw]
-    return list(raw)
-
-
-def cmd_sweep(args, config) -> int:
+def cmd_sweep(args) -> int:
     fs = load_features(args.features, args.manifest)
-    p_means = [float(v) for v in _grid_values(args, config, "p_mean", [DEFAULTS["p_mean"]])]
-    p_stds = [float(v) for v in _grid_values(args, config, "p_std", [DEFAULTS["p_std"]])]
-    steps = int(_resolve(args, config, "steps"))
-    t_list = [int(t) for t in _grid_values(args, config, "start_t", range(steps))]
-    if not t_list or any(not 0 <= t < steps for t in t_list):
-        raise ValueError(f"--start-t values must lie in [0, {steps - 1}], got {t_list}")
-    k_list = [float(k) for k in _grid_values(args, config, "k", [0.1, 0.3, 0.5, 0.7, 1.0])]
-    if not (p_means and p_stds and k_list):
-        raise ValueError("sweep grid lists must be nonempty")
-    batch_size = int(_resolve(args, config, "batch_size"))
-    seed = int(_resolve(args, config, "seed"))
+    t_list = list(range(args.steps)) if args.start_t is None else args.start_t
+    if not t_list or any(not 0 <= t < args.steps for t in t_list):
+        raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}], got {t_list}")
 
+    # every noise pair and its schedule are checked before any training
+    grid = [(noise, _build_schedule(args, noise))
+            for noise in (TrainNoiseConfig(m, s) for m in args.p_mean for s in args.p_std)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p_mean", "p_std", "t", "k", "auc", "flagged_frac"])
-        fh.flush()
-        for p_mean in p_means:
-            for p_std in p_stds:
-                pair_args = argparse.Namespace(**vars(args))
-                pair_args.p_mean = p_mean
-                pair_args.p_std = p_std
-                _, ema, stats, _, noise_cfg = _train_model(fs, pair_args, config)
-                print(f"trained p_mean={p_mean} p_std={p_std}", file=sys.stderr)
-                sigmas, _ = _build_schedule(pair_args, config)
-                p = Preconditioner(stats.sigma_data)
-                aucs = {}
-                flagged = {}
-                for t in t_list:
-                    cfg = ScoringConfig(start_index=t, k=k_list[0], batch_size=batch_size)
-                    scores = score_dataset(ema, p, sigmas, cfg, fs, Rng(seed),
-                                           center=stats.center)
-                    by_video = split_by_video(scores.mse, fs.manifest)
-                    auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
-                    aucs[t] = auc
-                    for k in k_list:
-                        frac = float(np.mean(np.concatenate([
-                            d.losses > d.mu_p + k * d.sigma_p for d in scores.decisions
-                        ])))
-                        flagged[t, k] = frac
-                        writer.writerow([p_mean, p_std, t, k, repr(auc), repr(frac)])
-                        fh.flush()
-                best_t = max(t_list, key=lambda t: aucs[t])
-                for k in k_list:
-                    writer.writerow([
-                        p_mean, p_std, "best", k,
-                        repr(aucs[best_t]), repr(flagged[best_t, k]),
-                    ])
-                    fh.flush()
+
+        def emit(*row):  # row by row, so a long sweep can be followed
+            writer.writerow(row)
+            fh.flush()
+
+        emit("p_mean", "p_std", "t", "k", "auc", "flagged_frac")
+        for noise, sigmas in grid:
+            _, ema, stats, _ = _train_model(fs, args, noise)
+            print(f"trained p_mean={noise.p_mean} p_std={noise.p_std}", file=sys.stderr)
+            p = Preconditioner(stats.sigma_data)
+            cells = {}  # t -> (auc, flagged fraction per k)
+            for t in t_list:
+                cfg = ScoringConfig(start_index=t, k=args.k[0], batch_size=args.batch_size)
+                scores = score_dataset(ema, p, sigmas, cfg, fs, Rng(args.seed),
+                                       center=stats.center)
+                by_video = split_by_video(scores.mse, fs.manifest)
+                auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
+                cells[t] = auc, [float(np.mean(np.concatenate([
+                    d.losses > d.mu_p + k * d.sigma_p for d in scores.decisions
+                ]))) for k in args.k]
+                for k, frac in zip(args.k, cells[t][1]):
+                    emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))
+            auc, fracs = cells[max(t_list, key=lambda t: cells[t][0])]
+            for k, frac in zip(args.k, fracs):
+                emit(noise.p_mean, noise.p_std, "best", k, repr(auc), repr(frac))
     print(f"sweep results written to {args.out}")
     return EXIT_OK
 
@@ -380,16 +330,15 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage problems; this tool reserves 2 for data
         # errors, so usage maps to 1 (and --help keeps its 0).
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
-        config = _load_config(args.config)
-        return _DISPATCH[args.command](args, config)
+        _resolve(args, _load_config(args.config))
+        return _DISPATCH[args.command](args)
     except (DataError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -56,9 +56,3 @@ class Rng:
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, key={self._key})"
 
-
-def gaussian(rng: Rng, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
-    """rows x cols matrix of i.i.d. standard normal samples."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"gaussian needs rows, cols >= 1, got {rows}x{cols}")
-    return rng.standard_normal((rows, cols), dtype=dtype)

@@ -128,6 +128,53 @@ def test_train_reads_config_file_values(tmp_path):
     assert float(lines[1].split(",")[2]) == 5e-4  # config lr applied
 
 
+def test_flag_beats_config_beats_default(tmp_path):
+    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 3, "batch_size": 64}))
+    code = run(
+        "train", "--features", str(f), "--manifest", str(m),
+        "--checkpoint", str(tmp_path / "model.bin"), "--config", str(cfg), "--epochs", "1",
+    )
+    assert code == 0
+    lines = (tmp_path / "model.bin.log.csv").read_text().splitlines()
+    assert len(lines) == 2  # the flag's one epoch, not the config's three
+    assert float(lines[1].split(",")[2]) == 2e-4  # no flag or key: the built-in lr
+
+    # sweep's k grid from config: a list is the grid, a scalar a one-value grid
+    for k, grid in (([0.5, 1.0], ["0.5", "1.0"]), (0.5, ["0.5"])):
+        cfg.write_text(json.dumps({"k": k, "start_t": 4, "epochs": 1, "batch_size": 64}))
+        out = tmp_path / "grid.csv"
+        code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
+                   "--config", str(cfg))
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[3] for r in rows if r[2] == "4"] == grid
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("train", {"epochs": None}),
+    ("train", {"lr": {}}),
+    ("train", {"center": "no"}),
+    ("score", {"start_t": [1]}),
+    ("train", {"epochs": 1.7}),
+], ids=["null", "object", "string-for-bool", "list-for-scalar", "fraction-for-int"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # the check runs before any input is read, so the inputs need not exist
+    code = run(command, "--features", str(tmp_path / "f.vadf"), "--manifest",
+               str(tmp_path / "m.json"), "--checkpoint", str(out), "--out", str(out),
+               "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"config key {next(iter(doc))!r} must be " in err
+    assert not out.exists()
+
+
 # --- score ----------------------------------------------------------------------
 
 def test_score_start_t_out_of_range_is_usage_error(tmp_path):
@@ -523,3 +570,17 @@ def test_sweep_row_count_and_k_invariance(tmp_path):
     for t in ("2", "7"):
         fracs = [float(r[5]) for r in cells if r[2] == t]
         assert fracs[0] >= fracs[1] >= fracs[2]
+
+
+@pytest.mark.parametrize("bad", [["--steps", "1"], ["--sigma-min", "5", "--sigma-max", "1"],
+                                 ["--p-std", "1.2", "0"]], ids=["steps", "sigma-bounds", "p-std"])
+def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad):
+    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
+    out = tmp_path / "grid.csv"
+    capsys.readouterr()
+    code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
+               "--epochs", "1", "--batch-size", "64", "--start-t", "0", *bad)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "trained" not in err
+    assert not out.exists()
