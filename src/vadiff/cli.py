@@ -39,7 +39,8 @@ from .network import (
 )
 from .rng import Rng
 from .sampling import ScheduleConfig, karras_schedule
-from .scoring import ScoringConfig, score_dataset, read_scores_csv, write_scores_csv
+from .scoring import (ScoringConfig, batch_threshold, read_scores_csv, score_dataset,
+                      write_scores_csv)
 from .training import TrainConfig, TrainNoiseConfig, fit, noise_bounds
 
 EXIT_OK = 0
@@ -205,7 +206,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_model(fs, args, noise, progress=None):
+def _train_model(fs, args, train_cfg, noise, progress=None):
     """Estimate stats, init and fit at training noise `noise`: (params, ema, stats, history)."""
     stats = estimate_sigma_data(fs, center=args.center)
     x = np.asarray(fs.features, dtype=np.float32)
@@ -214,13 +215,15 @@ def _train_model(fs, args, noise, progress=None):
         x = x - stats.center
     rng = Rng(args.seed)
     params = init_params(NetworkConfig(input_dim=x.shape[1]), rng)
-    train_cfg = _config(TrainConfig, args, base_lr=args.lr)
     ema, history = fit(x, params, Preconditioner(stats.sigma_data), train_cfg,
                        noise, rng, on_epoch=progress)
     return params, ema, stats, history
 
 
 def cmd_train(args) -> int:
+    # configs are checked before any input is read
+    train_cfg = _config(TrainConfig, args, base_lr=args.lr)
+    noise = _config(TrainNoiseConfig, args)
     fs = load_features(args.features, args.manifest)
 
     def progress(entry):
@@ -230,7 +233,7 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    params, ema, stats, log = _train_model(fs, args, _config(TrainNoiseConfig, args), progress)
+    params, ema, stats, log = _train_model(fs, args, train_cfg, noise, progress)
     save_checkpoint(args.checkpoint, params, ema, stats.sigma_data, stats.center)
     log_path = args.out or args.checkpoint + ".log.csv"
     with open(log_path, "w", newline="") as fh:
@@ -243,6 +246,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    # configs are checked before any input is read
+    sigmas = _build_schedule(args, _config(TrainNoiseConfig, args))
+    start_t = args.steps - 1 if args.start_t is None else args.start_t
+    if not 0 <= start_t < args.steps:
+        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}], got {start_t}")
+    cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
     params, ema, sigma_data, center = load_checkpoint(args.checkpoint)
     fs = load_features(args.features, args.manifest)
     if fs.features.shape[1] != params.config.input_dim:
@@ -250,11 +259,6 @@ def cmd_score(args) -> int:
             f"feature dim {fs.features.shape[1]} does not match "
             f"checkpoint input_dim {params.config.input_dim}"
         )
-    sigmas = _build_schedule(args, _config(TrainNoiseConfig, args))
-    start_t = args.steps - 1 if args.start_t is None else args.start_t
-    if not 0 <= start_t < args.steps:
-        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}], got {start_t}")
-    cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
     weights = params if args.raw_weights else ema
     scores = score_dataset(weights, Preconditioner(sigma_data), sigmas, cfg, fs,
                            Rng(args.seed), center=center)
@@ -281,14 +285,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    fs = load_features(args.features, args.manifest)
     t_list = list(range(args.steps)) if args.start_t is None else args.start_t
     if not t_list or any(not 0 <= t < args.steps for t in t_list):
         raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}], got {t_list}")
 
-    # every noise pair and its schedule are checked before any training
+    # every noise pair, its schedule and the fit config are checked before any input is read
     grid = [(noise, _build_schedule(args, noise))
             for noise in (TrainNoiseConfig(m, s) for m in args.p_mean for s in args.p_std)]
+    train_cfg = _config(TrainConfig, args, base_lr=args.lr)
+    fs = load_features(args.features, args.manifest)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
 
@@ -298,7 +303,7 @@ def cmd_sweep(args) -> int:
 
         emit("p_mean", "p_std", "t", "k", "auc", "flagged_frac")
         for noise, sigmas in grid:
-            _, ema, stats, _ = _train_model(fs, args, noise)
+            _, ema, stats, _ = _train_model(fs, args, train_cfg, noise)
             print(f"trained p_mean={noise.p_mean} p_std={noise.p_std}", file=sys.stderr)
             p = Preconditioner(stats.sigma_data)
             cells = {}  # t -> (auc, flagged fraction per k)
@@ -309,7 +314,7 @@ def cmd_sweep(args) -> int:
                 by_video = split_by_video(scores.mse, fs.manifest)
                 auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
                 cells[t] = auc, [float(np.mean(np.concatenate([
-                    d.losses > d.mu_p + k * d.sigma_p for d in scores.decisions
+                    d.losses > batch_threshold(d.losses, k)[2] for d in scores.decisions
                 ]))) for k in args.k]
                 for k, frac in zip(args.k, cells[t][1]):
                     emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))

@@ -14,6 +14,7 @@ at high noise.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ class NetworkConfig:
     encoder_widths: tuple[int, ...] = (1024, 512, 256)
     decoder_widths: tuple[int, ...] = (256, 512, 1024)
     embed_dim: int = 128
-    activation: str = "silu"
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -41,8 +41,6 @@ class NetworkConfig:
             raise ValueError("encoder and decoder need at least one layer each")
         if any(w < 1 for w in self.encoder_widths + self.decoder_widths):
             raise ValueError("layer widths must be positive")
-        if self.activation != "silu":
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def hidden_widths(self) -> tuple[int, ...]:
@@ -148,35 +146,25 @@ def param_count(cfg: NetworkConfig) -> int:
 def init_params(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> DenoiserParams:
     """Fan-in-scaled uniform init; zero output layer; FiLM starts near identity.
 
-    Zeroing the output projection makes the initial denoiser exactly
-    c_skip(sigma) * x, an identity-like starting point.
+    Weights and biases draw in declaration order from the "init" stream,
+    the frequencies from the "fourier" stream.  Zeroing the output
+    projection makes the initial denoiser exactly c_skip(sigma) * x, an
+    identity-like starting point.
     """
     init_rng = rng.split("init")
-    freq_rng = rng.split("fourier")
-    freqs = freq_rng.standard_normal(cfg.embed_dim // 2).astype(dtype)
-
-    def uniform(r, rows, cols, fan_in):
-        lim = 1.0 / np.sqrt(fan_in)
-        u = r.uniform(-lim, lim, size=(rows, cols) if cols else (rows,))
-        return u.astype(dtype)
-
-    layers = []
-    prev = cfg.input_dim
-    for width in cfg.hidden_widths:
-        layers.append(
-            LayerParams(
-                w=uniform(init_rng, prev, width, prev),
-                b=uniform(init_rng, width, 0, prev),
-                gamma_w=uniform(init_rng, cfg.embed_dim, width, cfg.embed_dim),
-                gamma_b=np.ones(width, dtype=dtype),
-                beta_w=uniform(init_rng, cfg.embed_dim, width, cfg.embed_dim),
-                beta_b=np.zeros(width, dtype=dtype),
-            )
-        )
-        prev = width
-    out_w = np.zeros((prev, cfg.input_dim), dtype=dtype)
-    out_b = np.zeros(cfg.input_dim, dtype=dtype)
-    return DenoiserParams(cfg, freqs, layers, out_w, out_b)
+    tensors = []
+    for name, shape in _tensor_shapes(cfg):
+        field = name.rsplit(".", 1)[-1]
+        if field == "freqs":
+            t = rng.split("fourier").standard_normal(shape)
+        elif field in ("w", "b", "gamma_w", "beta_w"):
+            if field != "b":  # a bias shares the fan-in of the matrix before it
+                lim = 1.0 / np.sqrt(shape[0])
+            t = init_rng.uniform(-lim, lim, size=shape)
+        else:
+            t = np.ones(shape) if field == "gamma_b" else np.zeros(shape)
+        tensors.append(t.astype(dtype))
+    return _params_from_tensors(cfg, tensors)
 
 
 def fourier_embed(params: DenoiserParams, c_noise):
@@ -291,35 +279,11 @@ def as_denoiser(params: DenoiserParams, p: Preconditioner):
 # --- checkpoint serialization (magic "VADW") --------------------------------
 
 _MAGIC = b"VADW"
-_VERSION = 1
+_VERSION = 2
 
 
 class CheckpointError(ValueError):
     pass
-
-
-def _write_tensors(fh, tensors):
-    fh.write(struct.pack("<Q", len(tensors)))
-    for t in tensors:
-        arr = np.ascontiguousarray(t, dtype="<f4")
-        fh.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack("<I", d))
-        fh.write(arr.tobytes())
-
-
-def _read_tensors(fh):
-    (count,) = _read_struct(fh, "<Q")
-    out = []
-    for _ in range(count):
-        (ndim,) = _read_struct(fh, "<B")
-        shape = tuple(_read_struct(fh, "<" + "I" * ndim)) if ndim else ()
-        n = int(np.prod(shape)) if shape else 1
-        raw = fh.read(4 * n)
-        if len(raw) != 4 * n:
-            raise CheckpointError("truncated checkpoint: tensor data missing")
-        out.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-    return out
 
 
 def _read_struct(fh, fmt):
@@ -332,30 +296,25 @@ def _read_struct(fh, fmt):
 
 def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams,
                     sigma_data: float, center=None) -> None:
-    """Versioned binary checkpoint: config, data stats, params, EMA copy."""
+    """Versioned binary checkpoint: the network config and data stats, then
+    the center (if any), the raw tensors and the EMA tensors as one bare
+    little-endian float32 payload in _tensor_shapes order.
+    """
     cfg = params.config
+    payload = [] if center is None else [("center", (cfg.input_dim,), center)]
+    for what, p in (("raw", params), ("EMA", ema)):
+        payload += [(f"{what} {name}", shape, t)
+                    for (name, shape), t in zip(_tensor_shapes(cfg), p.tensors(), strict=True)]
+    for name, shape, t in payload:
+        if np.shape(t) != shape:
+            raise ValueError(f"tensor {name} has shape {np.shape(t)}, config implies {shape}")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", cfg.input_dim))
-        fh.write(struct.pack("<B", len(cfg.encoder_widths)))
-        for w in cfg.encoder_widths:
-            fh.write(struct.pack("<I", w))
-        fh.write(struct.pack("<B", len(cfg.decoder_widths)))
-        for w in cfg.decoder_widths:
-            fh.write(struct.pack("<I", w))
-        fh.write(struct.pack("<I", cfg.embed_dim))
-        act = cfg.activation.encode("ascii")
-        fh.write(struct.pack("<B", len(act)))
-        fh.write(act)
-        fh.write(struct.pack("<d", float(sigma_data)))
-        if center is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(np.ascontiguousarray(center, dtype="<f4").tobytes())
-        _write_tensors(fh, params.tensors())
-        _write_tensors(fh, ema.tensors())
+        fh.write(_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim))
+        for widths in (cfg.encoder_widths, cfg.decoder_widths):
+            fh.write(struct.pack(f"<B{len(widths)}I", len(widths), *widths))
+        fh.write(struct.pack("<IdB", cfg.embed_dim, float(sigma_data), center is not None))
+        for _, _, t in payload:
+            fh.write(np.ascontiguousarray(t, dtype="<f4"))
 
 
 def load_checkpoint(path):
@@ -367,52 +326,42 @@ def load_checkpoint(path):
         (version,) = _read_struct(fh, "<H")
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (input_dim,) = _read_struct(fh, "<I")
-        (n_enc,) = _read_struct(fh, "<B")
-        enc = tuple(_read_struct(fh, "<" + "I" * n_enc))
+        input_dim, n_enc = _read_struct(fh, "<IB")
+        enc = _read_struct(fh, f"<{n_enc}I")
         (n_dec,) = _read_struct(fh, "<B")
-        dec = tuple(_read_struct(fh, "<" + "I" * n_dec))
-        (embed_dim,) = _read_struct(fh, "<I")
-        (act_len,) = _read_struct(fh, "<B")
-        raw_act = fh.read(act_len)
+        dec = _read_struct(fh, f"<{n_dec}I")
+        embed_dim, sigma_data, has_center = _read_struct(fh, "<IdB")
         try:
-            act = raw_act.decode("ascii")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"activation name {raw_act!r} is not ASCII") from None
-        (sigma_data,) = _read_struct(fh, "<d")
-        (has_center,) = _read_struct(fh, "<B")
-        center = None
-        if has_center:
-            raw = fh.read(4 * input_dim)
-            if len(raw) != 4 * input_dim:
-                raise CheckpointError("truncated checkpoint: center vector")
-            center = np.frombuffer(raw, dtype="<f4").copy()
-        try:
-            cfg = NetworkConfig(input_dim, enc, dec, embed_dim, act)
+            cfg = NetworkConfig(input_dim, enc, dec, embed_dim)
+            Preconditioner(sigma_data)
         except ValueError as e:
-            raise CheckpointError(f"bad network config in checkpoint: {e}") from None
-        params = _params_from_tensors(cfg, _read_tensors(fh), "raw weights")
-        ema = _params_from_tensors(cfg, _read_tensors(fh), "EMA weights")
-    return params, ema, sigma_data, center
-
-
-def _params_from_tensors(cfg: NetworkConfig, tensors, what="weights") -> DenoiserParams:
-    """Unflatten declaration-order tensors, checking each shape against cfg."""
-    shapes = _tensor_shapes(cfg)
-    if len(tensors) != len(shapes):
-        raise CheckpointError(
-            f"{what}: checkpoint holds {len(tensors)} tensors, config implies {len(shapes)}"
-        )
-    for t, (name, shape) in zip(tensors, shapes):
-        if t.shape != shape:
+            raise CheckpointError(f"bad checkpoint header: {e}") from None
+        if has_center > 1:
+            raise CheckpointError(f"bad center flag {has_center} in checkpoint")
+        n_center = input_dim if has_center else 0
+        # checked against the file size first, so a corrupt header cannot
+        # ask for an allocation larger than the file
+        want = n_center + 2 * param_count(cfg)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != 4 * want:
             raise CheckpointError(
-                f"{what}: tensor {name} has shape {t.shape}, config implies {shape}"
+                f"checkpoint payload holds {left} bytes ({left // 4} float32 values), "
+                f"config implies {want} values"
             )
-    n_per_layer = len(DenoiserParams._TRAINABLE)
-    freqs = tensors[0]
-    layers = []
-    i = 1
-    for _ in cfg.hidden_widths:
-        layers.append(LayerParams(*tensors[i : i + n_per_layer]))
-        i += n_per_layer
-    return DenoiserParams(cfg, freqs, layers, tensors[i], tensors[i + 1])
+        flat = np.fromfile(fh, dtype="<f4", count=want)
+    tensors, at = [], n_center
+    for _, shape in _tensor_shapes(cfg) * 2:
+        size = math.prod(shape)
+        tensors.append(flat[at : at + size].reshape(shape))
+        at += size
+    half = len(tensors) // 2
+    center = flat[:n_center] if has_center else None
+    return (_params_from_tensors(cfg, tensors[:half]), _params_from_tensors(cfg, tensors[half:]),
+            sigma_data, center)
+
+
+def _params_from_tensors(cfg: NetworkConfig, tensors) -> DenoiserParams:
+    """Unflatten tensors listed in _tensor_shapes order."""
+    n = len(DenoiserParams._TRAINABLE)
+    layers = [LayerParams(*tensors[i : i + n]) for i in range(1, len(tensors) - 2, n)]
+    return DenoiserParams(cfg, tensors[0], layers, tensors[-2], tensors[-1])

@@ -141,43 +141,35 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     return reported, grads
 
 
+# Adam's moment decays and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    """Adam moments plus every knob the update rule needs, EMA included."""
+    """Adam moments, the EMA copy and the step count, under one TrainConfig."""
 
     m: list
     v: list
     ema: DenoiserParams
+    cfg: TrainConfig
     step: int = 0
-    base_lr: float = 2e-4
-    weight_decay: float = 1e-4
-    inv_gamma: float = 20000.0
-    power: float = 1.0
-    ema_decay: float = 0.999
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: DenoiserParams, cfg: TrainConfig) -> "OptimizerState":
         tensors = params.trainable()
-        return cls(
-            m=[np.zeros_like(t) for t in tensors],
-            v=[np.zeros_like(t) for t in tensors],
-            ema=params.copy(),
-            base_lr=cfg.base_lr,
-            weight_decay=cfg.weight_decay,
-            inv_gamma=cfg.inv_gamma,
-            power=cfg.power,
-            ema_decay=cfg.ema_decay,
-        )
+        return cls(m=[np.zeros_like(t) for t in tensors], v=[np.zeros_like(t) for t in tensors],
+                   ema=params.copy(), cfg=cfg)
 
 
 def inverse_lr(state: OptimizerState) -> float:
     """base_lr / (1 + step / inv_gamma)^power; equals base_lr at step 0."""
     if state.step < 0:
         raise ValueError(f"step must be >= 0, got {state.step}")
-    return state.base_lr / (1.0 + state.step / state.inv_gamma) ** state.power
+    cfg = state.cfg
+    return cfg.base_lr / (1.0 + state.step / cfg.inv_gamma) ** cfg.power
 
 
 def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserParams:
@@ -190,23 +182,24 @@ def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserP
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p_.shape}")
     lr = inverse_lr(state)
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - _BETA1**state.step
+    bc2 = 1.0 - _BETA2**state.step
+    wd = state.cfg.weight_decay
     for p_, g, m, v in zip(tensors, grads, state.m, state.v):
         g = g.astype(p_.dtype, copy=False)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p_ -= (lr / bc1) * m / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay:
-            p_ -= (lr * state.weight_decay) * p_
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p_ -= (lr / bc1) * m / (np.sqrt(v / bc2) + _EPS)
+        if wd:
+            p_ -= (lr * wd) * p_
     return params
 
 
 def ema_update(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
     """ema <- decay * ema + (1 - decay) * params, trainable tensors only."""
-    d = state.ema_decay
+    d = state.cfg.ema_decay
     for e, p_ in zip(state.ema.trainable(), params.trainable()):
         e *= d
         e += (1.0 - d) * p_

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vadiff import (
     SynthConfig,
     init_params,
     load_features,
+    param_count,
     read_scores_csv,
     save_checkpoint,
     save_features,
@@ -100,6 +102,20 @@ def test_train_missing_features_exit_2_no_partial_checkpoint(tmp_path):
     )
     assert code == 2
     assert not ck.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--checkpoint", "c.bin", "--epochs", "0"], "epochs"),
+    (["score", "--checkpoint", "absent.bin", "--out", "s.csv", "--start-t", "99"], "--start-t"),
+], ids=["train-epochs", "score-start-t"])
+def test_bad_flag_is_usage_error_before_inputs_are_read(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = run(*argv, "--features", "absent.vadf", "--manifest", "absent.json")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert flag in err and "absent" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_train_rejects_unknown_config_key(tmp_path):
@@ -467,26 +483,83 @@ def test_eval_flipped_byte_is_data_error(eval_inputs, target, data):
     assert code in (0, 2) or (code == 3 and "non-finite score" in err), err
 
 
+# --- corrupted checkpoints -------------------------------------------------------------
+
+def _small_checkpoint(path):
+    """A centered checkpoint for dim-6 features: 6 center values, then 2 x 474 tensor values."""
+    params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
+    save_checkpoint(path, params, params.copy(), sigma_data=1.0, center=np.zeros(6))
+    return path.read_bytes()
+
+
+def _payload_message(found, dim=6, enc=(8,)):
+    implied = dim + 2 * param_count(NetworkConfig(dim, enc, (8,), 8))
+    return (f"checkpoint payload holds {4 * found} bytes ({found} float32 values), "
+            f"config implies {implied} values")
+
+
+_HUGE = 0x7FFFFFFF
+
+
 @pytest.mark.parametrize("corrupt, fragment", [
-    ("activation", "activation name b'sil\\xe9' is not ASCII"),
-    ("shape", "EMA weights: tensor layers[0].w has shape (4, 5), config implies (6, 8)"),
-])
+    (lambda raw: raw[:-4], _payload_message(953)),
+    (lambda raw: raw + bytes(4), _payload_message(955)),
+    (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported checkpoint version 1"),
+    # input_dim sits after magic and version, the first encoder width after the layer count
+    (lambda raw: raw[:6] + struct.pack("<I", _HUGE) + raw[10:], _payload_message(954, dim=_HUGE)),
+    (lambda raw: raw[:11] + struct.pack("<I", _HUGE) + raw[15:],
+     _payload_message(954, enc=(_HUGE,))),
+], ids=["one-value-short", "one-value-long", "version-1", "huge-input-dim", "huge-width"])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
     f, m = make_data(tmp_path)
-    params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
-    ema = params.copy()
-    if corrupt == "shape":
-        ema.layers[0].w = np.zeros((4, 5), dtype=np.float32)
     ck = tmp_path / "model.bin"
-    save_checkpoint(ck, params, ema, sigma_data=1.0)
-    if corrupt == "activation":
-        ck.write_bytes(ck.read_bytes().replace(b"silu", b"sil\xe9", 1))
+    ck.write_bytes(corrupt(_small_checkpoint(ck)))
     out = tmp_path / "s.csv"
     capsys.readouterr()
     code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
                "--out", str(out))
     _assert_data_error(code, capsys, fragment)
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def score_inputs(tmp_path_factory):
+    """Bytes of a small checkpoint, and a directory holding matching features."""
+    tmp = tmp_path_factory.mktemp("corrupt-ck")
+    make_data(tmp)
+    raw = _small_checkpoint(tmp / "model.bin")
+    assert _score_bytes(tmp, raw) == (0, "")
+    return raw, tmp
+
+
+def _score_bytes(directory, checkpoint: bytes):
+    """(exit code, stderr) of `vadiff score` with the given checkpoint contents."""
+    (directory / "c.bin").write_bytes(checkpoint)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["score", "--features", str(directory / "feat.vadf"), "--manifest",
+                     str(directory / "man.json"), "--checkpoint", str(directory / "c.bin"),
+                     "--out", str(directory / "s.csv")])
+    return code, err.getvalue()
+
+
+@given(data=st.data())
+def test_score_truncated_checkpoint_is_data_error(score_inputs, data):
+    raw, tmp = score_inputs
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    code, err = _score_bytes(tmp, raw[:cut])
+    assert code == 2 and "Traceback" not in err, err
+
+
+@given(data=st.data())
+def test_score_flipped_checkpoint_byte_never_escapes(score_inputs, data):
+    raw = bytearray(score_inputs[0])
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    code, err = _score_bytes(score_inputs[1], bytes(raw))
+    assert "Traceback" not in err
+    # a flipped weight can overflow the reconstruction: the numeric exit
+    assert code in (0, 2) or (code == 3 and "non-finite" in err), err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -417,15 +419,26 @@ def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
     bad = params.copy()
     bad.layers[0].w = np.zeros((4, 5), dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, bad, params, sigma_data=1.0)
-    with pytest.raises(CheckpointError, match=r"layers\[0\]\.w has shape \(4, 5\), config implies \(6, 8\)"):
-        load_checkpoint(path)
+    w_fault = r"layers\[0\]\.w has shape \(4, 5\), config implies \(6, 8\)"
+    for pair, center, fragment in [
+        ((bad, params), None, "tensor raw " + w_fault),
+        ((params, bad), None, "tensor EMA " + w_fault),
+        ((params, params), np.zeros(5), r"tensor center has shape \(5,\), config implies \(6,\)"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            save_checkpoint(path, *pair, sigma_data=1.0, center=center)
+        assert not path.exists()
 
 
-def test_checkpoint_non_ascii_activation(tmp_path):
+def test_checkpoint_layout_is_header_then_flat_float32_payload(tmp_path):
     params = tiny_params(dtype=np.float32)
+    ema = tiny_params(seed=77, dtype=np.float32)
+    center = np.arange(6, dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, params, sigma_data=1.0)
-    path.write_bytes(path.read_bytes().replace(b"silu", b"sil\xe9", 1))
-    with pytest.raises(CheckpointError, match="not ASCII"):
-        load_checkpoint(path)
+    save_checkpoint(path, params, ema, sigma_data=1.25, center=center)
+    header = (b"VADW" + struct.pack("<HI", 2, 6) + struct.pack("<B2I", 2, 8, 4)
+              + struct.pack("<B2I", 2, 4, 8) + struct.pack("<IdB", 8, 1.25, 1))
+    payload = np.concatenate([center] + [t.ravel() for t in params.tensors() + ema.tensors()])
+    assert path.read_bytes() == header + payload.astype("<f4").tobytes()
+    assert len(payload) == 6 + 2 * param_count(params.config)
+
