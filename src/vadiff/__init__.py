@@ -18,7 +18,6 @@ from .data import (
     load_manifest,
     make_batches,
     save_features,
-    strip_labels,
     synth_generate,
     validate,
     validate_manifest,
@@ -55,8 +54,6 @@ from .sampling import (
     karras_schedule,
     lms_sample,
     multistep_coeff,
-    ode_derivative,
-    partial_reconstruct,
 )
 from .scoring import (
     BatchDecision,
@@ -65,7 +62,6 @@ from .scoring import (
     batch_threshold,
     mse_per_instance,
     read_scores_csv,
-    score_batch,
     score_dataset,
     write_scores_csv,
 )
@@ -91,16 +87,16 @@ __all__ = [
     "NetworkConfig", "DenoiserParams", "Preconditioner", "CheckpointError",
     "scalings", "fourier_embed", "silu", "film", "forward_raw", "denoise",
     "as_denoiser", "init_params", "param_count", "save_checkpoint", "load_checkpoint",
-    "ScheduleConfig", "karras_schedule", "noise_bounds", "ode_derivative",
-    "multistep_coeff", "lms_sample", "partial_reconstruct",
+    "ScheduleConfig", "karras_schedule", "noise_bounds",
+    "multistep_coeff", "lms_sample",
     "TrainNoiseConfig", "TrainConfig", "OptimizerState", "EpochLog",
     "sample_train_sigma", "loss_weight", "dsm_loss", "inverse_lr",
     "adam_step", "ema_update", "fit",
     "DataError", "DataStats", "FeatureSet", "VideoRecord", "SynthConfig",
     "load_features", "load_manifest", "save_features", "estimate_sigma_data",
-    "make_batches", "synth_generate", "strip_labels", "validate", "validate_manifest",
+    "make_batches", "synth_generate", "validate", "validate_manifest",
     "ScoringConfig", "BatchDecision", "DatasetScores",
-    "mse_per_instance", "batch_threshold", "score_batch", "score_dataset",
+    "mse_per_instance", "batch_threshold", "score_dataset",
     "write_scores_csv", "read_scores_csv",
     "EvalReport", "expand_segments", "split_by_video", "roc_auc", "evaluate",
     "write_report_json", "write_frames_csv",

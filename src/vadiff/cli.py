@@ -289,11 +289,17 @@ def cmd_sweep(args) -> int:
     if not t_list or any(not 0 <= t < args.steps for t in t_list):
         raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}], got {t_list}")
 
-    # every noise pair, its schedule and the fit config are checked before any input is read
+    # every noise pair, its schedule, the fit config and one scoring config per
+    # (t, k) cell are checked before any input is read
     grid = [(noise, _build_schedule(args, noise))
             for noise in (TrainNoiseConfig(m, s) for m in args.p_mean for s in args.p_std)]
     train_cfg = _config(TrainConfig, args, base_lr=args.lr)
+    scoring = [[ScoringConfig(start_index=t, k=k, batch_size=args.batch_size) for k in args.k]
+               for t in t_list]
     fs = load_features(args.features, args.manifest)
+    # and the labels before any training, by evaluate's own rules
+    evaluate(split_by_video(np.zeros(len(fs.features)), fs.manifest), fs.manifest,
+             fs.segment_len)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
 
@@ -307,15 +313,14 @@ def cmd_sweep(args) -> int:
             print(f"trained p_mean={noise.p_mean} p_std={noise.p_std}", file=sys.stderr)
             p = Preconditioner(stats.sigma_data)
             cells = {}  # t -> (auc, flagged fraction per k)
-            for t in t_list:
-                cfg = ScoringConfig(start_index=t, k=args.k[0], batch_size=args.batch_size)
-                scores = score_dataset(ema, p, sigmas, cfg, fs, Rng(args.seed),
+            for t, cfgs in zip(t_list, scoring):
+                scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed),
                                        center=stats.center)
                 by_video = split_by_video(scores.mse, fs.manifest)
                 auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
                 cells[t] = auc, [float(np.mean(np.concatenate([
-                    d.losses > batch_threshold(d.losses, k)[2] for d in scores.decisions
-                ]))) for k in args.k]
+                    d.losses > batch_threshold(d.losses, cfg.k)[2] for d in scores.decisions
+                ]))) for cfg in cfgs]
                 for k, frac in zip(args.k, cells[t][1]):
                     emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))
             auc, fracs = cells[max(t_list, key=lambda t: cells[t][0])]

@@ -328,12 +328,3 @@ def synth_generate(cfg: SynthConfig) -> FeatureSet:
     fs = FeatureSet(features, manifest, segment_len=cfg.segment_len)
     validate(fs)
     return fs
-
-
-def strip_labels(fs: FeatureSet) -> FeatureSet:
-    """The same FeatureSet with every label array removed."""
-    manifest = [
-        VideoRecord(r.video_id, r.frame_count, r.segment_offset, r.segment_count, None)
-        for r in fs.manifest
-    ]
-    return FeatureSet(fs.features, manifest, fs.segment_len)

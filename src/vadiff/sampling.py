@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import Rng
-
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 
@@ -57,13 +55,6 @@ def karras_schedule(cfg: ScheduleConfig) -> np.ndarray:
     return np.append(sigmas, 0.0)
 
 
-def ode_derivative(denoiser: Denoiser, x: np.ndarray, sigma: float) -> np.ndarray:
-    """dx/dsigma = (x - D(x; sigma)) / sigma, i.e. -sigma times the score."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return (x - denoiser(x, sigma)) / sigma
-
-
 def multistep_coeff(sigmas, i: int, j: int, cur_order: int) -> float:
     """Integral over [sigmas[i], sigmas[i+1]] of the Lagrange basis polynomial
     that is 1 at node sigmas[i - j] and 0 at the other cur_order - 1 nodes
@@ -95,8 +86,10 @@ def lms_sample(denoiser: Denoiser, x: np.ndarray, sigmas: np.ndarray,
 
     `x` must already be at noise level sigmas[start_index].  With
     start_index == len(sigmas) - 1 (the zero entry) the input is returned
-    unchanged.  Derivative history grows from 1 up to `order` entries, so
-    the first step is exactly an Euler step.
+    unchanged.  Each step's derivative is (x - D(x; sigma)) / sigma, i.e.
+    -sigma times the score, so every sigma stepped from must be > 0.
+    Derivative history grows from 1 up to `order` entries, so the first
+    step is exactly an Euler step.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     n_steps = len(sigmas) - 1
@@ -104,11 +97,13 @@ def lms_sample(denoiser: Denoiser, x: np.ndarray, sigmas: np.ndarray,
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0 <= start_index <= n_steps:
         raise ValueError(f"start_index {start_index} outside [0, {n_steps}]")
+    if not (sigmas[start_index:n_steps] > 0).all():
+        raise ValueError(f"sigmas stepped from must be > 0, got {sigmas[start_index:n_steps]}")
     x = np.array(x, copy=True)
     history: list[np.ndarray] = []
     for i in range(start_index, n_steps):
-        d = ode_derivative(denoiser, x, float(sigmas[i]))
-        history.append(d)
+        sigma = float(sigmas[i])
+        history.append((x - denoiser(x, sigma)) / sigma)
         if len(history) > order:
             history.pop(0)
         cur_order = len(history)
@@ -116,19 +111,3 @@ def lms_sample(denoiser: Denoiser, x: np.ndarray, sigmas: np.ndarray,
         for coeff, deriv in zip(coeffs, reversed(history)):
             x = x + coeff * deriv
     return x
-
-
-def partial_reconstruct(denoiser: Denoiser, x0: np.ndarray, sigmas: np.ndarray,
-                        t: int, rng: Rng, order: int = 4) -> np.ndarray:
-    """Noise clean features up to sigmas[t], then integrate back down to 0.
-
-    The corruption is additive, x0 + eps * sigmas[t] with standard normal
-    eps, so t close to the end of the grid perturbs only slightly.
-    """
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if not 0 <= t < len(sigmas) - 1:
-        raise ValueError(f"t must lie in [0, {len(sigmas) - 2}], got {t}")
-    x0 = np.asarray(x0)
-    eps = rng.standard_normal(x0.shape, dtype=np.float64)
-    noised = x0.astype(np.float64) + eps * sigmas[t]
-    return lms_sample(denoiser, noised, sigmas, order=order, start_index=t)

@@ -19,25 +19,20 @@ import numpy as np
 from .data import DataError, FeatureSet, make_batches
 from .network import DenoiserParams, Preconditioner, as_denoiser
 from .rng import Rng
-from .sampling import partial_reconstruct
+from .sampling import lms_sample
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    start_index: int = 9  # schedule index of the corruption level
+    start_index: int  # schedule index of the corruption level; score_dataset checks its range
     k: float = 1.0
     batch_size: int = 8192
-    order: int = 4
 
     def __post_init__(self):
-        if self.start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if not np.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
 
 
 @dataclass
@@ -69,25 +64,6 @@ def batch_threshold(losses: np.ndarray, k: float) -> tuple[float, float, float]:
     return mu, sigma, mu + k * sigma
 
 
-def score_batch(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
-                cfg: ScoringConfig, batch: np.ndarray, rng: Rng) -> BatchDecision:
-    """Noise, reconstruct, and threshold one batch of feature rows."""
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[0] < 2:
-        raise ValueError(f"batch must be 2-D with >= 2 rows, got shape {batch.shape}")
-    if cfg.start_index >= len(sigmas) - 1:
-        raise ValueError(
-            f"start_index {cfg.start_index} outside the schedule's {len(sigmas) - 1} steps"
-        )
-    recon = partial_reconstruct(as_denoiser(params, p), batch, sigmas,
-                                cfg.start_index, rng, order=cfg.order)
-    losses = mse_per_instance(batch, recon)
-    if not np.isfinite(losses).all():
-        raise FloatingPointError("non-finite reconstruction loss")
-    mu, sigma, l_th = batch_threshold(losses, cfg.k)
-    return BatchDecision(losses, mu, sigma, l_th, losses > l_th)
-
-
 @dataclass
 class DatasetScores:
     mse: np.ndarray        # (n_segments,) continuous scores
@@ -102,16 +78,24 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
                   center: np.ndarray | None = None) -> DatasetScores:
     """Score every segment, batching in manifest order (never shuffled).
 
+    The corruption is additive, x + eps * sigmas[t] with standard normal
+    eps and t = cfg.start_index, so t close to the end of the grid perturbs
+    only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
     joins the batch before it.  Each batch draws its noise from an
     independent stream split off `rng`, so batch results do not depend on
     scoring order.
     """
+    t = cfg.start_index
+    if not 0 <= t < len(sigmas) - 1:
+        raise ValueError(f"start_index must lie in [0, {len(sigmas) - 2}], got {t}")
     x = fs.features
+    n = x.shape[0]
+    if n < 2:
+        raise DataError(f"scoring needs at least 2 segments, got {n}")
     if center is not None:
         x = x - center.astype(x.dtype)
-    n = x.shape[0]
     batches = make_batches(n, cfg.batch_size, shuffle=False)
     if len(batches) > 1 and batches[-1].size == 1:
         batches[-2:] = [np.concatenate(batches[-2:])]
@@ -121,11 +105,19 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     l_th = np.empty(n, dtype=np.float64)
     decisions = []
     for b, idx in enumerate(batches):
-        decision = score_batch(params, p, sigmas, cfg, x[idx], rng.split(f"batch{b}"))
-        mse[idx] = decision.losses
+        batch = x[idx]
+        eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
+        recon = lms_sample(as_denoiser(params, p), batch.astype(np.float64) + eps * sigmas[t],
+                           sigmas, start_index=t)
+        losses = mse_per_instance(batch, recon)
+        if not np.isfinite(losses).all():
+            raise FloatingPointError("non-finite reconstruction loss")
+        mu_p, sigma_p, threshold = batch_threshold(losses, cfg.k)
+        decision = BatchDecision(losses, mu_p, sigma_p, threshold, losses > threshold)
+        mse[idx] = losses
         flags[idx] = decision.flags
         batch_ids[idx] = b
-        l_th[idx] = decision.l_th
+        l_th[idx] = threshold
         decisions.append(decision)
     return DatasetScores(mse, flags, batch_ids, l_th, decisions)
 

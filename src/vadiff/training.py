@@ -49,15 +49,13 @@ class TrainConfig:
     batch_size: int = 8192
     base_lr: float = 2e-4
     weight_decay: float = 1e-4
-    inv_gamma: float = 20000.0
-    power: float = 1.0
     ema_decay: float = 0.999
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.base_lr <= 0 or self.inv_gamma <= 0 or self.power < 0:
-            raise ValueError("learning rate schedule parameters must be positive")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0 <= self.ema_decay < 1:
             raise ValueError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if self.weight_decay < 0:
@@ -145,6 +143,9 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# inverse time decay of the learning rate
+_INV_GAMMA = 20000.0
+_POWER = 1.0
 
 
 @dataclass
@@ -165,11 +166,10 @@ class OptimizerState:
 
 
 def inverse_lr(state: OptimizerState) -> float:
-    """base_lr / (1 + step / inv_gamma)^power; equals base_lr at step 0."""
+    """base_lr / (1 + step / _INV_GAMMA)^_POWER; equals base_lr at step 0."""
     if state.step < 0:
         raise ValueError(f"step must be >= 0, got {state.step}")
-    cfg = state.cfg
-    return cfg.base_lr / (1.0 + state.step / cfg.inv_gamma) ** cfg.power
+    return state.cfg.base_lr / (1.0 + state.step / _INV_GAMMA) ** _POWER
 
 
 def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserParams:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vadiff import (
     DatasetScores,
+    FeatureSet,
     NetworkConfig,
     Rng,
     SynthConfig,
@@ -21,6 +22,7 @@ from vadiff import (
     save_checkpoint,
     save_features,
     synth_generate,
+    VideoRecord,
     validate_manifest,
     write_scores_csv,
 )
@@ -106,8 +108,9 @@ def test_train_missing_features_exit_2_no_partial_checkpoint(tmp_path):
 
 @pytest.mark.parametrize("argv, flag", [
     (["train", "--checkpoint", "c.bin", "--epochs", "0"], "epochs"),
+    (["train", "--checkpoint", "c.bin", "--lr", "nan"], "base_lr"),
     (["score", "--checkpoint", "absent.bin", "--out", "s.csv", "--start-t", "99"], "--start-t"),
-], ids=["train-epochs", "score-start-t"])
+], ids=["train-epochs", "train-lr-nan", "score-start-t"])
 def test_bad_flag_is_usage_error_before_inputs_are_read(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
@@ -258,6 +261,20 @@ def test_score_one_row_tail_joins_previous_batch(tmp_path, batch_size):
     assert len(rows) == 65
     batch_ids = [int(r.split(",")[4]) for r in rows]
     assert max(batch_ids) == 65 // batch_size - 1
+
+
+def test_score_one_segment_is_data_error(tmp_path, capsys):
+    f, m = tmp_path / "one.vadf", tmp_path / "one.json"
+    save_features(f, m, FeatureSet(np.ones((1, 6), dtype=np.float32),
+                                   [VideoRecord("v", 16, 0, 1)]))
+    ck = tmp_path / "model.bin"
+    _small_checkpoint(ck)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+               "--out", str(out))
+    _assert_data_error(code, capsys, "scoring needs at least 2 segments, got 1")
+    assert not out.exists()
 
 
 # --- eval -----------------------------------------------------------------------
@@ -645,9 +662,15 @@ def test_sweep_row_count_and_k_invariance(tmp_path):
         assert fracs[0] >= fracs[1] >= fracs[2]
 
 
-@pytest.mark.parametrize("bad", [["--steps", "1"], ["--sigma-min", "5", "--sigma-max", "1"],
-                                 ["--p-std", "1.2", "0"]], ids=["steps", "sigma-bounds", "p-std"])
-def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, fragment", [
+    (["--steps", "1"], "steps must be >= 2, got 1"),
+    (["--sigma-min", "5", "--sigma-max", "1"], "need 0 < sigma_min < sigma_max"),
+    (["--p-std", "1.2", "0"], "p_std > 0"),
+    (["--k", "1.0", "nan"], "k must be finite, got nan"),
+    (["--k", "1.0", "0.5", "inf"], "k must be finite, got inf"),
+    (["--batch-size", "1"], "batch_size must be >= 2, got 1"),
+], ids=["steps", "sigma-bounds", "p-std", "k-nan", "k-inf", "batch-size"])
+def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad, fragment):
     f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
     out = tmp_path / "grid.csv"
     capsys.readouterr()
@@ -655,5 +678,24 @@ def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad):
                "--epochs", "1", "--batch-size", "64", "--start-t", "0", *bad)
     err = capsys.readouterr().err
     assert code == 1
+    assert fragment in err
+    assert "Traceback" not in err
+    assert "trained" not in err
+    assert not out.exists()
+
+
+def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys):
+    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
+    doc = json.loads(m.read_text())
+    doc["videos"][1].pop("labels")
+    m.write_text(json.dumps(doc))
+    out = tmp_path / "grid.csv"
+    capsys.readouterr()
+    code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
+               "--epochs", "1", "--batch-size", "64", "--start-t", "0")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "has no frame labels" in err
+    assert "Traceback" not in err
     assert "trained" not in err
     assert not out.exists()

@@ -15,7 +15,6 @@ from vadiff import (
     load_manifest,
     make_batches,
     save_features,
-    strip_labels,
     synth_generate,
     validate_manifest,
 )
@@ -306,15 +305,6 @@ def test_synth_features_independent_of_label_bookkeeping():
     rng = Rng(3)
     expected_normal = rng.split("normal-features").standard_normal((50, 4)).astype(np.float32)
     assert np.array_equal(np.sort(normal_rows, axis=0), np.sort(expected_normal, axis=0))
-
-
-def test_strip_labels():
-    fs = two_video_set()
-    bare = strip_labels(fs)
-    assert all(r.labels is None for r in bare.manifest)
-    assert all(r.labels is not None for r in fs.manifest)
-    assert np.array_equal(bare.features, fs.features)
-    assert [r.video_id for r in bare.manifest] == [r.video_id for r in fs.manifest]
 
 
 def test_synth_config_validation():

@@ -3,19 +3,22 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vadiff import (
+    FeatureSet,
     NetworkConfig,
     Preconditioner,
     Rng,
     ScheduleConfig,
+    ScoringConfig,
     TrainNoiseConfig,
+    VideoRecord,
     as_denoiser,
     init_params,
     karras_schedule,
     lms_sample,
     noise_bounds,
-    ode_derivative,
-    partial_reconstruct,
+    score_dataset,
 )
+from vadiff import scoring
 from vadiff.sampling import multistep_coeff
 
 
@@ -92,18 +95,19 @@ def test_noise_bounds_log_symmetry():
         assert abs(lo * hi - np.exp(2.0 * p_mean)) <= 1e-12 * np.exp(2.0 * p_mean)
 
 
-# --- probability-flow derivative -------------------------------------------------
+# --- probability-flow derivative, through one order-1 step ----------------------
 
 def test_derivative_identity_denoiser_is_zero():
     x = Rng(0).standard_normal((4, 6))
-    d = ode_derivative(identity_denoiser, x, 1.3)
-    assert np.array_equal(d, np.zeros_like(x))
+    out = lms_sample(identity_denoiser, x, np.array([1.3, 0.0]), order=1)
+    assert np.array_equal(out, x)
 
 
 def test_derivative_zero_denoiser():
+    # one Euler step moves x by exactly (sigma_next - sigma) * d, with d = x / sigma
     x = Rng(1).standard_normal((4, 6))
-    d = ode_derivative(zero_denoiser, x, 2.5)
-    assert np.abs(d - x / 2.5).max() <= 1e-15
+    out = lms_sample(zero_denoiser, x, np.array([2.5, 1.5]), order=1)
+    assert np.array_equal(out, x + (1.5 - 2.5) * (x / 2.5))
 
 
 def test_derivative_score_consistency_with_network():
@@ -114,14 +118,24 @@ def test_derivative_score_consistency_with_network():
     den = as_denoiser(params, p)
     x = Rng(5).standard_normal((5, 6))
     for sigma in (0.07, 1.0, 19.0):
-        d = ode_derivative(den, x, sigma)
-        residual = d * sigma**2 + (den(x, sigma) - x) * sigma
+        # a step from sigma to 0 moves x by -sigma * d
+        out = lms_sample(den, x, np.array([sigma, 0.0]), order=1)
+        residual = (x - out) * sigma + (den(x, sigma) - x) * sigma
         assert np.abs(residual).max() <= 1e-10
 
 
 def test_derivative_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        ode_derivative(identity_denoiser, np.ones((1, 2)), 0.0)
+    # every sigma stepped from is checked before the first denoiser call
+    calls = []
+
+    def den(v, s):
+        calls.append(s)
+        return v
+
+    for sig in ([0.0, 0.0], [1.0, 0.0, 0.0], [1.0, -0.5, 0.0]):
+        with pytest.raises(ValueError, match="must be > 0"):
+            lms_sample(den, np.ones((1, 2)), np.array(sig), order=1)
+    assert calls == []
 
 
 # --- linear multistep sampler -----------------------------------------------------
@@ -240,49 +254,61 @@ def test_lms_rejects_out_of_range_start():
         lms_sample(identity_denoiser, x, sig, start_index=-1)
 
 
-# --- partial corruption + reconstruction ------------------------------------------
+# --- partial corruption + reconstruction, through score_dataset -------------------
 
-def test_partial_corruption_rms_at_last_index():
+def reconstruction_mse(monkeypatch, den, x, sig, t, seed):
+    """Per-row MSE of score_dataset on `x` as one batch, with `den` as the network."""
+    monkeypatch.setattr(scoring, "as_denoiser", lambda params, p: den)
+    fs = FeatureSet(x, [VideoRecord("v", len(x) * 16, 0, len(x))])
+    cfg = ScoringConfig(start_index=t, batch_size=len(x))
+    return score_dataset(None, None, sig, cfg, fs, Rng(seed)).mse
+
+
+def test_partial_corruption_rms_at_last_index(monkeypatch):
     sig = default_schedule()
     x = np.zeros((512, 64))
     # identity denoiser keeps the derivative at zero, so the output exposes
     # the corrupted point itself
-    out = partial_reconstruct(identity_denoiser, x, sig, len(sig) - 2, Rng(21))
-    rms = float(np.sqrt(np.mean(out**2)))
+    mse = reconstruction_mse(monkeypatch, identity_denoiser, x, sig, len(sig) - 2, 21)
+    rms = float(np.sqrt(np.mean(mse)))
     assert 0.9 * 0.02 <= rms <= 1.1 * 0.02
 
 
-def test_partial_reconstruct_tiny_sigma_returns_input():
+def test_partial_reconstruct_tiny_sigma_returns_input(monkeypatch):
     sig = karras_schedule(ScheduleConfig(1e-6, 1.0, 7.0, 10))
     x = Rng(22).standard_normal((32, 8))
-    out = partial_reconstruct(identity_denoiser, x, sig, len(sig) - 2, Rng(23))
-    assert float(np.mean((out - x) ** 2)) <= 1e-10
+    mse = reconstruction_mse(monkeypatch, identity_denoiser, x, sig, len(sig) - 2, 23)
+    assert float(np.mean(mse)) <= 1e-10
 
 
-def test_partial_reconstruct_seed_determinism():
+def test_partial_reconstruct_seed_determinism(monkeypatch):
     sig = default_schedule()
     x = Rng(24).standard_normal((8, 6))
 
     def den(v, s):
         return 0.3 * v
 
-    a = partial_reconstruct(den, x, sig, 4, Rng(77))
-    b = partial_reconstruct(den, x, sig, 4, Rng(77))
-    c = partial_reconstruct(den, x, sig, 4, Rng(78))
+    a = reconstruction_mse(monkeypatch, den, x, sig, 4, 77)
+    b = reconstruction_mse(monkeypatch, den, x, sig, 4, 77)
+    c = reconstruction_mse(monkeypatch, den, x, sig, 4, 78)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_partial_reconstruct_range_validation():
+def test_partial_reconstruct_range_validation(monkeypatch):
+    # the range is checked before any noise is drawn or the denoiser runs
     sig = default_schedule()
     x = np.ones((2, 3))
-    with pytest.raises(ValueError):
-        partial_reconstruct(identity_denoiser, x, sig, len(sig) - 1, Rng(0))
-    with pytest.raises(ValueError):
-        partial_reconstruct(identity_denoiser, x, sig, -1, Rng(0))
+
+    def den(v, s):
+        raise AssertionError("denoiser called")
+
+    for t in (len(sig) - 1, -1):
+        with pytest.raises(ValueError, match="start_index"):
+            reconstruction_mse(monkeypatch, den, x, sig, t, 0)
 
 
-def test_partial_reconstruct_more_noise_more_error():
+def test_partial_reconstruct_more_noise_more_error(monkeypatch):
     # structured data pulled toward the origin by a shrinking denoiser:
     # corruption at a higher sigma loses more of the original signal
     sig = default_schedule()
@@ -291,6 +317,6 @@ def test_partial_reconstruct_more_noise_more_error():
     def den(v, s):
         return v / (1.0 + s)
 
-    mse_early = float(np.mean((partial_reconstruct(den, x, sig, 2, Rng(31)) - x) ** 2))
-    mse_late = float(np.mean((partial_reconstruct(den, x, sig, 7, Rng(31)) - x) ** 2))
+    mse_early = float(np.mean(reconstruction_mse(monkeypatch, den, x, sig, 2, 31)))
+    mse_late = float(np.mean(reconstruction_mse(monkeypatch, den, x, sig, 7, 31)))
     assert mse_early >= mse_late

@@ -16,10 +16,9 @@ from vadiff import (
     denoise,
     init_params,
     karras_schedule,
+    lms_sample,
     mse_per_instance,
-    partial_reconstruct,
     read_scores_csv,
-    score_batch,
     score_dataset,
     write_scores_csv,
 )
@@ -153,13 +152,25 @@ def test_duplicate_losses_get_identical_flags():
     assert flags[3] == flags[5]
 
 
+def one_batch(batch):
+    """The rows of `batch` as one video, which score_dataset scores as one batch."""
+    n = len(batch)
+    return FeatureSet(batch, [VideoRecord("v", n * 16, 0, n)])
+
+
+def score_one_batch(params, p, sig, cfg, batch, rng):
+    scores = score_dataset(params, p, sig, cfg, one_batch(batch), rng)
+    assert len(scores.decisions) == 1
+    return scores.decisions[0]
+
+
 def test_duplicate_rows_exchangeable_at_negligible_noise():
     params, p = small_model()
     sig = karras_schedule(ScheduleConfig(sigma_min=1e-9, sigma_max=5.0, rho=7.0, steps=5))
     row = Rng(6).standard_normal((1, 4))
     batch = np.repeat(row, 6, axis=0)
     # corruption at sigma_min ~ 1e-9 is far below the deterministic part
-    dec = score_batch(params, p, sig, ScoringConfig(start_index=len(sig) - 2), batch, Rng(7))
+    dec = score_one_batch(params, p, sig, ScoringConfig(start_index=len(sig) - 2), batch, Rng(7))
     assert np.abs(dec.losses - dec.losses[0]).max() <= 1e-12
 
 
@@ -168,20 +179,26 @@ def test_score_batch_decision_invariants():
     sig = short_schedule()
     batch = Rng(8).standard_normal((32, 4))
     k = 0.5
-    dec = score_batch(params, p, sig, ScoringConfig(start_index=1, k=k), batch, Rng(9))
+    scores = score_dataset(params, p, sig, ScoringConfig(start_index=1, k=k), one_batch(batch),
+                           Rng(9))
+    dec = scores.decisions[0]
     assert isinstance(dec, BatchDecision)
     assert abs(dec.l_th - (dec.mu_p + k * dec.sigma_p)) <= 1e-12
     assert np.array_equal(dec.flags, dec.losses > dec.l_th)
     assert dec.losses.shape == (32,)
     assert np.all(dec.losses >= 0)
+    assert np.array_equal(scores.mse, dec.losses)
+    assert np.array_equal(scores.flags, dec.flags)
+    assert np.array_equal(scores.l_th, np.full(32, dec.l_th))
+    assert scores.batch_ids.max() == 0
 
 
 def test_score_batch_scores_ignore_k():
     params, p = small_model()
     sig = short_schedule()
     batch = Rng(10).standard_normal((16, 4))
-    a = score_batch(params, p, sig, ScoringConfig(start_index=1, k=0.1), batch, Rng(11))
-    b = score_batch(params, p, sig, ScoringConfig(start_index=1, k=1.0), batch, Rng(11))
+    a = score_one_batch(params, p, sig, ScoringConfig(start_index=1, k=0.1), batch, Rng(11))
+    b = score_one_batch(params, p, sig, ScoringConfig(start_index=1, k=1.0), batch, Rng(11))
     assert np.array_equal(a.losses, b.losses)
     assert a.flags.sum() >= b.flags.sum()
 
@@ -194,8 +211,8 @@ def test_score_batch_float32_weights_keep_float64_losses():
     sig = short_schedule()
     batch = Rng(12).standard_normal((16, 4))
     scfg = ScoringConfig(start_index=0)
-    got = score_batch(params, p, sig, scfg, batch, Rng(13))
-    want = score_batch(params.astype(np.float64), p, sig, scfg, batch, Rng(13))
+    got = score_one_batch(params, p, sig, scfg, batch, Rng(13))
+    want = score_one_batch(params.astype(np.float64), p, sig, scfg, batch, Rng(13))
     assert got.losses.dtype == np.float64
     assert np.abs(got.losses - want.losses).max() <= 1e-5 * want.losses.max()
 
@@ -204,27 +221,15 @@ def test_score_batch_start_index_validated():
     params, p = small_model()
     sig = short_schedule()
     batch = np.ones((4, 4))
-    with pytest.raises(ValueError):
-        score_batch(params, p, sig, ScoringConfig(start_index=len(sig) - 1), batch, Rng(0))
+    for t in (len(sig) - 1, -1):
+        with pytest.raises(ValueError, match=f"start_index must lie in \\[0, {len(sig) - 2}\\]"):
+            score_one_batch(params, p, sig, ScoringConfig(start_index=t), batch, Rng(0))
 
 
 # --- dataset scoring -----------------------------------------------------------
 
 def one_video_set(n=12, dim=4, seed=13):
-    feats = Rng(seed).standard_normal((n, dim)).astype(np.float32)
-    return FeatureSet(feats, [VideoRecord("v", n * 16, 0, n)])
-
-
-def test_dataset_single_batch_equals_score_batch():
-    params, p = small_model()
-    sig = short_schedule()
-    fs = one_video_set()
-    cfg = ScoringConfig(start_index=2, batch_size=64)
-    scores = score_dataset(params, p, sig, cfg, fs, Rng(14))
-    direct = score_batch(params, p, sig, cfg, fs.features.astype(np.float64), Rng(14).split("batch0"))
-    assert np.array_equal(scores.mse, direct.losses)
-    assert np.array_equal(scores.flags, direct.flags)
-    assert scores.batch_ids.max() == 0
+    return one_batch(Rng(seed).standard_normal((n, dim)).astype(np.float32))
 
 
 def test_dataset_batches_follow_manifest_order():
@@ -255,8 +260,9 @@ def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
     assert scores.batch_ids.tolist() == [0] * 8 + [1] * 8 + [2] * 7
     for b, lo in enumerate(range(0, 23, 8)):
         x = feats[lo : lo + 8]
-        recon = partial_reconstruct(lambda v, s: denoise(params, p, v, s), x, sig, 0,
-                                    Rng(24).split(f"batch{b}"))
+        eps = Rng(24).split(f"batch{b}").standard_normal(x.shape, dtype=np.float64)
+        recon = lms_sample(lambda v, s: denoise(params, p, v, s),
+                           x.astype(np.float64) + eps * sig[0], sig, start_index=0)
         assert np.array_equal(scores.mse[lo : lo + 8], mse_per_instance(x, recon))
 
 
