@@ -25,9 +25,8 @@ from .data import (
 from .evaluation import (
     EvalReport,
     evaluate,
-    expand_segments,
+    join_scores,
     roc_auc,
-    split_by_video,
     write_frames_csv,
     write_report_json,
 )
@@ -98,7 +97,7 @@ __all__ = [
     "ScoringConfig", "BatchDecision", "DatasetScores",
     "mse_per_instance", "batch_threshold", "score_dataset",
     "write_scores_csv", "read_scores_csv",
-    "EvalReport", "expand_segments", "split_by_video", "roc_auc", "evaluate",
+    "EvalReport", "join_scores", "roc_auc", "evaluate",
     "write_report_json", "write_frames_csv",
     "__version__",
 ]

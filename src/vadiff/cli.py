@@ -28,7 +28,7 @@ from .data import (
     save_features,
     synth_generate,
 )
-from .evaluation import evaluate, split_by_video, write_frames_csv, write_report_json
+from .evaluation import evaluate, join_scores, write_frames_csv, write_report_json
 from .network import (
     CheckpointError,
     NetworkConfig,
@@ -272,8 +272,8 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, segment_len = load_manifest(args.manifest)
-    scores_by_video = read_scores_csv(args.scores)
-    report = evaluate(scores_by_video, manifest, segment_len)
+    scores = join_scores(read_scores_csv(args.scores), manifest)
+    report = evaluate(scores, manifest, segment_len)
     doc = write_report_json(args.out, report, {
         "scores": args.scores,
         "manifest": args.manifest,
@@ -285,21 +285,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    t_list = list(range(args.steps)) if args.start_t is None else args.start_t
+    # each grid value once, in the order first given
+    t_list = list(dict.fromkeys(range(args.steps) if args.start_t is None else args.start_t))
+    p_means, p_stds, ks = (list(dict.fromkeys(v)) for v in (args.p_mean, args.p_std, args.k))
     if not t_list or any(not 0 <= t < args.steps for t in t_list):
         raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}], got {t_list}")
 
     # every noise pair, its schedule, the fit config and one scoring config per
     # (t, k) cell are checked before any input is read
     grid = [(noise, _build_schedule(args, noise))
-            for noise in (TrainNoiseConfig(m, s) for m in args.p_mean for s in args.p_std)]
+            for noise in (TrainNoiseConfig(m, s) for m in p_means for s in p_stds)]
     train_cfg = _config(TrainConfig, args, base_lr=args.lr)
-    scoring = [[ScoringConfig(start_index=t, k=k, batch_size=args.batch_size) for k in args.k]
+    scoring = [[ScoringConfig(start_index=t, k=k, batch_size=args.batch_size) for k in ks]
                for t in t_list]
     fs = load_features(args.features, args.manifest)
     # and the labels before any training, by evaluate's own rules
-    evaluate(split_by_video(np.zeros(len(fs.features)), fs.manifest), fs.manifest,
-             fs.segment_len)
+    evaluate(np.zeros(len(fs.features)), fs.manifest, fs.segment_len)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
 
@@ -316,15 +317,14 @@ def cmd_sweep(args) -> int:
             for t, cfgs in zip(t_list, scoring):
                 scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed),
                                        center=stats.center)
-                by_video = split_by_video(scores.mse, fs.manifest)
-                auc = evaluate(by_video, fs.manifest, fs.segment_len).auc
+                auc = evaluate(scores.mse, fs.manifest, fs.segment_len).auc
                 cells[t] = auc, [float(np.mean(np.concatenate([
                     d.losses > batch_threshold(d.losses, cfg.k)[2] for d in scores.decisions
                 ]))) for cfg in cfgs]
-                for k, frac in zip(args.k, cells[t][1]):
+                for k, frac in zip(ks, cells[t][1]):
                     emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))
             auc, fracs = cells[max(t_list, key=lambda t: cells[t][0])]
-            for k, frac in zip(args.k, fracs):
+            for k, frac in zip(ks, fracs):
                 emit(noise.p_mean, noise.p_std, "best", k, repr(auc), repr(frac))
     print(f"sweep results written to {args.out}")
     return EXIT_OK

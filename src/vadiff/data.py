@@ -162,9 +162,10 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     labels) is checked once by the stage that uses them: load_features
     through validate, evaluate through validate_manifest.
     """
+    fractions = []  # every JSON number with a fraction or exponent; valid files hold none
     with open(manifest_path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=lambda text: fractions.append(text) or float(text))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"manifest is not valid JSON: {e}") from e
     if type(doc) is not dict:
@@ -173,6 +174,10 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
         raise DataError(f"unsupported manifest version {doc.get('version')!r}")
     videos = _field(doc, "videos", list, "manifest")
     manifest = [_video_record(i, entry) for i, entry in enumerate(videos)]
+    if fractions:  # np.int8 truncated any fractional label, so look for one
+        for i, entry in enumerate(videos):
+            if any(type(v) is float for v in entry.get("labels") or ()):
+                raise DataError(f"manifest video {i}: labels must be an array of 0/1 integers")
     segment_len = doc.get("segment_len", SEGMENT_LEN)
     if type(segment_len) is not int or segment_len < 1:
         raise DataError(f"manifest segment_len must be a positive integer, got {segment_len!r}")

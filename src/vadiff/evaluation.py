@@ -25,34 +25,9 @@ class EvalReport:
     frame_count: int
     positive_count: int
     # what write_frames_csv expands on demand
-    segment_scores: dict[str, np.ndarray]
     manifest: list[VideoRecord]
-    segment_len: int
-
-
-def expand_segments(segment_scores: np.ndarray, segment_len: int,
-                    frame_count: int) -> np.ndarray:
-    """Repeat each segment score segment_len times, cut to frame_count."""
-    scores = np.asarray(segment_scores, dtype=np.float64)
-    if segment_len < 1:
-        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
-    if scores.ndim != 1:
-        raise ValueError(f"expected a score vector, got shape {scores.shape}")
-    needed = -(-frame_count // segment_len)  # ceil
-    if needed != scores.size:
-        raise DataError(
-            f"{frame_count} frames need {needed} segments of {segment_len}, "
-            f"got {scores.size} scores"
-        )
-    return np.repeat(scores, segment_len)[:frame_count]
-
-
-def split_by_video(scores: np.ndarray, manifest: list[VideoRecord]) -> dict[str, np.ndarray]:
-    """{video_id: that video's slice of a manifest-ordered segment vector}."""
-    return {
-        rec.video_id: scores[rec.segment_offset : rec.segment_offset + rec.segment_count]
-        for rec in manifest
-    }
+    scores: np.ndarray  # (n_segments,) in manifest order
+    widths: np.ndarray  # frames each segment covers
 
 
 def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
@@ -97,38 +72,69 @@ def _some(ids: list[str]) -> str:
     return f"{ids[:5]}" + (f" and {len(ids) - 5} more" if len(ids) > 5 else "")
 
 
-def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord],
-             segment_len: int) -> EvalReport:
-    """One global frame-level AUC over every video of the manifest.
+def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
+    """Score-CSV rows (video ids, segment indices, scores; in any order), as
+    read by read_scores_csv, put into one manifest-ordered segment vector.
 
-    Every scored video must appear in the manifest with frame labels;
-    manifest videos without scores are an error too, so the report always
-    covers the full test set, and its labels must hold both classes.  A
-    non-finite segment score raises FloatingPointError naming its video
-    and segment.
+    Every scored video must appear in the manifest, every manifest video
+    with segments must be scored, and each of its segments exactly once;
+    a fault raises DataError naming the video.
     """
-    validate_manifest(manifest, segment_len)
-    by_id = {rec.video_id: rec for rec in manifest}
-    missing = sorted(set(scores_by_video) - set(by_id))
+    ids, index, mse = rows
+    by_id = {rec.video_id: v for v, rec in enumerate(manifest)}
+    # the video of each row, hashing one id per run of rows
+    starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
+    run_ids = ids[starts].tolist()
+    missing = sorted(set(run_ids) - by_id.keys())
     if missing:
         raise DataError(f"{len(missing)} scored videos missing from manifest: {_some(missing)}")
-    unscored = sorted(set(by_id) - set(scores_by_video))
+    run_videos = [by_id[vid] for vid in run_ids]
+    scored = set(run_videos)
+    unscored = sorted(rec.video_id for v, rec in enumerate(manifest)
+                      if rec.segment_count and v not in scored)
     if unscored:
         raise DataError(f"{len(unscored)} manifest videos missing from scores: {_some(unscored)}")
 
-    segments, labels = [], []
+    video = np.repeat(np.array(run_videos, dtype=np.int64), np.diff(np.append(starts, ids.size)))
+    counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
+    bad = np.flatnonzero((index < 0) | (index >= counts[video]))
+    if bad.size:
+        r = bad[0]
+        raise DataError(f"video {ids[r]!r}: segment_index {index[r]} is not in "
+                        f"[0, {counts[video[r]]})")
+    # every count is now >= 0: a scored video's is at least 1, and any other is 0
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    where = offsets[video] + index
+    hits = np.bincount(where, minlength=int(counts.sum()))
+    wrong = np.flatnonzero(hits != 1)
+    if wrong.size:
+        at = wrong[0]
+        v = int(np.searchsorted(ends, at, side="right"))
+        raise DataError(f"video {manifest[v].video_id!r}: segment {at - offsets[v]} "
+                        f"scored {hits[at]} times")
+    scores = np.empty(hits.size, dtype=np.float64)
+    scores[where] = mse
+    return scores
+
+
+def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) -> EvalReport:
+    """One global frame-level AUC over every video of the manifest.
+
+    `scores` holds one score per segment, in manifest order, covering every
+    video; join_scores builds it from score-CSV rows.  Every video needs
+    frame labels, and together they must hold both classes.  A non-finite
+    segment score raises FloatingPointError naming its video and segment.
+    """
+    total = validate_manifest(manifest, segment_len)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (total,):
+        raise DataError(f"{scores.size} scores for the manifest's {total} segments")
+    labels = []
     for rec in manifest:
         if rec.labels is None:
             raise DataError(f"video {rec.video_id!r} has no frame labels")
-        seg = np.asarray(scores_by_video[rec.video_id], dtype=np.float64)
-        if seg.shape != (rec.segment_count,):
-            raise DataError(
-                f"video {rec.video_id!r}: {seg.size} scores for "
-                f"{rec.segment_count} segments"
-            )
-        segments.append(seg)
         labels.append(np.asarray(rec.labels, dtype=np.int8))
-    scores = np.concatenate(segments or [np.empty(0)])
     frame_pos = np.concatenate(labels or [np.empty(0, dtype=np.int8)]) == 1
 
     counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
@@ -159,9 +165,9 @@ def evaluate(scores_by_video: dict[str, np.ndarray], manifest: list[VideoRecord]
         auc=_tied_auc(scores, pos, width - pos),
         frame_count=int(frame_pos.size),
         positive_count=n_pos,
-        segment_scores=scores_by_video,
         manifest=manifest,
-        segment_len=segment_len,
+        scores=scores,
+        widths=width,
     )
 
 
@@ -182,12 +188,10 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
 
 def write_frames_csv(path, report: EvalReport) -> None:
     """Optional per-frame dump for external plotting."""
+    frame_scores = iter(np.repeat(report.scores, report.widths))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_index", "score", "label"])
         for rec in report.manifest:
-            scores = expand_segments(report.segment_scores[rec.video_id],
-                                     report.segment_len, rec.frame_count)
-            labels = np.asarray(rec.labels, dtype=np.int8)
-            for i in range(scores.size):
-                writer.writerow([rec.video_id, i, repr(float(scores[i])), int(labels[i])])
+            for i, label in enumerate(np.asarray(rec.labels, dtype=np.int8).tolist()):
+                writer.writerow([rec.video_id, i, repr(float(next(frame_scores))), label])

@@ -173,14 +173,15 @@ def _raise_first_fault(path) -> None:
             raise DataError(f"score CSV line {reader.line_num}: {e}") from None
 
 
-def read_scores_csv(path) -> dict[str, np.ndarray]:
-    """Per-video arrays of segment scores, ordered by segment_index.
+def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a score CSV in file order, as three arrays: video ids,
+    segment indices and scores (evaluation.join_scores puts them into
+    manifest order).
 
-    Videos come in the order of their first row.  The header is checked
-    with the csv module and the body is parsed in C by np.loadtxt; a body
-    that fails that parse raises DataError naming the first faulty line.
-    Only the video_id, segment_index and mse columns are converted; the
-    other three must be present but are not read.
+    The header is checked with the csv module and the body is parsed in C
+    by np.loadtxt; a body that fails that parse raises DataError naming the
+    first faulty line.  Only the video_id, segment_index and mse columns are
+    converted; the other three must be present but are not read.
     """
     try:
         with open(path, newline="") as fh:
@@ -193,7 +194,8 @@ def read_scores_csv(path) -> dict[str, np.ndarray]:
     except csv.Error as e:
         raise DataError(f"score CSV line 1: {e}") from None
     if not body:
-        return {}
+        rows = np.empty(0, dtype=_CSV_DTYPE)
+        return rows["video_id"], rows["segment_index"], rows["mse"]
     # np.loadtxt skips empty lines, which the csv format reads as empty rows:
     # a line end ("\n", "\r" or "\r\n") right after another, or at the start
     if body.startswith(("\n", "\r")) or any(p in body for p in ("\n\n", "\n\r", "\r\r")):
@@ -209,19 +211,4 @@ def read_scores_csv(path) -> dict[str, np.ndarray]:
     except (ValueError, DeprecationWarning) as e:
         _raise_first_fault(path)
         raise DataError(f"malformed score CSV: {e}") from None
-
-    ids, index = rows["video_id"], rows["segment_index"]
-    # video codes in first-appearance order, hashing one id per run of rows
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    codes: dict[str, int] = {}
-    run_codes = [codes.setdefault(vid, len(codes)) for vid in ids[starts]]
-    code = np.repeat(run_codes, np.diff(np.append(starts, ids.size)))
-    order = np.lexsort((index, code))
-    code = code[order]
-    counts = np.bincount(code, minlength=len(codes))
-    first = np.cumsum(counts) - counts
-    bad = np.flatnonzero(index[order] != np.arange(ids.size) - first[code])
-    if bad.size:
-        vid = list(codes)[code[bad[0]]]
-        raise DataError(f"video {vid!r}: segment indices are not contiguous from 0")
-    return dict(zip(codes, np.split(rows["mse"][order], first[1:])))
+    return rows["video_id"], rows["segment_index"], rows["mse"]

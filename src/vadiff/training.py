@@ -58,8 +58,8 @@ class TrainConfig:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0 <= self.ema_decay < 1:
             raise ValueError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 def sample_train_sigma(rng: Rng, cfg: TrainNoiseConfig, n: int) -> np.ndarray:

@@ -176,11 +176,7 @@ START_INDEX = 0  # heaviest corruption level on the 10-step grid
 
 
 def _frame_auc(fs, segment_scores: np.ndarray) -> float:
-    by_video = {
-        rec.video_id: segment_scores[rec.segment_offset : rec.segment_offset + rec.segment_count]
-        for rec in fs.manifest
-    }
-    return evaluate(by_video, fs.manifest, fs.segment_len).auc
+    return evaluate(segment_scores, fs.manifest, fs.segment_len).auc
 
 
 def _default_experiment(shift: float) -> float:

@@ -352,7 +352,10 @@ def _assert_data_error(code, capsys, *fragments):
     (lambda doc: {**doc, "videos": [doc["videos"][0]]
                   + [{k: v for k, v in doc["videos"][1].items() if k != "frame_count"}]},
      ["manifest video 1", "'frame_count'"]),
-], ids=["top-level-list", "missing-frame-count"])
+    (lambda doc: {**doc, "videos": [doc["videos"][0], {
+        **doc["videos"][1], "labels": [0.5, 1.7] + doc["videos"][1]["labels"][2:]}]},
+     ["manifest video 1: labels must be an array of 0/1 integers"]),
+], ids=["top-level-list", "missing-frame-count", "fractional-labels"])
 def test_eval_malformed_manifest_is_data_error(tmp_path, capsys, edit, fragments):
     _, m = make_data(tmp_path)
     m.write_text(json.dumps(edit(json.loads(m.read_text()))))
@@ -498,6 +501,53 @@ def test_eval_flipped_byte_is_data_error(eval_inputs, target, data):
     assert "Traceback" not in err
     # a digit flipped to "e" can make an mse overflow to inf: the numeric exit
     assert code in (0, 2) or (code == 3 and "non-finite score" in err), err
+
+
+@given(data=st.data())
+def test_eval_report_ignores_score_row_order(eval_inputs, data):
+    files, tmp = eval_inputs
+    header, *body = files["scores"].splitlines(keepends=True)
+    assert _eval_bytes(tmp, **files) == (0, "")
+    want = (tmp / "r.json").read_bytes()
+    shuffled = header + b"".join(data.draw(st.permutations(body), label="rows"))
+    assert _eval_bytes(tmp, files["manifest"], shuffled) == (0, "")
+    assert (tmp / "r.json").read_bytes() == want
+
+
+def _drop_video(lines, video):
+    return [line for line in lines if not line.startswith(video + ",")]
+
+
+def _set_index(lines, at, index):
+    fields = lines[at].split(",")
+    fields[1] = index
+    return lines[:at] + [",".join(fields)] + lines[at + 1:]
+
+
+# the fixture's videos hold 13, 14, 26 and 13 segments, in that order
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["ghost,0,0.5,0,0,1.0"],
+     "1 scored videos missing from manifest: ['ghost']"),
+    (lambda lines: _drop_video(lines, "video0001"),
+     "1 manifest videos missing from scores: ['video0001']"),
+    (lambda lines: lines[:1] + lines[2:], "video 'video0000': segment 1 scored 0 times"),
+    (lambda lines: lines[:14] + lines[13:], "video 'video0001': segment 0 scored 2 times"),
+    (lambda lines: _set_index(lines, 20, "14"),
+     "video 'video0001': segment_index 14 is not in [0, 14)"),
+    (lambda lines: _set_index(lines, 0, "-1"),
+     "video 'video0000': segment_index -1 is not in [0, 13)"),
+    (lambda lines: [], "4 manifest videos missing from scores: "
+                       "['video0000', 'video0001', 'video0002', 'video0003']"),
+], ids=["unknown-video", "unscored-video", "missing-index", "repeated-index",
+        "index-past-end", "negative-index", "header-only"])
+def test_eval_score_join_fault_is_data_error(eval_inputs, edit, message):
+    files, tmp = eval_inputs
+    header, *lines = files["scores"].decode().splitlines()
+    scores = "".join(f"{line}\n" for line in [header] + edit(lines)).encode()
+    code, err = _eval_bytes(tmp, files["manifest"], scores)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 # --- corrupted checkpoints -------------------------------------------------------------
@@ -660,6 +710,21 @@ def test_sweep_row_count_and_k_invariance(tmp_path):
     for t in ("2", "7"):
         fracs = [float(r[5]) for r in cells if r[2] == t]
         assert fracs[0] >= fracs[1] >= fracs[2]
+
+
+def test_sweep_scores_each_repeated_grid_value_once(tmp_path):
+    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
+
+    def sweep(name, *grid):
+        out = tmp_path / name
+        assert run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
+                   "--seed", "0", "--epochs", "1", "--batch-size", "64", *grid) == 0
+        return out.read_bytes()
+
+    repeated = sweep("repeated.csv", "--start-t", "9", "9", "--k", "1.0", "1.0")
+    rows = [r.split(",")[2:4] for r in repeated.decode().splitlines()]
+    assert rows == [["t", "k"], ["9", "1.0"], ["best", "1.0"]]
+    assert repeated == sweep("single.csv", "--start-t", "9", "--k", "1.0")
 
 
 @pytest.mark.parametrize("bad, fragment", [

@@ -155,9 +155,12 @@ def test_load_manifest_rejects_invalid_json(tmp_path):
      "manifest video 0: video_id must be a string"),
     (lambda doc: {**doc, "videos": [{**doc["videos"][0], "labels": [0, [1]]}]},
      "manifest video 0: labels must be an array of 0/1"),
+    (lambda doc: {**doc, "videos": [doc["videos"][0],
+                                    {**doc["videos"][1], "labels": [0.5, 1.7, True, 0]}]},
+     "manifest video 1: labels must be an array of 0/1"),
     (lambda doc: {**doc, "segment_len": 0}, "segment_len must be a positive integer"),
 ], ids=["list", "videos-object", "video-integer", "missing-key", "string-count",
-        "integer-id", "nested-labels", "zero-segment-len"])
+        "integer-id", "nested-labels", "fractional-labels", "zero-segment-len"])
 def test_load_manifest_shape_errors_name_the_fault(tmp_path, edit, message):
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"

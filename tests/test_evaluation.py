@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from vadiff import (
     Rng,
     VideoRecord,
     evaluate,
-    expand_segments,
+    join_scores,
     roc_auc,
     write_frames_csv,
     write_report_json,
@@ -17,31 +19,40 @@ from vadiff import (
 
 # --- segment-to-frame expansion -----------------------------------------------
 
-def test_expand_full_segments():
-    frames = expand_segments(np.array([0.5, 0.9]), 16, 32)
-    assert frames.shape == (32,)
-    assert np.array_equal(frames[:16], np.full(16, 0.5))
-    assert np.array_equal(frames[16:], np.full(16, 0.9))
+def frame_rows(tmp_path, scores, manifest, segment_len):
+    """(score, label) of each frame row write_frames_csv dumps."""
+    path = tmp_path / "frames.csv"
+    write_frames_csv(path, evaluate(np.array(scores), manifest, segment_len))
+    return [(float(row[2]), int(row[3]))
+            for row in (line.split(",") for line in path.read_text().splitlines()[1:])]
 
 
-def test_expand_truncated_tail():
-    frames = expand_segments(np.array([0.5, 0.9]), 16, 20)
-    assert frames.shape == (20,)
-    assert np.array_equal(frames[:16], np.full(16, 0.5))
-    assert np.array_equal(frames[16:], np.full(4, 0.9))
+def test_expand_full_segments(tmp_path):
+    manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)]
+    frames = frame_rows(tmp_path, [0.5, 0.9], manifest, 16)
+    assert frames == [(0.5, 0)] * 16 + [(0.9, 1)] * 16
+
+
+def test_expand_truncated_tail(tmp_path):
+    manifest = [VideoRecord("a", 20, 0, 2, labels=[0] * 16 + [1] * 4)]
+    frames = frame_rows(tmp_path, [0.5, 0.9], manifest, 16)
+    assert frames == [(0.5, 0)] * 16 + [(0.9, 1)] * 4
 
 
 def test_expand_count_consistency_enforced():
-    with pytest.raises(ValueError):
-        expand_segments(np.array([0.5, 0.9]), 16, 40)  # needs 3 segments
-    with pytest.raises(ValueError):
-        expand_segments(np.array([0.5, 0.9]), 16, 16)  # one segment too many
+    labels = [0] * 20 + [1] * 20
+    with pytest.raises(DataError, match="40 frames need 3 segments of 16"):
+        evaluate(np.array([0.5, 0.9]), [VideoRecord("a", 40, 0, 2, labels=labels)], 16)
+    with pytest.raises(DataError, match="2 scores for the manifest's 3 segments"):
+        evaluate(np.array([0.5, 0.9]), [VideoRecord("a", 40, 0, 3, labels=labels)], 16)
+    with pytest.raises(DataError, match="2 scores for the manifest's 1 segments"):
+        evaluate(np.array([0.5, 0.9]), [VideoRecord("a", 16, 0, 1, labels=[0] * 8 + [1] * 8)], 16)
 
 
-def test_expand_preserves_distinct_values():
-    scores = np.array([1.0, 2.0, 2.0, 3.0])
-    frames = expand_segments(scores, 4, 14)
-    assert set(frames.tolist()) == {1.0, 2.0, 3.0}
+def test_expand_preserves_distinct_values(tmp_path):
+    manifest = [VideoRecord("a", 14, 0, 4, labels=[0] * 7 + [1] * 7)]
+    frames = frame_rows(tmp_path, [1.0, 2.0, 2.0, 3.0], manifest, 4)
+    assert {score for score, _ in frames} == {1.0, 2.0, 3.0}
 
 
 # --- rank AUC -------------------------------------------------------------------
@@ -119,9 +130,19 @@ def labeled_manifest():
     ]
 
 
+SCORES = np.array([0.2, 0.8, 0.5, 0.1])  # labeled_manifest's segments: a's two, then b's
+
+
+def csv_rows(*triples):
+    """Score-CSV rows as read_scores_csv returns them, from (video, index, score)."""
+    ids, index, mse = zip(*triples) if triples else ((), (), ())
+    return (np.array(ids, dtype=object), np.array(index, dtype=np.int64),
+            np.array(mse, dtype=np.float64))
+
+
 def test_evaluate_perfect_ordering():
     manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)]
-    report = evaluate({"a": np.array([0.1, 0.9])}, manifest, 16)
+    report = evaluate(np.array([0.1, 0.9]), manifest, 16)
     assert report.auc == 1.0
     assert report.frame_count == 32
     assert report.positive_count == 16
@@ -129,8 +150,7 @@ def test_evaluate_perfect_ordering():
 
 def test_evaluate_concatenates_globally():
     manifest = labeled_manifest()
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
-    report = evaluate(scores, manifest, 16)
+    report = evaluate(SCORES, manifest, 16)
     frames = np.concatenate([
         np.repeat(0.2, 16), np.repeat(0.8, 16),
         np.repeat(0.5, 16), np.repeat(0.1, 4),
@@ -146,23 +166,30 @@ def test_evaluate_label_inversion_complements_auc():
         VideoRecord("a", 32, 0, 2, labels=[1] * 16 + [0] * 16),
         VideoRecord("b", 20, 2, 2, labels=[1] * 20),
     ]
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
-    auc = evaluate(scores, manifest, 16).auc
-    auc_flipped = evaluate(scores, flipped, 16).auc
+    auc = evaluate(SCORES, manifest, 16).auc
+    auc_flipped = evaluate(SCORES, flipped, 16).auc
     assert abs(auc_flipped - (1.0 - auc)) <= 1e-12
 
 
 def test_evaluate_rejects_missing_videos():
     manifest = labeled_manifest()
-    with pytest.raises(ValueError, match="b"):
-        evaluate({"a": np.array([0.2, 0.8])}, manifest, 16)
-    extra = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1]), "c": np.array([1.0])}
-    with pytest.raises(ValueError, match="c"):
-        evaluate(extra, manifest, 16)
+    with pytest.raises(DataError, match=re.escape("1 manifest videos missing from scores: ['b']")):
+        join_scores(csv_rows(("a", 0, 0.2), ("a", 1, 0.8)), manifest)
+    extra = csv_rows(("a", 0, 0.2), ("a", 1, 0.8), ("b", 0, 0.5), ("b", 1, 0.1), ("c", 0, 1.0))
+    with pytest.raises(DataError, match=re.escape("1 scored videos missing from manifest: ['c']")):
+        join_scores(extra, manifest)
+
+
+def test_join_puts_rows_in_manifest_order():
+    shuffled = csv_rows(("b", 1, 0.1), ("a", 1, 0.8), ("b", 0, 0.5), ("a", 0, 0.2))
+    assert join_scores(shuffled, labeled_manifest()).tolist() == SCORES.tolist()
+    # a video without segments needs no rows
+    empty = VideoRecord("e", 0, 2, 0, labels=[])
+    assert join_scores(shuffled, labeled_manifest() + [empty]).tolist() == SCORES.tolist()
 
 
 def test_evaluate_names_the_non_finite_segment():
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, np.nan])}
+    scores = np.array([0.2, 0.8, 0.5, np.nan])
     with pytest.raises(FloatingPointError, match="video 'b', segment 1: non-finite score nan"):
         evaluate(scores, labeled_manifest(), 16)
 
@@ -170,33 +197,34 @@ def test_evaluate_names_the_non_finite_segment():
 def test_evaluate_requires_labels():
     manifest = [VideoRecord("a", 32, 0, 2, labels=None)]
     with pytest.raises(ValueError):
-        evaluate({"a": np.array([0.2, 0.8])}, manifest, 16)
+        evaluate(np.array([0.2, 0.8]), manifest, 16)
 
 
 @st.composite
 def tied_segment_sets(draw):
-    """(scores_by_video, manifest, segment_len) with scores on a coarse grid
-    and random truncation of each video's last segment."""
+    """(manifest-ordered scores, manifest, segment_len) with scores on a
+    coarse grid and random truncation of each video's last segment."""
     segment_len = draw(st.integers(1, 6))
-    scores, manifest, offset = {}, [], 0
+    scores, manifest, offset = [], [], 0
     for v in range(draw(st.integers(1, 4))):
         count = draw(st.integers(0, 5))
         cut = draw(st.integers(0, segment_len - 1)) if count else 0
         frames = count * segment_len - cut
         labels = draw(st.lists(st.integers(0, 1), min_size=frames, max_size=frames))
-        grid = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
-        scores[f"v{v}"] = np.array(grid, dtype=np.float64) / 4
+        scores += draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
         manifest.append(VideoRecord(f"v{v}", frames, offset, count,
                                     labels=np.array(labels, dtype=np.int8)))
         offset += count
-    return scores, manifest, segment_len
+    return np.array(scores, dtype=np.float64) / 4, manifest, segment_len
 
 
 @given(tied_segment_sets())
 def test_evaluate_equals_frame_auc_and_pairwise_oracle(case):
     scores, manifest, segment_len = case
-    frames = np.concatenate([expand_segments(scores[r.video_id], segment_len, r.frame_count)
-                             for r in manifest])
+    frames = np.concatenate([
+        np.repeat(scores[r.segment_offset : r.segment_offset + r.segment_count],
+                  segment_len)[: r.frame_count]
+        for r in manifest])
     labels = np.concatenate([r.labels for r in manifest])
     if not 0 < labels.sum() < labels.size:
         with pytest.raises(ValueError, match="both classes"):
@@ -212,7 +240,7 @@ def test_evaluate_equals_frame_auc_and_pairwise_oracle(case):
 def test_evaluate_names_at_most_five_missing_videos():
     manifest = [VideoRecord(f"v{i}", 16, i, 1, labels=[0] * 16) for i in range(8)]
     with pytest.raises(ValueError) as info:
-        evaluate({}, manifest, 16)
+        join_scores(csv_rows(), manifest)
     assert str(info.value) == ("8 manifest videos missing from scores: "
                                "['v0', 'v1', 'v2', 'v3', 'v4'] and 3 more")
 
@@ -220,11 +248,11 @@ def test_evaluate_names_at_most_five_missing_videos():
 def test_evaluate_requires_score_count_match():
     manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)]
     with pytest.raises(ValueError):
-        evaluate({"a": np.array([0.2, 0.8, 0.3])}, manifest, 16)
+        evaluate(np.array([0.2, 0.8, 0.3]), manifest, 16)
 
 
 def test_evaluate_checks_the_manifest():
-    scores = {"a": np.array([0.2, 0.8])}
+    scores = np.array([0.2, 0.8])
     with pytest.raises(DataError, match="segment_len must be >= 1, got 0"):
         evaluate(scores, [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)], 0)
     with pytest.raises(DataError, match="'a': 48 frames need 3 segments of 16"):
@@ -238,9 +266,7 @@ def test_evaluate_checks_the_manifest():
 def test_report_json_round_trip(tmp_path):
     import json
 
-    manifest = labeled_manifest()
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
-    report = evaluate(scores, manifest, 16)
+    report = evaluate(SCORES, labeled_manifest(), 16)
     path = tmp_path / "report.json"
     doc = write_report_json(path, report, {"k": 1.0})
     back = json.loads(path.read_text())
@@ -253,9 +279,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_frames_csv_layout(tmp_path):
-    manifest = labeled_manifest()
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
-    report = evaluate(scores, manifest, 16)
+    report = evaluate(SCORES, labeled_manifest(), 16)
     path = tmp_path / "frames.csv"
     write_frames_csv(path, report)
     lines = path.read_text().splitlines()
@@ -266,9 +290,8 @@ def test_frames_csv_layout(tmp_path):
 
 
 def test_frames_csv_bytes(tmp_path):
-    scores = {"a": np.array([0.2, 0.8]), "b": np.array([0.5, 0.1])}
     path = tmp_path / "frames.csv"
-    write_frames_csv(path, evaluate(scores, labeled_manifest(), 16))
+    write_frames_csv(path, evaluate(SCORES, labeled_manifest(), 16))
     rows = ([f"a,{i},0.2,0" for i in range(16)] + [f"a,{i},0.8,1" for i in range(16, 32)]
             + [f"b,{i},0.5,0" for i in range(16)] + [f"b,{i},0.1,0" for i in range(16, 20)])
     want = "".join(f"{row}\r\n" for row in ["video_id,frame_index,score,label"] + rows)

@@ -15,6 +15,7 @@ from vadiff import (
     batch_threshold,
     denoise,
     init_params,
+    join_scores,
     karras_schedule,
     lms_sample,
     mse_per_instance,
@@ -301,10 +302,11 @@ def test_scores_csv_round_trip(tmp_path):
 
     header = path.read_text().splitlines()[0]
     assert header == "video_id,segment_index,mse,flagged,batch_id,l_th"
-    by_video = read_scores_csv(path)
-    assert list(by_video) == ["a", "b"]
-    assert np.array_equal(by_video["a"], scores.mse[:3])
-    assert np.array_equal(by_video["b"], scores.mse[3:])
+    ids, index, mse = read_scores_csv(path)
+    assert ids.tolist() == ["a"] * 3 + ["b"] * 4
+    assert index.tolist() == [0, 1, 2, 0, 1, 2, 3]
+    assert np.array_equal(mse, scores.mse)
+    assert np.array_equal(join_scores((ids, index, mse), fs.manifest), scores.mse)
 
 
 def test_scores_csv_rejects_gapped_indices(tmp_path):
@@ -314,8 +316,8 @@ def test_scores_csv_rejects_gapped_indices(tmp_path):
         "a,0,0.5,0,0,1.0\n"
         "a,2,0.6,0,0,1.0\n"
     )
-    with pytest.raises(ValueError):
-        read_scores_csv(path)
+    with pytest.raises(DataError, match="video 'a': segment 1 scored 0 times"):
+        join_scores(read_scores_csv(path), [VideoRecord("a", 48, 0, 3)])
 
 
 def test_scores_csv_rejects_wrong_header(tmp_path):
@@ -347,11 +349,12 @@ def test_scores_csv_videos_in_first_appearance_order(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n" + "".join(
         f"{rows[i][0]},{rows[i][1]},{rows[i][2]},0,0,1.0\n" for i in order))
-    by_video = read_scores_csv(path)
-    assert list(by_video) == ["b", "c", "a"]
-    assert by_video["a"].tolist() == [1.25, 0.75]
-    assert by_video["b"].tolist() == [1.0, 0.25, 1.5]
-    assert by_video["c"].tolist() == [0.5, 1.75]
+    ids, index, mse = read_scores_csv(path)
+    assert list(zip(ids, index, mse)) == [rows[i] for i in order]  # file order
+    manifest = [VideoRecord("a", 32, 0, 2), VideoRecord("b", 48, 2, 3),
+                VideoRecord("c", 32, 5, 2)]
+    assert join_scores((ids, index, mse), manifest).tolist() == [
+        1.25, 0.75, 1.0, 0.25, 1.5, 0.5, 1.75]
 
 
 def test_scores_csv_quoted_ids_round_trip(tmp_path):
@@ -364,11 +367,9 @@ def test_scores_csv_quoted_ids_round_trip(tmp_path):
     scores = DatasetScores(mse, mse > 1.0, np.zeros(4, dtype=np.int64), np.full(4, 1.0), [])
     path = tmp_path / "scores.csv"
     write_scores_csv(path, fs, scores)
-    by_video = read_scores_csv(path)
-    assert list(by_video) == ids
-    assert by_video[ids[0]].tolist() == [0.5]
-    assert by_video[ids[1]].tolist() == [0.25, 2.0]
-    assert by_video[ids[2]].tolist() == [4.0]
+    rows = read_scores_csv(path)
+    assert rows[0].tolist() == [ids[0], ids[1], ids[1], ids[2]]
+    assert join_scores(rows, fs.manifest).tolist() == mse.tolist()
 
 
 @pytest.mark.parametrize("line", ["", "a,1,0.5,0,0", "a,1,0.5,0,0,1.0,7"],

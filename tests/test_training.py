@@ -72,6 +72,13 @@ def test_noise_config_validation():
         TrainNoiseConfig(p_mean=float("nan"))
 
 
+@pytest.mark.parametrize("bad", [-1e-4, float("nan"), float("inf")])
+def test_train_config_rejects_bad_weight_decay(bad):
+    with pytest.raises(ValueError, match="weight_decay"):
+        TrainConfig(weight_decay=bad)
+    TrainConfig(weight_decay=0.0)  # no decay is allowed
+
+
 # --- DSM loss --------------------------------------------------------------------
 
 def test_dsm_loss_single_row_compositional_oracle():
