@@ -49,7 +49,7 @@ print(f"loss: {history[0].mean_loss:.3f} (first epoch) -> {history[-1].mean_loss
 sigmas = karras_schedule(ScheduleConfig(sigma_min=0.05, sigma_max=5.0, steps=10))
 scores = score_dataset(ema, p, sigmas, ScoringConfig(start_index=0, k=1.0), fs, Rng(3))
 print(f"flagged {int(scores.flags.sum())} of {n} segments"
-      f" in {len(scores.decisions)} batch(es)")
+      f" in {len(scores.batch_stats)} batch(es)")
 
 # 4. frame-level ROC-AUC against the manifest labels; random scores would
 #    sit near 0.5

@@ -55,7 +55,6 @@ from .sampling import (
     multistep_coeff,
 )
 from .scoring import (
-    BatchDecision,
     DatasetScores,
     ScoringConfig,
     batch_threshold,
@@ -94,7 +93,7 @@ __all__ = [
     "DataError", "DataStats", "FeatureSet", "VideoRecord", "SynthConfig",
     "load_features", "load_manifest", "save_features", "estimate_sigma_data",
     "make_batches", "synth_generate", "validate", "validate_manifest",
-    "ScoringConfig", "BatchDecision", "DatasetScores",
+    "ScoringConfig", "DatasetScores",
     "mse_per_instance", "batch_threshold", "score_dataset",
     "write_scores_csv", "read_scores_csv",
     "EvalReport", "join_scores", "roc_auc", "evaluate",

@@ -39,8 +39,7 @@ from .network import (
 )
 from .rng import Rng
 from .sampling import ScheduleConfig, karras_schedule
-from .scoring import (ScoringConfig, batch_threshold, read_scores_csv, score_dataset,
-                      write_scores_csv)
+from .scoring import ScoringConfig, read_scores_csv, score_dataset, write_scores_csv
 from .training import TrainConfig, TrainNoiseConfig, fit, noise_bounds
 
 EXIT_OK = 0
@@ -264,7 +263,7 @@ def cmd_score(args) -> int:
                            Rng(args.seed), center=center)
     write_scores_csv(args.out, fs, scores)
     print(
-        f"scored {scores.mse.size} segments in {len(scores.decisions)} batches; "
+        f"scored {scores.mse.size} segments in {len(scores.batch_stats)} batches; "
         f"{int(scores.flags.sum())} flagged at k={cfg.k}"
     )
     return EXIT_OK
@@ -318,10 +317,12 @@ def cmd_sweep(args) -> int:
                 scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed),
                                        center=stats.center)
                 auc = evaluate(scores.mse, fs.manifest, fs.segment_len).auc
-                cells[t] = auc, [float(np.mean(np.concatenate([
-                    d.losses > batch_threshold(d.losses, cfg.k)[2] for d in scores.decisions
-                ]))) for cfg in cfgs]
-                for k, frac in zip(ks, cells[t][1]):
+                # the flags at each k from the batch stats, l_th formed as batch_threshold does
+                mu_p, sigma_p = np.array(scores.batch_stats).T
+                fracs = [float(np.mean(scores.mse > (mu_p + k * sigma_p)[scores.batch_ids]))
+                         for k in ks]
+                cells[t] = auc, fracs
+                for k, frac in zip(ks, fracs):
                     emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))
             auc, fracs = cells[max(t_list, key=lambda t: cells[t][0])]
             for k, frac in zip(ks, fracs):

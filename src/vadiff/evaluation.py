@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,17 @@ def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
     """Score-CSV rows (video ids, segment indices, scores; in any order), as
     read by read_scores_csv, put into one manifest-ordered segment vector.
 
-    Every scored video must appear in the manifest, every manifest video
-    with segments must be scored, and each of its segments exactly once;
-    a fault raises DataError naming the video.
+    Each manifest video id must be unique, every scored video must appear
+    in the manifest, every manifest video with segments must be scored, and
+    each of its segments exactly once; a fault raises DataError naming the
+    video.
     """
     ids, index, mse = rows
     by_id = {rec.video_id: v for v, rec in enumerate(manifest)}
+    if len(by_id) < len(manifest):
+        listed = Counter(rec.video_id for rec in manifest)
+        repeated = next(vid for vid, n in listed.items() if n > 1)
+        raise DataError(f"manifest lists video {repeated!r} more than once")
     # the video of each row, hashing one id per run of rows
     starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
     run_ids = ids[starts].tolist()

@@ -5,7 +5,10 @@ reverse process, and scored by per-instance MSE.  The decision threshold
 is data-driven and batch-local: l_th = mu_p + k * sigma_p over the
 batch's own losses, with strictly-greater comparison for the abnormal
 flag.  Raw MSE doubles as the continuous score for ROC evaluation; k
-moves only the flags.
+moves only the flags.  `DatasetScores` is the one record of a scoring
+run: per segment its score, flag, batch and threshold (the score CSV's
+columns), and per batch the (mu_p, sigma_p) pair, from which the flags
+at any other k follow without rescoring.
 """
 
 from __future__ import annotations
@@ -35,15 +38,6 @@ class ScoringConfig:
             raise ValueError(f"k must be finite, got {self.k}")
 
 
-@dataclass
-class BatchDecision:
-    losses: np.ndarray  # per-instance MSE
-    mu_p: float
-    sigma_p: float
-    l_th: float
-    flags: np.ndarray  # per-instance bool, True = abnormal
-
-
 def mse_per_instance(fea: np.ndarray, fea_hat: np.ndarray) -> np.ndarray:
     """Mean squared error per row, reduced in float64."""
     fea = np.asarray(fea)
@@ -70,7 +64,7 @@ class DatasetScores:
     flags: np.ndarray      # (n_segments,) bool
     batch_ids: np.ndarray  # (n_segments,) int
     l_th: np.ndarray       # (n_segments,) threshold of the segment's batch
-    decisions: list[BatchDecision]
+    batch_stats: list[tuple[float, float]]  # (mu_p, sigma_p) per batch, in batch-id order
 
 
 def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
@@ -100,10 +94,9 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     if len(batches) > 1 and batches[-1].size == 1:
         batches[-2:] = [np.concatenate(batches[-2:])]
     mse = np.empty(n, dtype=np.float64)
-    flags = np.empty(n, dtype=bool)
     batch_ids = np.empty(n, dtype=np.int64)
     l_th = np.empty(n, dtype=np.float64)
-    decisions = []
+    batch_stats = []
     for b, idx in enumerate(batches):
         batch = x[idx]
         eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
@@ -112,14 +105,11 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
         losses = mse_per_instance(batch, recon)
         if not np.isfinite(losses).all():
             raise FloatingPointError("non-finite reconstruction loss")
-        mu_p, sigma_p, threshold = batch_threshold(losses, cfg.k)
-        decision = BatchDecision(losses, mu_p, sigma_p, threshold, losses > threshold)
+        mu_p, sigma_p, l_th[idx] = batch_threshold(losses, cfg.k)
         mse[idx] = losses
-        flags[idx] = decision.flags
         batch_ids[idx] = b
-        l_th[idx] = threshold
-        decisions.append(decision)
-    return DatasetScores(mse, flags, batch_ids, l_th, decisions)
+        batch_stats.append((mu_p, sigma_p))
+    return DatasetScores(mse, mse > l_th, batch_ids, l_th, batch_stats)
 
 
 _CSV_HEADER = ["video_id", "segment_index", "mse", "flagged", "batch_id", "l_th"]

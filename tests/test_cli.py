@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +439,32 @@ def test_each_stage_validates_the_manifest_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_eval_repeated_manifest_video_is_data_error(tmp_path, capsys):
+    fs = FeatureSet(np.ones((4, 2), dtype=np.float32),
+                    [VideoRecord("a", 32, 0, 2, labels=np.zeros(32, dtype=np.int8)),
+                     VideoRecord("a", 32, 2, 2, labels=np.ones(32, dtype=np.int8))])
+    save_features(tmp_path / "f.vadf", tmp_path / "m.json", fs)
+    scores = stand_in_scores(tmp_path / "s.csv", fs)
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(tmp_path / "m.json"),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, "manifest lists video 'a' more than once")
+
+
+def test_benchmark_standin_scores_pass_eval(tmp_path, monkeypatch):
+    # the eval-frames benchmark writes its score CSV through the library
+    # (DatasetScores, batch_threshold, write_scores_csv); eval must accept it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--features", "f.vadf", "--manifest", "m.json",
+               "--n-normal", "200", "--dim", "4", "--seed", "1") == 0
+    workloads._write_standin_scores()
+    assert run("eval", "--scores", "s.csv", "--manifest", "m.json", "--out", "r.json") == 0
+
+
 @pytest.mark.parametrize("label, absent", [(0, "anomalous (1)"), (1, "normal (0)")],
                          ids=["all-0", "all-1"])
 def test_eval_single_class_manifest_is_data_error(tmp_path, capsys, label, absent):
@@ -684,6 +712,9 @@ def test_sweep_single_cell_matches_manual_chain(tmp_path):
     manual_auc = json.loads(report.read_text())["auc"]
     sweep_auc = float(rows[1][4])
     assert sweep_auc == manual_auc
+    # sweep derives its flags from the batch stats, the score CSV from l_th
+    flagged = [int(r.split(",")[3]) for r in scores.read_text().splitlines()[1:]]
+    assert float(rows[1][5]) == float(np.mean(flagged))
 
 
 def test_sweep_row_count_and_k_invariance(tmp_path):

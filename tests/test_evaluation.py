@@ -180,6 +180,13 @@ def test_evaluate_rejects_missing_videos():
         join_scores(extra, manifest)
 
 
+def test_join_rejects_repeated_manifest_video():
+    manifest = labeled_manifest() + [VideoRecord("a", 16, 4, 1, labels=[1] * 16)]
+    rows = csv_rows(("a", 0, 0.2), ("a", 1, 0.8), ("b", 0, 0.5), ("b", 1, 0.1))
+    with pytest.raises(DataError, match=re.escape("manifest lists video 'a' more than once")):
+        join_scores(rows, manifest)
+
+
 def test_join_puts_rows_in_manifest_order():
     shuffled = csv_rows(("b", 1, 0.1), ("a", 1, 0.8), ("b", 0, 0.5), ("a", 0, 0.2))
     assert join_scores(shuffled, labeled_manifest()).tolist() == SCORES.tolist()

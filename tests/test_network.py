@@ -155,6 +155,71 @@ def test_silu_does_not_overflow(dtype):
     assert np.array_equal(got[2:], [50.0, 1e4])
 
 
+def test_silu_on_plain_arrays():
+    x = np.array([0.0, 1.0, -1.0])
+    got = silu(x)
+    want = x / (1.0 + np.exp(-x))
+    assert np.allclose(got, want, atol=1e-15)
+    assert got[0] == 0.0
+
+
+# --- the affines inside forward_raw, against loops -----------------------------
+
+def one_layer_params(dim, width):
+    cfg = NetworkConfig(input_dim=dim, encoder_widths=(width,), decoder_widths=(dim,),
+                        embed_dim=2)
+    return init_params(cfg, Rng(0), dtype=np.float64)
+
+
+def first_preactivation(params, x):
+    cache = []
+    forward_raw(params, x, 0.0, cache=cache)
+    return cache[0][1]
+
+
+def matmul_loop_oracle(a, b):
+    n, k = a.shape
+    k2, m = b.shape
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            for l in range(k):
+                out[i, j] += a[i, l] * b[l, j]
+    return out
+
+
+def test_matmul_matches_triple_loop_oracle():
+    params = tiny_params()
+    x = Rng(13).standard_normal((5, 6))
+    cache = []
+    f = forward_raw(params, x, 0.4, cache=cache)
+    assert len(cache) == len(params.layers) + 1
+    for lay, (h, a, s, u, gamma) in zip(params.layers, cache):
+        assert np.abs(a - (matmul_loop_oracle(h, lay.w) + lay.b)).max() <= 1e-12
+        assert np.array_equal(u, silu(a))
+    assert np.array_equal(cache[0][0], x)
+    assert np.abs(f - (matmul_loop_oracle(cache[-1], params.out_w) + params.out_b)).max() <= 1e-12
+
+
+def test_affine_identity():
+    params = one_layer_params(2, 2)
+    params.layers[0].w = np.eye(2)
+    params.layers[0].b = np.zeros(2)
+    assert np.array_equal(first_preactivation(params, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
+
+
+def test_affine_hand_arithmetic():
+    params = one_layer_params(2, 1)
+    params.layers[0].w = np.array([[2.0], [3.0]])
+    params.layers[0].b = np.array([1.0])
+    assert np.array_equal(first_preactivation(params, np.array([[1.0, 1.0]])), [[6.0]])
+
+
+def test_affine_dimension_mismatch():
+    with pytest.raises(ValueError):
+        forward_raw(tiny_params(), np.ones((2, 5)), 0.1)
+
+
 # --- raw forward and the preconditioned denoiser -------------------------------
 
 def test_forward_cache_leaves_output_unchanged():

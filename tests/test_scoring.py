@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vadiff import (
-    BatchDecision,
     DatasetScores,
     DataError,
     FeatureSet,
@@ -161,8 +160,8 @@ def one_batch(batch):
 
 def score_one_batch(params, p, sig, cfg, batch, rng):
     scores = score_dataset(params, p, sig, cfg, one_batch(batch), rng)
-    assert len(scores.decisions) == 1
-    return scores.decisions[0]
+    assert len(scores.batch_stats) == 1
+    return scores
 
 
 def test_duplicate_rows_exchangeable_at_negligible_noise():
@@ -171,8 +170,9 @@ def test_duplicate_rows_exchangeable_at_negligible_noise():
     row = Rng(6).standard_normal((1, 4))
     batch = np.repeat(row, 6, axis=0)
     # corruption at sigma_min ~ 1e-9 is far below the deterministic part
-    dec = score_one_batch(params, p, sig, ScoringConfig(start_index=len(sig) - 2), batch, Rng(7))
-    assert np.abs(dec.losses - dec.losses[0]).max() <= 1e-12
+    scores = score_one_batch(params, p, sig, ScoringConfig(start_index=len(sig) - 2), batch,
+                             Rng(7))
+    assert np.abs(scores.mse - scores.mse[0]).max() <= 1e-12
 
 
 def test_score_batch_decision_invariants():
@@ -180,18 +180,14 @@ def test_score_batch_decision_invariants():
     sig = short_schedule()
     batch = Rng(8).standard_normal((32, 4))
     k = 0.5
-    scores = score_dataset(params, p, sig, ScoringConfig(start_index=1, k=k), one_batch(batch),
-                           Rng(9))
-    dec = scores.decisions[0]
-    assert isinstance(dec, BatchDecision)
-    assert abs(dec.l_th - (dec.mu_p + k * dec.sigma_p)) <= 1e-12
-    assert np.array_equal(dec.flags, dec.losses > dec.l_th)
-    assert dec.losses.shape == (32,)
-    assert np.all(dec.losses >= 0)
-    assert np.array_equal(scores.mse, dec.losses)
-    assert np.array_equal(scores.flags, dec.flags)
-    assert np.array_equal(scores.l_th, np.full(32, dec.l_th))
-    assert scores.batch_ids.max() == 0
+    scores = score_one_batch(params, p, sig, ScoringConfig(start_index=1, k=k), batch, Rng(9))
+    [(mu_p, sigma_p)] = scores.batch_stats
+    assert (mu_p, sigma_p) == batch_threshold(scores.mse, k)[:2]
+    assert np.array_equal(scores.l_th, np.full(32, mu_p + k * sigma_p))
+    assert np.array_equal(scores.flags, scores.mse > scores.l_th)
+    assert scores.mse.shape == (32,)
+    assert np.all(scores.mse >= 0)
+    assert scores.batch_ids.tolist() == [0] * 32
 
 
 def test_score_batch_scores_ignore_k():
@@ -200,7 +196,8 @@ def test_score_batch_scores_ignore_k():
     batch = Rng(10).standard_normal((16, 4))
     a = score_one_batch(params, p, sig, ScoringConfig(start_index=1, k=0.1), batch, Rng(11))
     b = score_one_batch(params, p, sig, ScoringConfig(start_index=1, k=1.0), batch, Rng(11))
-    assert np.array_equal(a.losses, b.losses)
+    assert np.array_equal(a.mse, b.mse)
+    assert a.batch_stats == b.batch_stats
     assert a.flags.sum() >= b.flags.sum()
 
 
@@ -214,8 +211,8 @@ def test_score_batch_float32_weights_keep_float64_losses():
     scfg = ScoringConfig(start_index=0)
     got = score_one_batch(params, p, sig, scfg, batch, Rng(13))
     want = score_one_batch(params.astype(np.float64), p, sig, scfg, batch, Rng(13))
-    assert got.losses.dtype == np.float64
-    assert np.abs(got.losses - want.losses).max() <= 1e-5 * want.losses.max()
+    assert got.mse.dtype == np.float64
+    assert np.abs(got.mse - want.mse).max() <= 1e-5 * want.mse.max()
 
 
 def test_score_batch_start_index_validated():
@@ -241,9 +238,11 @@ def test_dataset_batches_follow_manifest_order():
     cfg = ScoringConfig(start_index=2, batch_size=4)
     scores = score_dataset(params, p, sig, cfg, fs, Rng(16))
     assert list(scores.batch_ids) == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-    assert len(scores.decisions) == 3
+    assert len(scores.batch_stats) == 3
     # the short tail batch still computed its own threshold
-    assert scores.decisions[2].losses.shape == (2,)
+    tail = batch_threshold(scores.mse[8:10], cfg.k)
+    assert scores.batch_stats[2] == tail[:2]
+    assert scores.l_th[8:].tolist() == [tail[2]] * 2
 
 
 def test_dataset_short_tail_matches_fresh_denoiser_per_batch():

@@ -15,6 +15,7 @@ from vadiff import (
     dsm_loss,
     ema_update,
     fit,
+    forward_raw,
     init_params,
     inverse_lr,
     loss_weight,
@@ -171,6 +172,72 @@ def test_dsm_loss_float32_gradients_match_float64():
     for a, b in zip(g32, g64):
         assert a.dtype == np.float32 and b.dtype == np.float64
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
+
+
+# --- dsm_loss backward: the head's gradients and the SiLU derivative -------------
+
+def head_gradient_oracle_inputs():
+    """dsm_loss's head gradients and, from the same noise draw, dL/dF by hand."""
+    params = tiny_params()
+    params.out_w = Rng(77).standard_normal(params.out_w.shape) * 0.3
+    p = Preconditioner(0.8)
+    x = Rng(78).standard_normal((5, 6))
+    sigma = np.array([0.2, 0.5, 1.0, 3.0, 9.0])
+    _, grads = dsm_loss(params, p, x, sigma, Rng(79))
+
+    noised = x + Rng(79).standard_normal(x.shape) * sigma[:, None]
+    c_skip, c_out, c_in, c_noise = scalings(p, sigma)
+    cache = []
+    f = forward_raw(params, c_in[:, None] * noised, c_noise, cache=cache)
+    den = c_skip[:, None] * noised + c_out[:, None] * f
+    g = 2.0 * (loss_weight(p, sigma) * c_out)[:, None] * (den - x) / x.size
+    return grads, cache[-1], g
+
+
+def test_affine_mse_gradient_matches_closed_form():
+    grads, head_in, g = head_gradient_oracle_inputs()
+    want_w = np.zeros((head_in.shape[1], g.shape[1]))
+    for i in range(head_in.shape[1]):
+        for j in range(g.shape[1]):
+            for r in range(g.shape[0]):
+                want_w[i, j] += head_in[r, i] * g[r, j]
+    assert np.abs(grads[-2] - want_w).max() <= 1e-12
+
+
+def test_broadcast_bias_gradient_sums_over_rows():
+    grads, _, g = head_gradient_oracle_inputs()
+    want_b = np.zeros(g.shape[1])
+    for r in range(g.shape[0]):
+        want_b += g[r]
+    assert np.abs(grads[-1] - want_b).max() <= 1e-12
+
+
+def test_silu_gradient_matches_finite_differences():
+    # large weights spread the pre-activations over the SiLU's curved range and
+    # both tails; every hidden bias gradient passes through the SiLU derivative
+    params = tiny_params()
+    for i, lay in enumerate(params.layers):
+        lay.w *= 6.0
+        lay.b[:] = Rng(110 + i).standard_normal(lay.b.shape) * 3.0
+    params.out_w = Rng(74).standard_normal(params.out_w.shape) * 0.3
+    p = Preconditioner(1.0)
+    x = Rng(75).standard_normal((4, 6))
+    sigma = np.array([0.1, 0.6, 1.8, 7.0])
+
+    _, grads = dsm_loss(params, p, x, sigma, Rng(76))
+    h = 1e-6
+    for i, lay in enumerate(params.layers):
+        fd = np.zeros(lay.b.size)
+        for k in range(lay.b.size):
+            old = lay.b[k]
+            lay.b[k] = old + h
+            up, _ = dsm_loss(params, p, x, sigma, Rng(76))
+            lay.b[k] = old - h
+            down, _ = dsm_loss(params, p, x, sigma, Rng(76))
+            lay.b[k] = old
+            fd[k] = (up - down) / (2 * h)
+        got = grads[6 * i + 1]
+        assert np.abs(fd - got).max() <= 1e-5 * np.abs(got).max(), f"layer {i}"
 
 
 # --- optimizer -------------------------------------------------------------------
