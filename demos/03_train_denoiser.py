@@ -11,7 +11,6 @@ import numpy as np
 from vadiff import (
     FeatureSet,
     NetworkConfig,
-    Preconditioner,
     Rng,
     TrainConfig,
     TrainNoiseConfig,
@@ -36,7 +35,7 @@ fs = FeatureSet(
                           segment_offset=0, segment_count=2 * half)],
 )
 
-p = Preconditioner(sigma_data=estimate_sigma_data(fs).sigma_data)
+p = estimate_sigma_data(fs)
 print(f"estimated sigma_data: {p.sigma_data:.4f}")
 
 # 2. fit for a few epochs; the per-epoch mean of the weighted loss is

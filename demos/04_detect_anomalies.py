@@ -9,7 +9,6 @@ ROC-AUC against the held labels.
 
 from vadiff import (
     NetworkConfig,
-    Preconditioner,
     Rng,
     ScheduleConfig,
     ScoringConfig,
@@ -34,8 +33,7 @@ print(f"{n} segments of dim {fs.features.shape[1]} across {len(fs.manifest)} vid
 # 2. unsupervised training on every row, anomalies included.  The weighted
 #    loss hovers near 1.0 by design: for unit-variance clusters that is the
 #    irreducible posterior floor, so the number to watch is the AUC below
-stats = estimate_sigma_data(fs)
-p = Preconditioner(sigma_data=stats.sigma_data)
+p = estimate_sigma_data(fs)
 params = init_params(NetworkConfig(input_dim=16, encoder_widths=(64, 32),
                                    decoder_widths=(32, 64)), Rng(0))
 ema, history = fit(fs, params, p,

@@ -9,7 +9,6 @@ loop for labeled evaluation sets.
 
 from .data import (
     DataError,
-    DataStats,
     FeatureSet,
     SynthConfig,
     VideoRecord,
@@ -50,9 +49,11 @@ from .network import (
 from .rng import Rng
 from .sampling import (
     ScheduleConfig,
+    TrainNoiseConfig,
     karras_schedule,
     lms_sample,
     multistep_coeff,
+    noise_bounds,
 )
 from .scoring import (
     DatasetScores,
@@ -67,14 +68,12 @@ from .training import (
     EpochLog,
     OptimizerState,
     TrainConfig,
-    TrainNoiseConfig,
     adam_step,
     dsm_loss,
     ema_update,
     fit,
     inverse_lr,
     loss_weight,
-    noise_bounds,
     sample_train_sigma,
 )
 
@@ -85,12 +84,12 @@ __all__ = [
     "NetworkConfig", "DenoiserParams", "Preconditioner", "CheckpointError",
     "scalings", "fourier_embed", "silu", "film", "forward_raw", "denoise",
     "as_denoiser", "init_params", "param_count", "save_checkpoint", "load_checkpoint",
-    "ScheduleConfig", "karras_schedule", "noise_bounds",
+    "TrainNoiseConfig", "ScheduleConfig", "karras_schedule", "noise_bounds",
     "multistep_coeff", "lms_sample",
-    "TrainNoiseConfig", "TrainConfig", "OptimizerState", "EpochLog",
+    "TrainConfig", "OptimizerState", "EpochLog",
     "sample_train_sigma", "loss_weight", "dsm_loss", "inverse_lr",
     "adam_step", "ema_update", "fit",
-    "DataError", "DataStats", "FeatureSet", "VideoRecord", "SynthConfig",
+    "DataError", "FeatureSet", "VideoRecord", "SynthConfig",
     "load_features", "load_manifest", "save_features", "estimate_sigma_data",
     "make_batches", "synth_generate", "validate", "validate_manifest",
     "ScoringConfig", "DatasetScores",

@@ -29,18 +29,11 @@ from .data import (
     synth_generate,
 )
 from .evaluation import evaluate, join_scores, write_frames_csv, write_report_json
-from .network import (
-    CheckpointError,
-    NetworkConfig,
-    Preconditioner,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .network import CheckpointError, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .rng import Rng
-from .sampling import ScheduleConfig, karras_schedule
+from .sampling import ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
 from .scoring import ScoringConfig, read_scores_csv, score_dataset, write_scores_csv
-from .training import TrainConfig, TrainNoiseConfig, fit, noise_bounds
+from .training import TrainConfig, fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,8 +58,8 @@ FLAGS = {
     "lr": (float, TrainConfig.base_lr, "initial learning rate"),
     "ema_decay": (float, TrainConfig.ema_decay, "decay of the weights' moving average"),
     "center": (bool, False, "subtract per-dimension means before training"),
-    "sigma_min": (float, None, "smallest schedule sigma (default: exp(p_mean - 5 p_std))"),
-    "sigma_max": (float, None, "largest schedule sigma (default: exp(p_mean + 5 p_std))"),
+    "sigma_min": (float, None, "smallest schedule sigma (default: from the training noise)"),
+    "sigma_max": (float, None, "largest schedule sigma (default: from the training noise)"),
     "rho": (float, ScheduleConfig.rho, "schedule exponent"),
     "steps": (int, ScheduleConfig.steps, "schedule length"),
     "start_t": (int, None, "corruption level as a schedule index (default: steps-1; sweep: all)"),
@@ -74,7 +67,6 @@ FLAGS = {
     "raw_weights": (bool, False, "use the raw weights instead of the EMA"),
 }
 
-_NOISE = ("p_mean", "p_std")
 _FIT = ("batch_size", "epochs", "lr", "ema_decay", "center")
 _SCHEDULE = ("sigma_min", "sigma_max", "rho", "steps")
 # sweep's grid flags take one or more values: name -> default grid (None: every index)
@@ -91,10 +83,10 @@ COMMANDS = {
     "train": ("train a denoiser on a feature file",
               {**_INPUTS, "checkpoint": "output checkpoint path",
                "out": "optional training log CSV (default: <checkpoint>.log.csv)"},
-              _NOISE + _FIT),
+              ("p_mean", "p_std") + _FIT),
     "score": ("score segments with a trained checkpoint",
               {**_INPUTS, "checkpoint": "trained checkpoint", "out": "output score CSV"},
-              _NOISE + _SCHEDULE + ("start_t", "k", "batch_size", "raw_weights")),
+              _SCHEDULE + ("start_t", "k", "batch_size", "raw_weights")),
     "eval": ("frame-level ROC-AUC from a score CSV",
              {"scores": "score CSV from the score command", "manifest": "labelled manifest JSON",
               "out": "output report JSON", "frames_csv": "optional per-frame score dump"},
@@ -206,17 +198,13 @@ def cmd_synth(args) -> int:
 
 
 def _train_model(fs, args, train_cfg, noise, progress=None):
-    """Estimate stats, init and fit at training noise `noise`: (params, ema, stats, history)."""
-    stats = estimate_sigma_data(fs, center=args.center)
-    x = np.asarray(fs.features, dtype=np.float32)
-    if stats.center is not None:
-        stats.center = stats.center.astype(np.float32)
-        x = x - stats.center
+    """Estimate the preconditioner, init and fit at training noise `noise`:
+    (params, ema, preconditioner, history)."""
+    p = estimate_sigma_data(fs, center=args.center)
     rng = Rng(args.seed)
-    params = init_params(NetworkConfig(input_dim=x.shape[1]), rng)
-    ema, history = fit(x, params, Preconditioner(stats.sigma_data), train_cfg,
-                       noise, rng, on_epoch=progress)
-    return params, ema, stats, history
+    params = init_params(NetworkConfig(input_dim=fs.features.shape[1]), rng)
+    ema, history = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
+    return params, ema, p, history
 
 
 def cmd_train(args) -> int:
@@ -232,8 +220,8 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    params, ema, stats, log = _train_model(fs, args, train_cfg, noise, progress)
-    save_checkpoint(args.checkpoint, params, ema, stats.sigma_data, stats.center)
+    params, ema, p, log = _train_model(fs, args, train_cfg, noise, progress)
+    save_checkpoint(args.checkpoint, params, ema, p, noise)
     log_path = args.out or args.checkpoint + ".log.csv"
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -245,13 +233,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # configs are checked before any input is read
-    sigmas = _build_schedule(args, _config(TrainNoiseConfig, args))
+    # the scoring config is checked before any input is read; the schedule, whose
+    # default bounds come from the checkpoint's training noise, before the features
     start_t = args.steps - 1 if args.start_t is None else args.start_t
     if not 0 <= start_t < args.steps:
-        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}], got {start_t}")
+        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
+                         f"got {start_t}")
     cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
-    params, ema, sigma_data, center = load_checkpoint(args.checkpoint)
+    params, ema, p, noise = load_checkpoint(args.checkpoint)
+    sigmas = _build_schedule(args, noise)
     fs = load_features(args.features, args.manifest)
     if fs.features.shape[1] != params.config.input_dim:
         raise DataError(
@@ -259,8 +249,7 @@ def cmd_score(args) -> int:
             f"checkpoint input_dim {params.config.input_dim}"
         )
     weights = params if args.raw_weights else ema
-    scores = score_dataset(weights, Preconditioner(sigma_data), sigmas, cfg, fs,
-                           Rng(args.seed), center=center)
+    scores = score_dataset(weights, p, sigmas, cfg, fs, Rng(args.seed))
     write_scores_csv(args.out, fs, scores)
     print(
         f"scored {scores.mse.size} segments in {len(scores.batch_stats)} batches; "
@@ -309,13 +298,11 @@ def cmd_sweep(args) -> int:
 
         emit("p_mean", "p_std", "t", "k", "auc", "flagged_frac")
         for noise, sigmas in grid:
-            _, ema, stats, _ = _train_model(fs, args, train_cfg, noise)
+            _, ema, p, _ = _train_model(fs, args, train_cfg, noise)
             print(f"trained p_mean={noise.p_mean} p_std={noise.p_std}", file=sys.stderr)
-            p = Preconditioner(stats.sigma_data)
             cells = {}  # t -> (auc, flagged fraction per k)
             for t, cfgs in zip(t_list, scoring):
-                scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed),
-                                       center=stats.center)
+                scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed))
                 auc = evaluate(scores.mse, fs.manifest, fs.segment_len).auc
                 # the flags at each k from the batch stats, l_th formed as batch_threshold does
                 mu_p, sigma_p = np.array(scores.batch_stats).T

@@ -2,9 +2,11 @@
 
 Feature vectors live in a flat binary file (magic "VADF") holding one
 float32 row per video segment.  A separate JSON manifest maps contiguous
-segment ranges back to videos and carries optional per-frame 0/1 labels.
-Labels are consumed exclusively by evaluation; training and scoring never
-look at them.
+segment ranges back to videos and carries optional per-frame 0/1 labels,
+JSON integers (true and false read as 1 and 0).  Labels are consumed
+exclusively by evaluation; training and scoring never look at them.  The
+data statistics come back as the network's Preconditioner, the record
+training and scoring share.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import Preconditioner
 from .rng import Rng
 
 SEGMENT_LEN = 16
@@ -43,12 +46,6 @@ class FeatureSet:
     features: np.ndarray  # (n_segments, dim) float32
     manifest: list[VideoRecord]
     segment_len: int = SEGMENT_LEN
-
-
-@dataclass
-class DataStats:
-    sigma_data: float
-    center: np.ndarray | None = None  # per-dimension means when centering is on
 
 
 def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
@@ -140,9 +137,9 @@ def _video_record(i: int, entry) -> VideoRecord:
     labels = None
     if entry.get("labels") is not None:
         raw = _field(entry, "labels", list, where)
-        try:
-            labels = np.asarray(raw, dtype=np.int8)
-        except (TypeError, ValueError, OverflowError):
+        try:  # in C: a string, float, null, array or value outside 0-255 raises
+            labels = np.frombuffer(bytearray(raw), dtype=np.int8)
+        except (TypeError, ValueError):
             raise DataError(f"{where}: labels must be an array of 0/1 integers") from None
     return VideoRecord(
         video_id=_field(entry, "video_id", str, where),
@@ -162,10 +159,9 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     labels) is checked once by the stage that uses them: load_features
     through validate, evaluate through validate_manifest.
     """
-    fractions = []  # every JSON number with a fraction or exponent; valid files hold none
     with open(manifest_path) as fh:
         try:
-            doc = json.load(fh, parse_float=lambda text: fractions.append(text) or float(text))
+            doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"manifest is not valid JSON: {e}") from e
     if type(doc) is not dict:
@@ -174,10 +170,6 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
         raise DataError(f"unsupported manifest version {doc.get('version')!r}")
     videos = _field(doc, "videos", list, "manifest")
     manifest = [_video_record(i, entry) for i, entry in enumerate(videos)]
-    if fractions:  # np.int8 truncated any fractional label, so look for one
-        for i, entry in enumerate(videos):
-            if any(type(v) is float for v in entry.get("labels") or ()):
-                raise DataError(f"manifest video {i}: labels must be an array of 0/1 integers")
     segment_len = doc.get("segment_len", SEGMENT_LEN)
     if type(segment_len) is not int or segment_len < 1:
         raise DataError(f"manifest segment_len must be a positive integer, got {segment_len!r}")
@@ -213,12 +205,13 @@ def load_features(features_path, manifest_path) -> FeatureSet:
     return fs
 
 
-def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> DataStats:
-    """Pooled scalar standard deviation of every feature entry.
+def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> Preconditioner:
+    """The preconditioner of the features: sigma_data is the pooled scalar
+    standard deviation of every feature entry.
 
-    With centering on, per-dimension means are recorded and the deviation
-    is measured around them; downstream callers must subtract the same
-    means before training and scoring.
+    With centering on, the deviation is measured around the per-dimension
+    means, and the record carries those means (as float32), which fit and
+    score_dataset subtract from each batch.
     """
     x = np.asarray(fs.features, dtype=np.float64)
     if x.shape[0] < 2:
@@ -230,7 +223,7 @@ def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> DataStats:
     sigma = float(np.std(x))  # population (divide-by-N) over all entries
     if sigma <= 0 or not np.isfinite(sigma):
         raise DataError("features are degenerate (zero pooled standard deviation)")
-    return DataStats(sigma_data=sigma, center=means)
+    return Preconditioner(sigma, means)
 
 
 def make_batches(n: int, batch_size: int, shuffle: bool, rng: Rng | None = None):

@@ -8,7 +8,8 @@ by sigma-dependent scalings so that the effective denoiser is
     D(x; sigma) = c_skip(sigma) * x + c_out(sigma) * F(c_in(sigma) * x; c_noise(sigma))
 
 which behaves like the identity at low noise and like a full predictor
-at high noise.
+at high noise.  The Preconditioner record holds what training fixed of
+the data; the checkpoint stores it with the weights and the training noise.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
+from .sampling import ScheduleConfig, TrainNoiseConfig, noise_bounds
 
 _TWO_PI = 2.0 * np.pi
 
@@ -49,13 +51,17 @@ class NetworkConfig:
 
 @dataclass
 class Preconditioner:
-    """Holds sigma_data, the standard deviation of the clean features."""
+    """sigma_data, the standard deviation of the clean features, and the
+    per-dimension means (float32) that fit and score_dataset subtract, if set."""
 
     sigma_data: float
+    center: np.ndarray | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.sigma_data) or self.sigma_data <= 0:
             raise ValueError(f"sigma_data must be positive and finite, got {self.sigma_data}")
+        if self.center is not None:
+            self.center = np.asarray(self.center, dtype=np.float32)
 
 
 def scalings(p: Preconditioner, sigma):
@@ -279,7 +285,7 @@ def as_denoiser(params: DenoiserParams, p: Preconditioner):
 # --- checkpoint serialization (magic "VADW") --------------------------------
 
 _MAGIC = b"VADW"
-_VERSION = 2
+_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -294,17 +300,18 @@ def _read_struct(fh, fmt):
     return struct.unpack(fmt, raw)
 
 
-def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams,
-                    sigma_data: float, center=None) -> None:
-    """Versioned binary checkpoint: the network config and data stats, then
-    the center (if any), the raw tensors and the EMA tensors as one bare
-    little-endian float32 payload in _tensor_shapes order.
+def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Preconditioner,
+                    noise: TrainNoiseConfig) -> None:
+    """Versioned binary checkpoint: a header holding the network config,
+    sigma_data, whether a center follows, and the training noise (p_mean,
+    p_std); then the center (if any), the raw tensors and the EMA tensors
+    as one bare little-endian float32 payload in _tensor_shapes order.
     """
     cfg = params.config
-    payload = [] if center is None else [("center", (cfg.input_dim,), center)]
-    for what, p in (("raw", params), ("EMA", ema)):
+    payload = [] if p.center is None else [("center", (cfg.input_dim,), p.center)]
+    for what, net in (("raw", params), ("EMA", ema)):
         payload += [(f"{what} {name}", shape, t)
-                    for (name, shape), t in zip(_tensor_shapes(cfg), p.tensors(), strict=True)]
+                    for (name, shape), t in zip(_tensor_shapes(cfg), net.tensors(), strict=True)]
     for name, shape, t in payload:
         if np.shape(t) != shape:
             raise ValueError(f"tensor {name} has shape {np.shape(t)}, config implies {shape}")
@@ -312,13 +319,14 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams,
         fh.write(_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim))
         for widths in (cfg.encoder_widths, cfg.decoder_widths):
             fh.write(struct.pack(f"<B{len(widths)}I", len(widths), *widths))
-        fh.write(struct.pack("<IdB", cfg.embed_dim, float(sigma_data), center is not None))
+        fh.write(struct.pack("<IdBdd", cfg.embed_dim, float(p.sigma_data), p.center is not None,
+                             float(noise.p_mean), float(noise.p_std)))
         for _, _, t in payload:
             fh.write(np.ascontiguousarray(t, dtype="<f4"))
 
 
 def load_checkpoint(path):
-    """Returns (params, ema, sigma_data, center-or-None)."""
+    """Returns (params, ema, preconditioner, training noise)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -330,10 +338,12 @@ def load_checkpoint(path):
         enc = _read_struct(fh, f"<{n_enc}I")
         (n_dec,) = _read_struct(fh, "<B")
         dec = _read_struct(fh, f"<{n_dec}I")
-        embed_dim, sigma_data, has_center = _read_struct(fh, "<IdB")
+        embed_dim, sigma_data, has_center, p_mean, p_std = _read_struct(fh, "<IdBdd")
         try:
             cfg = NetworkConfig(input_dim, enc, dec, embed_dim)
             Preconditioner(sigma_data)
+            noise = TrainNoiseConfig(p_mean, p_std)
+            ScheduleConfig(*noise_bounds(noise))  # the default schedule must exist
         except ValueError as e:
             raise CheckpointError(f"bad checkpoint header: {e}") from None
         if has_center > 1:
@@ -355,9 +365,9 @@ def load_checkpoint(path):
         tensors.append(flat[at : at + size].reshape(shape))
         at += size
     half = len(tensors) // 2
-    center = flat[:n_center] if has_center else None
+    p = Preconditioner(sigma_data, flat[:n_center] if has_center else None)
     return (_params_from_tensors(cfg, tensors[:half]), _params_from_tensors(cfg, tensors[half:]),
-            sigma_data, center)
+            p, noise)
 
 
 def _params_from_tensors(cfg: NetworkConfig, tensors) -> DenoiserParams:

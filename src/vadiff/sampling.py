@@ -1,9 +1,10 @@
-"""Noise schedule and the probability-flow ODE sampler.
+"""Training noise, the noise schedule and the probability-flow ODE sampler.
 
 Sampling integrates dx/dsigma = (x - D(x; sigma)) / sigma from high noise
 down to zero along a rho-spaced sigma grid.  The multistep update fits a
 polynomial through the most recent derivatives and integrates it exactly
 over [sigma_i, sigma_{i+1}]; with order 1 it reduces to the Euler method.
+The grid's default bounds follow the training noise (noise_bounds).
 
 The denoiser enters as a plain callable (x, sigma) -> x_hat; see
 network.as_denoiser for the standard preconditioned network wrapper.
@@ -17,6 +18,29 @@ from typing import Callable
 import numpy as np
 
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class TrainNoiseConfig:
+    """Log-normal over training noise levels: ln sigma ~ N(p_mean, p_std^2)."""
+
+    p_mean: float = -1.2
+    p_std: float = 1.2
+
+    def __post_init__(self):
+        if not np.isfinite(self.p_mean) or not np.isfinite(self.p_std) or self.p_std <= 0:
+            raise ValueError(f"need finite p_mean and p_std > 0, got ({self.p_mean}, {self.p_std})")
+
+
+def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
+    """(sigma_min, sigma_max) spanning five log-normal standard deviations
+    around the training noise distribution: e^(p_mean -+ 5 p_std).
+    """
+    with np.errstate(over="ignore"):  # an overflow is inf, which ScheduleConfig rejects
+        return (
+            float(np.exp(cfg.p_mean - 5.0 * cfg.p_std)),
+            float(np.exp(cfg.p_mean + 5.0 * cfg.p_std)),
+        )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Per-batch anomaly decisions from reconstruction error.
 
-Each batch of segments is partially noised, reconstructed through the
-reverse process, and scored by per-instance MSE.  The decision threshold
-is data-driven and batch-local: l_th = mu_p + k * sigma_p over the
-batch's own losses, with strictly-greater comparison for the abnormal
-flag.  Raw MSE doubles as the continuous score for ROC evaluation; k
-moves only the flags.  `DatasetScores` is the one record of a scoring
-run: per segment its score, flag, batch and threshold (the score CSV's
-columns), and per batch the (mu_p, sigma_p) pair, from which the flags
-at any other k follow without rescoring.
+Each batch of segments is centred as the preconditioner says, partially
+noised, reconstructed through the reverse process, and scored by
+per-instance MSE.  The decision threshold is data-driven and
+batch-local: l_th = mu_p + k * sigma_p over the batch's own losses, with
+strictly-greater comparison for the abnormal flag.  Raw MSE doubles as
+the continuous score for ROC evaluation; k moves only the flags.
+`DatasetScores` is the one record of a scoring run: per segment its
+score, flag, batch and threshold (the score CSV's columns), and per
+batch the (mu_p, sigma_p) pair, from which the flags at any other k
+follow without rescoring.
 """
 
 from __future__ import annotations
@@ -68,13 +69,14 @@ class DatasetScores:
 
 
 def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
-                  cfg: ScoringConfig, fs: FeatureSet, rng: Rng,
-                  center: np.ndarray | None = None) -> DatasetScores:
+                  cfg: ScoringConfig, fs: FeatureSet, rng: Rng) -> DatasetScores:
     """Score every segment, batching in manifest order (never shuffled).
 
-    The corruption is additive, x + eps * sigmas[t] with standard normal
-    eps and t = cfg.start_index, so t close to the end of the grid perturbs
-    only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
+    Each batch is centred by p.center, if set, as it is sliced, the same
+    way fit centres its batches.  The corruption is additive, x + eps *
+    sigmas[t] with standard normal eps and t = cfg.start_index, so t close
+    to the end of the grid perturbs only slightly; LMS integration from
+    sigmas[t] back to 0 reconstructs it.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
     joins the batch before it.  Each batch draws its noise from an
@@ -88,8 +90,6 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     n = x.shape[0]
     if n < 2:
         raise DataError(f"scoring needs at least 2 segments, got {n}")
-    if center is not None:
-        x = x - center.astype(x.dtype)
     batches = make_batches(n, cfg.batch_size, shuffle=False)
     if len(batches) > 1 and batches[-1].size == 1:
         batches[-2:] = [np.concatenate(batches[-2:])]
@@ -98,7 +98,7 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     l_th = np.empty(n, dtype=np.float64)
     batch_stats = []
     for b, idx in enumerate(batches):
-        batch = x[idx]
+        batch = x[idx] if p.center is None else x[idx] - p.center
         eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
         recon = lms_sample(as_denoiser(params, p), batch.astype(np.float64) + eps * sigmas[t],
                            sigmas, start_index=t)

@@ -19,28 +19,7 @@ import numpy as np
 from .data import make_batches
 from .network import DenoiserParams, Preconditioner, fourier_embed, forward_raw, scalings
 from .rng import Rng
-
-
-@dataclass(frozen=True)
-class TrainNoiseConfig:
-    """Log-normal over training noise levels: ln sigma ~ N(p_mean, p_std^2)."""
-
-    p_mean: float = -1.2
-    p_std: float = 1.2
-
-    def __post_init__(self):
-        if not np.isfinite(self.p_mean) or not np.isfinite(self.p_std) or self.p_std <= 0:
-            raise ValueError(f"need finite p_mean and p_std > 0, got ({self.p_mean}, {self.p_std})")
-
-
-def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
-    """(sigma_min, sigma_max) spanning five log-normal standard deviations
-    around the training noise distribution: e^(p_mean -+ 5 p_std).
-    """
-    return (
-        float(np.exp(cfg.p_mean - 5.0 * cfg.p_std)),
-        float(np.exp(cfg.p_mean + 5.0 * cfg.p_std)),
-    )
+from .sampling import TrainNoiseConfig, noise_bounds  # noise_bounds: kept importable from here
 
 
 @dataclass(frozen=True)
@@ -220,8 +199,9 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     """Train params in place on the dataset's feature rows.
 
     `dataset` is a FeatureSet or a plain (n, dim) array; only the feature
-    matrix is ever touched, so labels cannot influence the result.  The
-    final short batch of an epoch is used, not dropped.  Returns the EMA
+    matrix is ever touched, so labels cannot influence the result.  Each
+    batch is centred by p.center, if set, as it is sliced.  The final
+    short batch of an epoch is used, not dropped.  Returns the EMA
     weights and one log entry per epoch: (epoch index, total optimizer
     steps completed, learning rate at the epoch start, mean batch loss).
     Raises FloatingPointError as soon as a batch loss stops being finite.
@@ -239,7 +219,7 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
         lr_epoch = inverse_lr(state)
         losses = []
         for idx in make_batches(n, cfg.batch_size, shuffle=True, rng=shuffle_rng):
-            batch = x[idx]
+            batch = x[idx] if p.center is None else x[idx] - p.center
             sigma = sample_train_sigma(noise_rng, noise_cfg, batch.shape[0])
             loss, grads = dsm_loss(params, p, batch, sigma, noise_rng)
             if not math.isfinite(loss):

@@ -15,8 +15,10 @@ from vadiff import (
     DatasetScores,
     FeatureSet,
     NetworkConfig,
+    Preconditioner,
     Rng,
     SynthConfig,
+    TrainNoiseConfig,
     init_params,
     load_features,
     param_count,
@@ -222,6 +224,29 @@ def test_score_same_seed_identical_csv(tmp_path):
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
+def test_score_schedule_follows_the_checkpoint_training_noise(tmp_path):
+    f, m = make_data(tmp_path)
+    ck = train_tiny(tmp_path, f, m, "--p-mean", "0.5", "--p-std", "0.8")
+    derived = score_tiny(tmp_path, f, m, ck, "derived.csv", "--start-t", "0")
+    # e^(p_mean -+ 5 p_std) of the recorded noise
+    explicit = score_tiny(tmp_path, f, m, ck, "explicit.csv", "--start-t", "0",
+                          "--sigma-min", repr(float(np.exp(-3.5))),
+                          "--sigma-max", repr(float(np.exp(4.5))))
+    assert derived.read_bytes() == explicit.read_bytes()
+
+
+def test_score_schedule_flags_are_checked_before_features_are_read(tmp_path, capsys):
+    ck = tmp_path / "model.bin"
+    _small_checkpoint(ck)
+    capsys.readouterr()
+    code = run("score", "--features", str(tmp_path / "absent.vadf"),
+               "--manifest", str(tmp_path / "absent.json"), "--checkpoint", str(ck),
+               "--out", str(tmp_path / "s.csv"), "--rho", "0")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "rho must be positive" in err and "absent" not in err
+
+
 def test_score_flag_count_non_increasing_in_k(tmp_path):
     f, m = make_data(tmp_path)
     ck = train_tiny(tmp_path, f, m)
@@ -357,7 +382,10 @@ def _assert_data_error(code, capsys, *fragments):
     (lambda doc: {**doc, "videos": [doc["videos"][0], {
         **doc["videos"][1], "labels": [0.5, 1.7] + doc["videos"][1]["labels"][2:]}]},
      ["manifest video 1: labels must be an array of 0/1 integers"]),
-], ids=["top-level-list", "missing-frame-count", "fractional-labels"])
+    (lambda doc: {**doc, "videos": [doc["videos"][0], {
+        **doc["videos"][1], "labels": ["0", 1] + doc["videos"][1]["labels"][2:]}]},
+     ["manifest video 1: labels must be an array of 0/1 integers"]),
+], ids=["top-level-list", "missing-frame-count", "fractional-labels", "string-labels"])
 def test_eval_malformed_manifest_is_data_error(tmp_path, capsys, edit, fragments):
     _, m = make_data(tmp_path)
     m.write_text(json.dumps(edit(json.loads(m.read_text()))))
@@ -583,7 +611,8 @@ def test_eval_score_join_fault_is_data_error(eval_inputs, edit, message):
 def _small_checkpoint(path):
     """A centered checkpoint for dim-6 features: 6 center values, then 2 x 474 tensor values."""
     params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
-    save_checkpoint(path, params, params.copy(), sigma_data=1.0, center=np.zeros(6))
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.zeros(6)),
+                    TrainNoiseConfig())
     return path.read_bytes()
 
 
@@ -594,17 +623,35 @@ def _payload_message(found, dim=6, enc=(8,)):
 
 
 _HUGE = 0x7FFFFFFF
+# in _small_checkpoint's header p_mean and p_std follow magic, version, input_dim,
+# one encoder and one decoder width, embed_dim, sigma_data and the center flag
+_P_MEAN_AT = 33
+
+
+def _set_noise(raw, p_mean, p_std):
+    return raw[:_P_MEAN_AT] + struct.pack("<dd", p_mean, p_std) + raw[_P_MEAN_AT + 16:]
 
 
 @pytest.mark.parametrize("corrupt, fragment", [
     (lambda raw: raw[:-4], _payload_message(953)),
     (lambda raw: raw + bytes(4), _payload_message(955)),
     (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported checkpoint version 1"),
+    (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], "unsupported checkpoint version 2"),
+    (lambda raw: _set_noise(raw, float("nan"), 1.2),
+     "bad checkpoint header: need finite p_mean and p_std > 0, got (nan, 1.2)"),
+    (lambda raw: _set_noise(raw, -1.2, 0.0),
+     "bad checkpoint header: need finite p_mean and p_std > 0, got (-1.2, 0.0)"),
+    (lambda raw: _set_noise(raw, -1.2, -1.0),
+     "bad checkpoint header: need finite p_mean and p_std > 0, got (-1.2, -1.0)"),
+    # finite, but e^(p_mean -+ 5 p_std) gives no schedule
+    (lambda raw: _set_noise(raw, 1e300, 1.2),
+     "bad checkpoint header: need 0 < sigma_min < sigma_max, got (inf, inf)"),
     # input_dim sits after magic and version, the first encoder width after the layer count
     (lambda raw: raw[:6] + struct.pack("<I", _HUGE) + raw[10:], _payload_message(954, dim=_HUGE)),
     (lambda raw: raw[:11] + struct.pack("<I", _HUGE) + raw[15:],
      _payload_message(954, enc=(_HUGE,))),
-], ids=["one-value-short", "one-value-long", "version-1", "huge-input-dim", "huge-width"])
+], ids=["one-value-short", "one-value-long", "version-1", "version-2", "p-mean-nan", "p-std-0",
+        "p-std-negative", "p-mean-huge", "huge-input-dim", "huge-width"])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
     f, m = make_data(tmp_path)
     ck = tmp_path / "model.bin"
@@ -668,9 +715,8 @@ _SURFACE = {
               "--shift", "--segment-len"},
     "train": {"--features", "--manifest", "--checkpoint", "--out", "--p-mean", "--p-std",
               "--batch-size", "--epochs", "--lr", "--ema-decay", "--center"},
-    "score": {"--features", "--manifest", "--checkpoint", "--out", "--p-mean", "--p-std",
-              "--sigma-min", "--sigma-max", "--rho", "--steps", "--start-t", "--k",
-              "--batch-size", "--raw-weights"},
+    "score": {"--features", "--manifest", "--checkpoint", "--out", "--sigma-min", "--sigma-max",
+              "--rho", "--steps", "--start-t", "--k", "--batch-size", "--raw-weights"},
     "eval": {"--scores", "--manifest", "--out", "--frames-csv"},
     "sweep": {"--features", "--manifest", "--out", "--p-mean", "--p-std", "--start-t", "--k",
               "--sigma-min", "--sigma-max", "--rho", "--steps", "--batch-size", "--epochs",

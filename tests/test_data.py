@@ -158,9 +158,19 @@ def test_load_manifest_rejects_invalid_json(tmp_path):
     (lambda doc: {**doc, "videos": [doc["videos"][0],
                                     {**doc["videos"][1], "labels": [0.5, 1.7, True, 0]}]},
      "manifest video 1: labels must be an array of 0/1"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0],
+                                     "labels": ["0", 1] + doc["videos"][0]["labels"][2:]}]},
+     "manifest video 0: labels must be an array of 0/1"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0],
+                                     "labels": [None] + doc["videos"][0]["labels"][1:]}]},
+     "manifest video 0: labels must be an array of 0/1"),
+    (lambda doc: {**doc, "videos": [{**doc["videos"][0],
+                                     "labels": [256] + doc["videos"][0]["labels"][1:]}]},
+     "manifest video 0: labels must be an array of 0/1"),
     (lambda doc: {**doc, "segment_len": 0}, "segment_len must be a positive integer"),
 ], ids=["list", "videos-object", "video-integer", "missing-key", "string-count",
-        "integer-id", "nested-labels", "fractional-labels", "zero-segment-len"])
+        "integer-id", "nested-labels", "fractional-labels", "string-labels", "null-label",
+        "label-256", "zero-segment-len"])
 def test_load_manifest_shape_errors_name_the_fault(tmp_path, edit, message):
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
@@ -168,6 +178,18 @@ def test_load_manifest_shape_errors_name_the_fault(tmp_path, edit, message):
     mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
     with pytest.raises(DataError, match=re.escape(message)):
         load_manifest(mpath)
+
+
+def test_load_manifest_reads_boolean_labels_as_integers(tmp_path):
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    doc = json.loads(mpath.read_text())
+    doc["videos"][1]["labels"] = [True, False] * 10
+    mpath.write_text(json.dumps(doc))
+    labels = load_manifest(mpath)[0][1].labels
+    assert labels.dtype == np.int8 and labels.flags.writeable
+    assert labels.tolist() == [1, 0] * 10
 
 
 # --- data scale estimation -------------------------------------------------------------

@@ -8,6 +8,7 @@ from vadiff import (
     NetworkConfig,
     Preconditioner,
     Rng,
+    TrainNoiseConfig,
     as_denoiser,
     denoise,
     film,
@@ -436,10 +437,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     ema = tiny_params(seed=77, dtype=np.float32)
     center = Rng(5).standard_normal(6).astype(np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, ema, sigma_data=1.25, center=center)
-    p2, e2, sd, c2 = load_checkpoint(path)
-    assert sd == 1.25
-    assert np.array_equal(c2, center)
+    save_checkpoint(path, params, ema, Preconditioner(1.25, center), TrainNoiseConfig(0.5, 0.8))
+    p2, e2, pre, noise = load_checkpoint(path)
+    assert pre.sigma_data == 1.25
+    assert np.array_equal(pre.center, center) and pre.center.dtype == np.float32
+    assert noise == TrainNoiseConfig(0.5, 0.8)
     for a, b in zip(params.tensors(), p2.tensors()):
         assert np.array_equal(a, b)
     for a, b in zip(ema.tensors(), e2.tensors()):
@@ -450,10 +452,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_without_center(tmp_path):
     params = tiny_params(dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, params.copy(), sigma_data=0.5, center=None)
-    _, _, sd, center = load_checkpoint(path)
-    assert sd == 0.5
-    assert center is None
+    save_checkpoint(path, params, params.copy(), Preconditioner(0.5), TrainNoiseConfig())
+    _, _, pre, noise = load_checkpoint(path)
+    assert pre.sigma_data == 0.5
+    assert pre.center is None
+    assert noise == TrainNoiseConfig()
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -466,7 +469,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncation(tmp_path):
     params = tiny_params(dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, params.copy(), sigma_data=1.0)
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CheckpointError):
@@ -491,7 +494,7 @@ def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
         ((params, params), np.zeros(5), r"tensor center has shape \(5,\), config implies \(6,\)"),
     ]:
         with pytest.raises(ValueError, match=fragment):
-            save_checkpoint(path, *pair, sigma_data=1.0, center=center)
+            save_checkpoint(path, *pair, Preconditioner(1.0, center), TrainNoiseConfig())
         assert not path.exists()
 
 
@@ -500,9 +503,9 @@ def test_checkpoint_layout_is_header_then_flat_float32_payload(tmp_path):
     ema = tiny_params(seed=77, dtype=np.float32)
     center = np.arange(6, dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, ema, sigma_data=1.25, center=center)
-    header = (b"VADW" + struct.pack("<HI", 2, 6) + struct.pack("<B2I", 2, 8, 4)
-              + struct.pack("<B2I", 2, 4, 8) + struct.pack("<IdB", 8, 1.25, 1))
+    save_checkpoint(path, params, ema, Preconditioner(1.25, center), TrainNoiseConfig(0.5, 0.8))
+    header = (b"VADW" + struct.pack("<HI", 3, 6) + struct.pack("<B2I", 2, 8, 4)
+              + struct.pack("<B2I", 2, 4, 8) + struct.pack("<IdBdd", 8, 1.25, 1, 0.5, 0.8))
     payload = np.concatenate([center] + [t.ravel() for t in params.tensors() + ema.tensors()])
     assert path.read_bytes() == header + payload.astype("<f4").tobytes()
     assert len(payload) == 6 + 2 * param_count(params.config)

@@ -261,7 +261,7 @@ def reconstruction_mse(monkeypatch, den, x, sig, t, seed):
     monkeypatch.setattr(scoring, "as_denoiser", lambda params, p: den)
     fs = FeatureSet(x, [VideoRecord("v", len(x) * 16, 0, len(x))])
     cfg = ScoringConfig(start_index=t, batch_size=len(x))
-    return score_dataset(None, None, sig, cfg, fs, Rng(seed)).mse
+    return score_dataset(None, Preconditioner(1.0), sig, cfg, fs, Rng(seed)).mse
 
 
 def test_partial_corruption_rms_at_last_index(monkeypatch):

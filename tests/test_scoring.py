@@ -284,8 +284,25 @@ def test_dataset_centering_changes_scores():
     cfg = ScoringConfig(start_index=1)
     center = np.full(4, 0.5, dtype=np.float32)
     a = score_dataset(params, p, sig, cfg, fs, Rng(18))
-    b = score_dataset(params, p, sig, cfg, fs, Rng(18), center=center)
+    b = score_dataset(params, Preconditioner(p.sigma_data, center), sig, cfg, fs, Rng(18))
     assert not np.array_equal(a.mse, b.mse)
+
+
+def test_dataset_centres_each_batch_as_pre_centred_rows():
+    """Centring by the record's float32 center as each batch is sliced gives
+    the same bits as scoring rows centred beforehand."""
+    params, _ = small_model()
+    sig = short_schedule()
+    feats = (Rng(25).standard_normal((10, 4)) + [3.0, -1.0, 0.5, 2.0]).astype(np.float32)
+    center = feats.astype(np.float64).mean(axis=0)  # the record keeps it as float32
+    fs = FeatureSet(feats, [VideoRecord("v", 160, 0, 10)])
+    centred = FeatureSet(feats - center.astype(np.float32), fs.manifest)
+    cfg = ScoringConfig(start_index=1, batch_size=4)  # batches of 4, 4 and 2
+    a = score_dataset(params, Preconditioner(1.0, center), sig, cfg, fs, Rng(26))
+    b = score_dataset(params, Preconditioner(1.0), sig, cfg, centred, Rng(26))
+    assert a.mse.tobytes() == b.mse.tobytes()
+    assert a.l_th.tobytes() == b.l_th.tobytes()
+    assert a.batch_stats == b.batch_stats and len(a.batch_stats) == 3
 
 
 # --- CSV round trip --------------------------------------------------------------

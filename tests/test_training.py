@@ -404,6 +404,24 @@ def test_fit_ignores_labels_entirely():
         assert np.array_equal(ta, tb)
 
 
+def test_fit_centres_each_batch_as_pre_centred_rows():
+    """Centring by the record's float32 center as each batch is sliced trains
+    to the same bits as rows centred beforehand."""
+    fs = small_dataset()
+    fs.features += np.linspace(-2.0, 3.0, 6, dtype=np.float32)
+    center = fs.features.astype(np.float64).mean(axis=0)  # the record keeps it as float32
+    centred = FeatureSet(fs.features - center.astype(np.float32), fs.manifest)
+    cfg = TrainConfig(epochs=2, batch_size=24)
+
+    def ema_bytes(data, p):
+        ema, _ = fit(data, tiny_params(dtype=np.float32), p, cfg, TrainNoiseConfig(), Rng(5))
+        return b"".join(t.tobytes() for t in ema.tensors())
+
+    got = ema_bytes(fs, Preconditioner(0.5, center))
+    assert got == ema_bytes(centred, Preconditioner(0.5))
+    assert got != ema_bytes(fs, Preconditioner(0.5))
+
+
 def test_fit_epoch_log_fields():
     fs = small_dataset(n=40)
     params = tiny_params(dtype=np.float32)
