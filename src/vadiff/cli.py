@@ -161,14 +161,17 @@ def _build_schedule(args, noise):
     ))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser and the flags of `command` only."""
     parser = argparse.ArgumentParser(
         prog="vadiff",
         description="Video-anomaly scoring by diffusion reconstruction of segment features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, files, tunables) in COMMANDS.items():
-        sp = sub.add_parser(command, help=summary)
+    for cmd, (summary, files, tunables) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=summary)
+        if cmd != command:
+            continue
         sp.add_argument("--config", help="JSON file supplying defaults for any flag")
         for name, text in files.items():
             sp.add_argument("--" + name.replace("_", "-"), help=text,
@@ -241,14 +244,15 @@ def cmd_score(args) -> int:
                          f"got {start_t}")
     cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
+    weights = params if args.raw_weights else ema
+    del params, ema  # the set not scored with is freed before the features are read
     sigmas = _build_schedule(args, noise)
     fs = load_features(args.features, args.manifest)
-    if fs.features.shape[1] != params.config.input_dim:
+    if fs.features.shape[1] != weights.config.input_dim:
         raise DataError(
             f"feature dim {fs.features.shape[1]} does not match "
-            f"checkpoint input_dim {params.config.input_dim}"
+            f"checkpoint input_dim {weights.config.input_dim}"
         )
-    weights = params if args.raw_weights else ema
     scores = score_dataset(weights, p, sigmas, cfg, fs, Rng(args.seed))
     write_scores_csv(args.out, fs, scores)
     print(
@@ -277,7 +281,8 @@ def cmd_sweep(args) -> int:
     t_list = list(dict.fromkeys(range(args.steps) if args.start_t is None else args.start_t))
     p_means, p_stds, ks = (list(dict.fromkeys(v)) for v in (args.p_mean, args.p_std, args.k))
     if not t_list or any(not 0 <= t < args.steps for t in t_list):
-        raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}], got {t_list}")
+        raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}] "
+                         f"at --steps {args.steps}, got {t_list}")
 
     # every noise pair, its schedule, the fit config and one scoring config per
     # (t, k) cell are checked before any input is read
@@ -328,8 +333,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first word that is not an option: the top level has only -h
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage problems; this tool reserves 2 for data
         # errors, so usage maps to 1 (and --help keeps its 0).

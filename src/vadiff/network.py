@@ -212,8 +212,10 @@ def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None, work=N
 
     `embedding` overrides the Fourier embedding when the caller already
     computed it.  When `cache` is a list, each hidden layer appends the
-    tuple (input, pre-activation a, sigmoid(a), silu(a), gamma) its
-    backward needs, and the output head then appends its input.
+    tuple (input h, pre-activation a, sigmoid(a), gamma) its backward
+    needs, and the output head then appends its input.  silu(a) = a *
+    sigmoid(a) is not kept: the layer's FiLM output overwrites it, and
+    the backward recomputes it bit for bit.
 
     Without a cache, and with input, embedding and weights in one dtype
     (as denoise calls it), each hidden layer runs in place in two buffers
@@ -247,8 +249,8 @@ def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None, work=N
         beta = emb @ lay.beta_w
         beta += lay.beta_b
         if cache is not None:
-            cache.append((h, a, s, u, gamma))
-        h = film(u, gamma, beta, out=a_out)
+            cache.append((h, a, s, gamma))
+        h = film(u, gamma, beta, out=u)
     if cache is not None:
         cache.append(h)
     f = h @ params.out_w
@@ -326,7 +328,13 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Precon
 
 
 def load_checkpoint(path):
-    """Returns (params, ema, preconditioner, training noise)."""
+    """Returns (params, ema, preconditioner, training noise).
+
+    The payload size is checked against the header before anything is
+    allocated.  The center, the raw weights and the EMA weights are read
+    into three arrays that share no memory, so a caller keeping one
+    weight set holds only that set.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -358,16 +366,20 @@ def load_checkpoint(path):
                 f"checkpoint payload holds {left} bytes ({left // 4} float32 values), "
                 f"config implies {want} values"
             )
-        flat = np.fromfile(fh, dtype="<f4", count=want)
-    tensors, at = [], n_center
-    for _, shape in _tensor_shapes(cfg) * 2:
+        center, raw, ema = (np.fromfile(fh, dtype="<f4", count=count)
+                            for count in (n_center, param_count(cfg), param_count(cfg)))
+    p = Preconditioner(sigma_data, center if has_center else None)
+    return _params_from_flat(cfg, raw), _params_from_flat(cfg, ema), p, noise
+
+
+def _params_from_flat(cfg: NetworkConfig, flat) -> DenoiserParams:
+    """Views into one flat array holding every tensor in _tensor_shapes order."""
+    tensors, at = [], 0
+    for _, shape in _tensor_shapes(cfg):
         size = math.prod(shape)
         tensors.append(flat[at : at + size].reshape(shape))
         at += size
-    half = len(tensors) // 2
-    p = Preconditioner(sigma_data, flat[:n_center] if has_center else None)
-    return (_params_from_tensors(cfg, tensors[:half]), _params_from_tensors(cfg, tensors[half:]),
-            p, noise)
+    return _params_from_tensors(cfg, tensors)
 
 
 def _params_from_tensors(cfg: NetworkConfig, tensors) -> DenoiserParams:

@@ -70,7 +70,10 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     params.dtype, aligned with params.trainable().  The corruption eps is
     drawn from rng inside, one standard-normal row per instance.  The
     gradients are the closed-form backward of the forward pass, run
-    through the activations forward_raw caches.
+    through the activations forward_raw caches: four rows x width arrays
+    per hidden layer (input, pre-activation, sigmoid, FiLM scale).  The
+    backward overwrites them in place and frees each one, and the head
+    input, right after its last read.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -99,20 +102,23 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     # dL/dF = 2 lam c_out (D - x) / (n d), per row
     g = denoised - x.astype(dt)
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
-    head_in = cache.pop()
-    grads = [head_in.T @ g, g.sum(axis=0)]
+    grads = [cache.pop().T @ g, g.sum(axis=0)]  # the head input, freed once read
     g = g @ params.out_w.T
     for i in reversed(range(len(params.layers))):
-        h, a, s, u, gamma = cache.pop()
-        # out = gamma * silu(a) + beta; g is dL/d(out)
+        h, a, s, gamma = cache.pop()
+        # out = gamma * silu(a) + beta; g is dL/d(out).  u = silu(a) as the
+        # forward formed it, in a's buffer: a is not read again
+        u = np.multiply(a, s, out=a)
         g_gamma = g * u
         layer_grads = [emb.T @ g_gamma, g_gamma.sum(axis=0), emb.T @ g, g.sum(axis=0)]
         # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
         g *= gamma
-        u *= 1.0 - s
+        u *= np.subtract(1.0, s, out=g_gamma)
         u += s
         g *= u
+        del a, s, gamma, u, g_gamma  # dead: freed before the weight gradient is allocated
         grads[:0] = [h.T @ g, g.sum(axis=0)] + layer_grads
+        del h
         if i:
             g = g @ params.layers[i].w.T
     return reported, grads

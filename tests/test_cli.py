@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +304,29 @@ def test_score_one_segment_is_data_error(tmp_path, capsys):
                "--out", str(out))
     _assert_data_error(code, capsys, "scoring needs at least 2 segments, got 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])
+def test_score_holds_one_weight_set(tmp_path, weights):
+    """Scoring 840 rows of dim 64 with the default network at --start-t 0 (10
+    NFEs) peaks under one weight set, the two rows x widest activation buffers
+    and 8 MiB for the rest.  Holding both weight sets adds 9.3 MiB."""
+    f, m = make_data(tmp_path, n_normal=800, fraction=0.05, dim=64)
+    cfg = NetworkConfig(input_dim=64)
+    params = init_params(cfg, Rng(0))
+    ck = tmp_path / "model.bin"
+    save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
+    del params
+    bound = 4 * param_count(cfg) + 2 * 4 * 840 * max(cfg.hidden_widths) + 8 * 2**20
+    tracemalloc.start()
+    try:
+        code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                   "--out", str(tmp_path / "s.csv"), "--start-t", "0", *weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 # --- eval -----------------------------------------------------------------------
@@ -726,11 +751,38 @@ _SURFACE = {
 
 @pytest.mark.parametrize("command", sorted(_SURFACE))
 def test_subcommand_option_strings_are_pinned(command, capsys):
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {s for action in sub.choices[command]._actions for s in action.option_strings}
-    assert options == _COMMON | _SURFACE[command]
+    def options(parser, name):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {s for action in sub.choices[name]._actions for s in action.option_strings}
+
+    parser = build_parser(command)
+    assert options(parser, command) == _COMMON | _SURFACE[command]
+    # the parser built for one command holds no other command's flags
+    assert all(options(parser, other) == {"-h", "--help"} for other in _SURFACE if other != command)
     assert run(command, "--help") == 0
     assert f"usage: vadiff {command}" in capsys.readouterr().out
+
+
+# sha256 of `vadiff --help` and each `vadiff CMD --help` at 80 columns, as
+# Python 3.11's argparse lays them out; a deliberate change to a flag, its help
+# or a default updates these
+_HELP_SHA256 = {
+    (): "78edc9d4f5aa95b75e7296200cca22a72c7973e0bcb204835976172913da7bac",
+    ("synth",): "3bf27092946761f1e66967d071d71efba72a552516f26e74738f70b73b77a1c9",
+    ("train",): "b22033894f833549a25dfee080120bc1f0652513b176160e27bac601e6b12f97",
+    ("score",): "ae7262fc413dc95e97eeac6406013375dc676a1277eb3286c735db9689f60a92",
+    ("eval",): "c6858acdb40ecc01b77835a53e2a1f72634da75a771e586347777c0da2653cd7",
+    ("sweep",): "7e9d3441ec4258903e6ae4f9ef619100e0fcc0afbc99cbb8a7b3ccc293350d16",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP_SHA256), ids=lambda a: " ".join(a) or "top")
+def test_help_text_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    assert run(*argv, "--help") == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[argv], out
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -824,6 +876,17 @@ def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad, fragment)
     assert "Traceback" not in err
     assert "trained" not in err
     assert not out.exists()
+
+
+def test_sweep_zero_steps_names_the_steps(tmp_path, capsys):
+    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
+    capsys.readouterr()
+    code = run("sweep", "--features", str(f), "--manifest", str(m),
+               "--out", str(tmp_path / "grid.csv"), "--steps", "0")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--steps 0" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys):

@@ -195,9 +195,9 @@ def test_matmul_matches_triple_loop_oracle():
     cache = []
     f = forward_raw(params, x, 0.4, cache=cache)
     assert len(cache) == len(params.layers) + 1
-    for lay, (h, a, s, u, gamma) in zip(params.layers, cache):
+    for lay, (h, a, s, gamma) in zip(params.layers, cache):
         assert np.abs(a - (matmul_loop_oracle(h, lay.w) + lay.b)).max() <= 1e-12
-        assert np.array_equal(u, silu(a))
+        assert np.array_equal(a * s, silu(a))
     assert np.array_equal(cache[0][0], x)
     assert np.abs(f - (matmul_loop_oracle(cache[-1], params.out_w) + params.out_b)).max() <= 1e-12
 
@@ -447,6 +447,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(ema.tensors(), e2.tensors()):
         assert np.array_equal(a, b)
     assert p2.config == params.config
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_checkpoint_weight_sets_share_no_memory(tmp_path):
+    """Dropping one loaded weight set frees it: no raw tensor, EMA tensor or
+    center is a view into an array another of the three records keeps."""
+    params = tiny_params(dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.zeros(6)),
+                    TrainNoiseConfig())
+    raw, ema, pre, _ = load_checkpoint(path)
+    owners = [[_owner(t) for t in raw.tensors()], [_owner(t) for t in ema.tensors()],
+              [_owner(pre.center)]]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for a in owners[i]:
+            assert not any(np.shares_memory(a, b) for b in owners[j]), (i, j)
 
 
 def test_checkpoint_without_center(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from vadiff import (
     init_params,
     inverse_lr,
     loss_weight,
+    param_count,
     sample_train_sigma,
     scalings,
 )
@@ -172,6 +175,27 @@ def test_dsm_loss_float32_gradients_match_float64():
     for a, b in zip(g32, g64):
         assert a.dtype == np.float32 and b.dtype == np.float64
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
+
+
+def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer():
+    """One step of the default network holds, at its peak, the cache (input,
+    pre-activation, sigmoid and FiLM scale per hidden layer, plus the network
+    input), two rows x widest working arrays and one gradient set."""
+    cfg = NetworkConfig(input_dim=64)
+    params = init_params(cfg, Rng(0))
+    n = 2048
+    x = Rng(1).standard_normal((n, 64)).astype(np.float32)
+    sigma = sample_train_sigma(Rng(2), TrainNoiseConfig(), n)
+    bound = 4 * (n * (4 * sum(cfg.hidden_widths) + 64) + 2 * n * max(cfg.hidden_widths)
+                 + param_count(cfg))
+    tracemalloc.start()
+    try:
+        dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a fifth cached array per layer, silu(a), would add 28 MiB to the 138 MiB bound
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 # --- dsm_loss backward: the head's gradients and the SiLU derivative -------------
