@@ -3,14 +3,15 @@
 Feature vectors live in a flat binary file (magic "VADF") holding one
 float32 row per video segment.  A separate JSON manifest maps contiguous
 segment ranges back to videos and carries optional per-frame 0/1 labels,
-JSON integers (true and false read as 1 and 0).  Labels are consumed
-exclusively by evaluation; training and scoring never look at them.  The
-data statistics come back as the network's Preconditioner, the record
-training and scoring share.
+JSON integers (true and false read as 1 and 0), loaded as int8 arrays.
+Labels are consumed exclusively by evaluation; training and scoring never
+look at them.  The data statistics come back as the network's
+Preconditioner, the record training and scoring share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -88,6 +89,11 @@ def validate(fs: FeatureSet) -> None:
 
 
 def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
+    """Write the feature file and its manifest.
+
+    The manifest is one line of JSON from one json.dumps call (the C
+    encoder, default separators), labels as JSON integers 0/1.
+    """
     validate(fs)
     arr = np.ascontiguousarray(fs.features, dtype="<f4")
     with open(features_path, "wb") as fh:
@@ -103,11 +109,11 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
             "segment_count": rec.segment_count,
         }
         if rec.labels is not None:
-            entry["labels"] = [int(v) for v in rec.labels]
+            entry["labels"] = np.asarray(rec.labels, dtype=np.int8).tolist()
         videos.append(entry)
     doc = {"version": _VERSION, "segment_len": fs.segment_len, "videos": videos}
     with open(manifest_path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -129,40 +135,63 @@ def _field(entry: dict, key: str, kind: type, where: str):
     return value
 
 
+def _count(entry: dict, key: str, where: str) -> int:
+    """entry[key], a JSON integer in [0, 2**63), the range of a non-negative int64."""
+    value = _field(entry, key, int, where)
+    if not 0 <= value < 2**63:
+        raise DataError(f"{where}: {key} {value} is not in [0, 2**63)")
+    return value
+
+
 def _video_record(i: int, entry) -> VideoRecord:
     """Manifest entry i, checked for its keys and their JSON types."""
     where = f"manifest video {i}"
     if type(entry) is not dict:
         raise DataError(f"{where}: expected an object, got {_json_type(entry)}")
-    labels = None
-    if entry.get("labels") is not None:
-        raw = _field(entry, "labels", list, where)
-        try:  # in C: a string, float, null, array or value outside 0-255 raises
-            labels = np.frombuffer(bytearray(raw), dtype=np.int8)
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: labels must be an array of 0/1 integers") from None
+    labels = entry.get("labels")  # int8 already, unless _int8_labels could not convert it
+    if labels is not None and type(labels) is not np.ndarray:
+        _field(entry, "labels", list, where)
+        raise DataError(f"{where}: labels must be an array of 0/1 integers")
     return VideoRecord(
         video_id=_field(entry, "video_id", str, where),
-        frame_count=_field(entry, "frame_count", int, where),
-        segment_offset=_field(entry, "segment_offset", int, where),
-        segment_count=_field(entry, "segment_count", int, where),
+        frame_count=_count(entry, "frame_count", where),
+        segment_offset=_count(entry, "segment_offset", where),
+        segment_count=_count(entry, "segment_count", where),
         labels=labels,
     )
 
 
-def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
-    """(video records, segment_len) from a manifest JSON file.
+def _int8_labels(obj: dict) -> dict:
+    """json object_hook: a "labels" array becomes int8 as its object is
+    parsed, so one video's labels at a time are Python ints."""
+    raw = obj.get("labels")
+    if type(raw) is list:
+        # in C: a string, float, null, array or value outside 0-255 raises,
+        # and the list stays for _video_record to reject
+        with contextlib.suppress(TypeError, ValueError):
+            obj["labels"] = np.frombuffer(bytearray(raw), dtype=np.int8)
+    return obj
 
-    Every structural fault (wrong JSON type, missing key) raises DataError
-    naming the video index and the key; the checks run once per video,
-    not per frame.  The records' consistency (offsets, segment counts,
-    labels) is checked once by the stage that uses them: load_features
-    through validate, evaluate through validate_manifest.
+
+def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
+    """(video records, segment_len) from a manifest JSON file, in one line
+    or indented.
+
+    Each video's labels become an int8 array as the parser finishes that
+    video, so the labels are held once, at one byte per frame.  Every
+    structural fault (wrong JSON type, missing key, a count or offset
+    outside [0, 2**63)) raises DataError naming the video index and the
+    key; the checks run once per video, not per frame.  The records'
+    consistency (offsets, segment counts, labels) is checked once by the
+    stage that uses them: load_features through validate, evaluate through
+    validate_manifest.
     """
     with open(manifest_path) as fh:
         try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            doc = json.load(fh, object_hook=_int8_labels)
+        # a JSONDecodeError, a UnicodeDecodeError, or an integer longer than
+        # Python's digit limit for int conversion (4300 by default)
+        except ValueError as e:
             raise DataError(f"manifest is not valid JSON: {e}") from e
     if type(doc) is not dict:
         raise DataError(f"manifest must be a JSON object, got {_json_type(doc)}")

@@ -131,6 +131,9 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
     video; join_scores builds it from score-CSV rows.  Every video needs
     frame labels, and together they must hold both classes.  A non-finite
     segment score raises FloatingPointError naming its video and segment.
+
+    Beyond per-segment arrays it holds one int8 copy of the frame labels,
+    then only the positive frames' positions, which it counts per segment.
     """
     total = validate_manifest(manifest, segment_len)
     scores = np.asarray(scores, dtype=np.float64)
@@ -141,7 +144,10 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
         if rec.labels is None:
             raise DataError(f"video {rec.video_id!r} has no frame labels")
         labels.append(np.asarray(rec.labels, dtype=np.int8))
-    frame_pos = np.concatenate(labels or [np.empty(0, dtype=np.int8)]) == 1
+    # validate_manifest checked every label is 0 or 1, so the positives are the nonzero frames
+    frame_labels = np.concatenate(labels or [np.empty(0, dtype=np.int8)])
+    n_frames, positives = frame_labels.size, np.flatnonzero(frame_labels)
+    del frame_labels
 
     counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
     ends = np.cumsum(counts)
@@ -153,9 +159,9 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
             f"non-finite score {scores[bad[0]]}"
         )
 
-    n_pos = int(frame_pos.sum())
+    n_pos = positives.size
     absent = [name for name, count in (("anomalous (1)", n_pos),
-                                       ("normal (0)", frame_pos.size - n_pos)) if count == 0]
+                                       ("normal (0)", n_frames - n_pos)) if count == 0]
     if absent:
         raise DataError(f"AUC undefined: the manifest labels no {' or '.join(absent)} "
                         f"frames; both classes must be present")
@@ -166,10 +172,12 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
     has = counts > 0
     width[ends[has] - 1] = frames[has] - (counts[has] - 1) * segment_len
     first_frame = np.cumsum(width) - width
-    pos = np.add.reduceat(frame_pos, first_frame, dtype=np.int64)
+    # positive frames per segment, from the positives' positions alone
+    pos = np.bincount(np.searchsorted(first_frame, positives, side="right") - 1,
+                      minlength=scores.size)
     return EvalReport(
         auc=_tied_auc(scores, pos, width - pos),
-        frame_count=int(frame_pos.size),
+        frame_count=n_frames,
         positive_count=n_pos,
         manifest=manifest,
         scores=scores,

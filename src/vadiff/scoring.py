@@ -133,8 +133,9 @@ def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
                 ])
 
 
+# the last three columns are zero-width: np.loadtxt counts them, stores nothing
 _CSV_DTYPE = np.dtype([("video_id", object), ("segment_index", "i8"), ("mse", "f8"),
-                       ("flagged", object), ("batch_id", object), ("l_th", object)])
+                       ("flagged", "S0"), ("batch_id", "S0"), ("l_th", "S0")])
 
 
 def _raise_first_fault(path) -> None:
@@ -171,7 +172,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The header is checked with the csv module and the body is parsed in C
     by np.loadtxt; a body that fails that parse raises DataError naming the
     first faulty line.  Only the video_id, segment_index and mse columns are
-    converted; the other three must be present but are not read.
+    converted; the other three must be present but are not read, and are
+    parsed into zero-width fields, so they cost no memory.
     """
     try:
         with open(path, newline="") as fh:

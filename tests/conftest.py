@@ -1,9 +1,14 @@
-"""Shared test set-up: one deterministic hypothesis profile.
+"""Shared test set-up: one deterministic hypothesis profile, and the
+`peak_heap` fixture the memory tests measure with.
 
 Every property test draws the same examples on every run (derandomized,
 no example database), with no per-example deadline and a bounded
 example count, so a failure reproduces and the suite's time stays fixed.
 """
+
+import tracemalloc
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -13,3 +18,19 @@ else:
     settings.register_profile("vadiff", derandomize=True, database=None, deadline=None,
                               max_examples=200)
     settings.load_profile("vadiff")
+
+
+def _peak_heap(fn):
+    """(fn(), the tracemalloc peak in bytes while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_heap():
+    """The function peak_heap(fn) -> (fn(), peak heap bytes while it ran)."""
+    return _peak_heap

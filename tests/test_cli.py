@@ -5,7 +5,6 @@ import importlib.util
 import io
 import json
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +306,7 @@ def test_score_one_segment_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])
-def test_score_holds_one_weight_set(tmp_path, weights):
+def test_score_holds_one_weight_set(tmp_path, peak_heap, weights):
     """Scoring 840 rows of dim 64 with the default network at --start-t 0 (10
     NFEs) peaks under one weight set, the two rows x widest activation buffers
     and 8 MiB for the rest.  Holding both weight sets adds 9.3 MiB."""
@@ -318,13 +317,9 @@ def test_score_holds_one_weight_set(tmp_path, weights):
     save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
     del params
     bound = 4 * param_count(cfg) + 2 * 4 * 840 * max(cfg.hidden_widths) + 8 * 2**20
-    tracemalloc.start()
-    try:
-        code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
-                   "--out", str(tmp_path / "s.csv"), "--start-t", "0", *weights)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_heap(lambda: run(
+        "score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+        "--out", str(tmp_path / "s.csv"), "--start-t", "0", *weights))
     assert code == 0
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
@@ -472,6 +467,75 @@ def stand_in_scores(path, fs):
     write_scores_csv(path, fs, DatasetScores(
         mse, mse > 1.0, np.zeros(n, dtype=np.int64), np.ones(n), []))
     return path
+
+
+@pytest.mark.parametrize("video, edits, fragment", [
+    (0, {"segment_count": 10**20}, "segment_count 100000000000000000000 is not in [0, 2**63)"),
+    (-1, {"segment_count": -1, "frame_count": -16}, "frame_count -16 is not in [0, 2**63)"),
+], ids=["count-1e20", "negative-counts"])
+def test_eval_manifest_count_outside_int64_is_data_error(tmp_path, capsys, video, edits,
+                                                         fragment):
+    f, m = make_data(tmp_path, n_normal=40)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    doc = json.loads(m.read_text())
+    doc["videos"][video].update(edits)
+    m.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    index = video % len(doc["videos"])
+    _assert_data_error(code, capsys, f"manifest video {index}: {fragment}")
+
+
+def test_eval_manifest_integer_past_the_digit_limit_is_data_error(tmp_path, capsys):
+    _, m = make_data(tmp_path, n_normal=40)
+    m.write_text(m.read_text().replace('"frame_count": ', '"frame_count": ' + "9" * 5000, 1))
+    capsys.readouterr()
+    code = run("eval", "--scores", str(tmp_path / "unused.csv"), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, "manifest is not valid JSON: Exceeds the limit")
+
+
+def _eval_report(tmp_path, scores, m):
+    """The bytes of eval's report on the given score CSV and manifest."""
+    report = tmp_path / "r.json"
+    code = run("eval", "--scores", str(scores), "--manifest", str(m), "--out", str(report))
+    assert code == 0
+    return report.read_bytes()
+
+
+def test_eval_reads_an_indented_manifest_to_the_same_report(tmp_path):
+    f, m = make_data(tmp_path, n_normal=40)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    want = _eval_report(tmp_path, scores, m)
+    doc = json.loads(m.read_text())
+    with open(m, "w") as fh:  # the layout manifests were first written in
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    assert _eval_report(tmp_path, scores, m) == want
+
+
+def test_eval_accepts_empty_unread_score_fields(tmp_path):
+    f, m = make_data(tmp_path, n_normal=40)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    want = _eval_report(tmp_path, scores, m)
+    header, *rows = scores.read_text().splitlines()
+    scores.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + "," for row in rows]) + "\n")
+    assert _eval_report(tmp_path, scores, m) == want
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",7"],
+                         ids=["five-fields", "seven-fields"])
+def test_eval_score_row_field_count_is_data_error(tmp_path, capsys, edit):
+    f, m = make_data(tmp_path, n_normal=40)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    lines = scores.read_text().splitlines()
+    lines[4] = edit(lines[4])
+    scores.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    _assert_data_error(code, capsys, "score CSV line 5: expected 6 fields")
 
 
 def test_each_stage_validates_the_manifest_once(tmp_path, monkeypatch):

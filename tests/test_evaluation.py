@@ -244,6 +244,20 @@ def test_evaluate_equals_frame_auc_and_pairwise_oracle(case):
     assert abs(report.auc - brute_force_auc(frames, labels)) <= 1e-12
 
 
+def test_evaluate_peak_heap_below_eight_bytes_per_frame(peak_heap):
+    """A million frames: evaluate holds one int8 copy of the labels and the
+    positives' positions, never a frame-sized int64 array."""
+    n_videos, frames_per_video = 4000, 250  # 16 segments each, the last of 10 frames
+    labels = (Rng(40).uniform(0.0, 1.0, (n_videos, frames_per_video)) < 0.05).astype(np.int8)
+    manifest = [VideoRecord(f"v{i}", frames_per_video, 16 * i, 16, labels=labels[i])
+                for i in range(n_videos)]
+    scores = Rng(41).standard_normal(16 * n_videos)
+    frames = n_videos * frames_per_video
+    report, peak = peak_heap(lambda: evaluate(scores, manifest, 16))
+    assert report.frame_count == frames and report.positive_count == int(labels.sum())
+    assert peak < 8 * frames, peak / frames
+
+
 def test_evaluate_names_at_most_five_missing_videos():
     manifest = [VideoRecord(f"v{i}", 16, i, 1, labels=[0] * 16) for i in range(8)]
     with pytest.raises(ValueError) as info:

@@ -22,6 +22,7 @@ from vadiff import (
     score_dataset,
     write_scores_csv,
 )
+from vadiff import scoring
 
 
 def small_model(dim=4, seed=2):
@@ -386,6 +387,11 @@ def test_scores_csv_quoted_ids_round_trip(tmp_path):
     rows = read_scores_csv(path)
     assert rows[0].tolist() == [ids[0], ids[1], ids[1], ids[2]]
     assert join_scores(rows, fs.manifest).tolist() == mse.tolist()
+
+
+def test_scores_csv_unread_fields_are_zero_width():
+    dtype = scoring._CSV_DTYPE
+    assert [dtype[name].itemsize for name in ("flagged", "batch_id", "l_th")] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("line", ["", "a,1,0.5,0,0", "a,1,0.5,0,0,1.0,7"],

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -177,7 +175,7 @@ def test_dsm_loss_float32_gradients_match_float64():
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
 
 
-def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer():
+def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer(peak_heap):
     """One step of the default network holds, at its peak, the cache (input,
     pre-activation, sigmoid and FiLM scale per hidden layer, plus the network
     input), two rows x widest working arrays and one gradient set."""
@@ -188,12 +186,7 @@ def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer():
     sigma = sample_train_sigma(Rng(2), TrainNoiseConfig(), n)
     bound = 4 * (n * (4 * sum(cfg.hidden_widths) + 64) + 2 * n * max(cfg.hidden_widths)
                  + param_count(cfg))
-    tracemalloc.start()
-    try:
-        dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_heap(lambda: dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(3)))
     # a fifth cached array per layer, silu(a), would add 28 MiB to the 138 MiB bound
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
