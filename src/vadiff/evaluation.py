@@ -108,18 +108,26 @@ def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
         r = bad[0]
         raise DataError(f"video {ids[r]!r}: segment_index {index[r]} is not in "
                         f"[0, {counts[video[r]]})")
-    # every count is now >= 0: a scored video's is at least 1, and any other is 0
+    # every count is now >= 0: a scored video's is at least 1, and any other is 0.
+    # The first segment not scored once lies among the first n + 1 in manifest
+    # order, so counts and positions are capped at n + 1: the arrays stay
+    # O(rows + videos) whatever counts the manifest declares
+    n = ids.size
+    np.minimum(counts, n + 1, out=counts)
     ends = np.cumsum(counts)
     offsets = ends - counts
-    where = offsets[video] + index
-    hits = np.bincount(where, minlength=int(counts.sum()))
-    wrong = np.flatnonzero(hits != 1)
+    where = offsets[video]
+    where += np.minimum(index, n + 1)
+    np.minimum(where, n + 1, out=where)
+    size = min(int(counts.sum()), n + 1)
+    hits = np.bincount(where, minlength=size)
+    wrong = np.flatnonzero(hits[:size] != 1)
     if wrong.size:
         at = wrong[0]
         v = int(np.searchsorted(ends, at, side="right"))
         raise DataError(f"video {manifest[v].video_id!r}: segment {at - offsets[v]} "
                         f"scored {hits[at]} times")
-    scores = np.empty(hits.size, dtype=np.float64)
+    scores = np.empty(n, dtype=np.float64)
     scores[where] = mse
     return scores
 

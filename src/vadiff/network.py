@@ -81,53 +81,77 @@ def scalings(p: Preconditioner, sigma):
     return c_skip, c_out, c_in, c_noise
 
 
-@dataclass
-class LayerParams:
-    w: np.ndarray
-    b: np.ndarray
-    gamma_w: np.ndarray
-    gamma_b: np.ndarray
-    beta_w: np.ndarray
-    beta_b: np.ndarray
+def _named_tensor(i: int, doc: str):
+    """Tensor i of the record's views; assigning to it writes into the view."""
+    def put(self, value):
+        self._tensors[i][...] = value
+    return property(lambda self: self._tensors[i], put, doc=doc)
 
 
-@dataclass
+class Layer:
+    """One hidden layer's six tensors, views into DenoiserParams.flat."""
+
+    __slots__ = ("_tensors",)
+    NAMES = ("w", "b", "gamma_w", "gamma_b", "beta_w", "beta_b")
+
+    def __init__(self, tensors):
+        self._tensors = tensors
+
+    w = _named_tensor(0, "Affine weight (fan_in, width).")
+    b = _named_tensor(1, "Affine bias.")
+    gamma_w = _named_tensor(2, "FiLM scale weight (embed_dim, width).")
+    gamma_b = _named_tensor(3, "FiLM scale bias.")
+    beta_w = _named_tensor(4, "FiLM shift weight (embed_dim, width).")
+    beta_b = _named_tensor(5, "FiLM shift bias.")
+
+
 class DenoiserParams:
-    """All weights of the denoiser MLP plus the fixed Fourier frequencies.
+    """All weights of the denoiser MLP plus the fixed Fourier frequencies,
+    held in one flat vector.
 
-    `freqs` is drawn once at initialization and never trained; everything
-    else is.  Tensor declaration order (freqs, then per-layer tensors,
-    then the output projection) is the checkpoint serialization order.
+    `flat` lays every tensor out in _tensor_shapes order, the checkpoint
+    serialization order: the frequencies (drawn once at initialization and
+    never trained), each hidden layer's six tensors, then the output
+    projection.  The named tensors are views into it, so the trainable
+    tensors are one contiguous tail, `trainable_flat`; assigning to a named
+    tensor (`params.out_w = ...`, `params.layers[0].b = ...`) writes into it.
     """
 
-    config: NetworkConfig
-    freqs: np.ndarray
-    layers: list[LayerParams]
-    out_w: np.ndarray
-    out_b: np.ndarray
+    def __init__(self, config: NetworkConfig, flat: np.ndarray):
+        if flat.shape != (param_count(config),):
+            raise ValueError(f"flat weights have shape {flat.shape}, "
+                             f"config implies ({param_count(config)},)")
+        self.config = config
+        self.flat = flat
+        self._tensors = _flat_views(config, flat)
+        n = len(Layer.NAMES)
+        self.layers = [Layer(self._tensors[i : i + n]) for i in range(1, len(self._tensors) - 2, n)]
 
-    _TRAINABLE = ("w", "b", "gamma_w", "gamma_b", "beta_w", "beta_b")
+    freqs = _named_tensor(0, "Fourier frequencies (never trained).")
+    out_w = _named_tensor(-2, "Output projection matrix.")
+    out_b = _named_tensor(-1, "Output projection bias.")
 
     def tensors(self) -> list[np.ndarray]:
         """All tensors in declaration order, fixed frequencies included."""
-        out = [self.freqs]
-        for lay in self.layers:
-            out.extend(getattr(lay, name) for name in self._TRAINABLE)
-        out.extend([self.out_w, self.out_b])
-        return out
+        return list(self._tensors)
 
     def trainable(self) -> list[np.ndarray]:
-        return self.tensors()[1:]
+        return self._tensors[1:]
+
+    @property
+    def trainable_flat(self) -> np.ndarray:
+        """The trainable tensors as one vector: `flat` after the frequencies."""
+        return self.flat[self.freqs.size :]
 
     def copy(self) -> "DenoiserParams":
-        return _params_from_tensors(self.config, [t.copy() for t in self.tensors()])
+        return DenoiserParams(self.config, self.flat.copy())
 
     @property
     def dtype(self):
-        return self.out_w.dtype
+        return self.flat.dtype
 
     def astype(self, dtype) -> "DenoiserParams":
-        return _params_from_tensors(self.config, [t.astype(dtype) for t in self.tensors()])
+        return DenoiserParams(self.config, self.flat.astype(dtype))
 
 
 def _tensor_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -138,7 +162,7 @@ def _tensor_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
         shapes = ((prev, w), (w,),  # affine
                   (cfg.embed_dim, w), (w,), (cfg.embed_dim, w), (w,))  # FiLM gamma, beta
         out.extend((f"layers[{i}].{name}", shape)
-                   for name, shape in zip(DenoiserParams._TRAINABLE, shapes))
+                   for name, shape in zip(Layer.NAMES, shapes))
         prev = w
     out.extend([("out_w", (prev, cfg.input_dim)), ("out_b", (cfg.input_dim,))])
     return out
@@ -158,19 +182,18 @@ def init_params(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> DenoiserParam
     identity-like starting point.
     """
     init_rng = rng.split("init")
-    tensors = []
-    for name, shape in _tensor_shapes(cfg):
+    params = DenoiserParams(cfg, np.empty(param_count(cfg), dtype))
+    for (name, shape), t in zip(_tensor_shapes(cfg), params.tensors()):
         field = name.rsplit(".", 1)[-1]
         if field == "freqs":
-            t = rng.split("fourier").standard_normal(shape)
+            t[...] = rng.split("fourier").standard_normal(shape)
         elif field in ("w", "b", "gamma_w", "beta_w"):
             if field != "b":  # a bias shares the fan-in of the matrix before it
                 lim = 1.0 / np.sqrt(shape[0])
-            t = init_rng.uniform(-lim, lim, size=shape)
+            t[...] = init_rng.uniform(-lim, lim, size=shape)
         else:
-            t = np.ones(shape) if field == "gamma_b" else np.zeros(shape)
-        tensors.append(t.astype(dtype))
-    return _params_from_tensors(cfg, tensors)
+            t[...] = 1.0 if field == "gamma_b" else 0.0
+    return params
 
 
 def fourier_embed(params: DenoiserParams, c_noise):
@@ -190,6 +213,11 @@ def _sigmoid(x, out=None):
     s *= 0.5
     s += 0.5
     return s
+
+
+def _view(buf, at, shape):
+    """buf[at : at + prod(shape)] as an array of that shape."""
+    return buf[at : at + math.prod(shape)].reshape(shape)
 
 
 def silu(x):
@@ -212,44 +240,57 @@ def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None, work=N
 
     `embedding` overrides the Fourier embedding when the caller already
     computed it.  When `cache` is a list, each hidden layer appends the
-    tuple (input h, pre-activation a, sigmoid(a), gamma) its backward
-    needs, and the output head then appends its input.  silu(a) = a *
-    sigmoid(a) is not kept: the layer's FiLM output overwrites it, and
-    the backward recomputes it bit for bit.
+    pair (input h, pre-activation a) its backward needs, and the output
+    head then appends its input; the backward recomputes sigmoid(a),
+    silu(a) and the FiLM scale bit for bit.
 
-    Without a cache, and with input, embedding and weights in one dtype
-    (as denoise calls it), each hidden layer runs in place in two buffers
-    of rows x widest layer that take turns: the affine product lands in
-    one, the sigmoid in the other (its input is dead once multiplied),
-    and SiLU and FiLM overwrite the affine product.  The list `work` keeps
-    the buffers between calls.  Every path gives the same bits.
+    With input, embedding and weights in one dtype (as denoise and
+    dsm_loss call it), every rows x width array lands in buffers that the
+    list `work` keeps between calls, grown only when a call needs more.
+    Without a cache each hidden layer runs in place in two buffers of rows
+    x widest layer that take turns: the affine product lands in one, the
+    sigmoid in the other (its input is dead once multiplied), and SiLU
+    and FiLM overwrite the affine product.  With a cache, a third buffer
+    holds each layer's pre-activation and output, and the two others take
+    the sigmoid, then the FiLM scale and shift; a caller may reuse those
+    two once the call returns.  Every path gives the same bits.
     """
     emb = fourier_embed(params, c_noise) if embedding is None else embedding
     h = np.asarray(x_scaled)
-    inplace = cache is None and h.dtype == emb.dtype == params.dtype
+    inplace = h.dtype == emb.dtype == params.dtype
     if inplace:
+        rows = h.size // h.shape[-1]
+        widths = params.config.hidden_widths
+        sizes = [rows * max(widths)] * 2 + ([2 * rows * sum(widths)] if cache is not None else [])
         work = [] if work is None else work
-        room = h.size // h.shape[-1] * max(params.config.hidden_widths)
-        if not work or work[0].size < room or work[0].dtype != h.dtype:
-            work[:] = [np.empty(room, h.dtype), np.empty(room, h.dtype)]
-    a_out = s_out = None
+        for k, size in enumerate(sizes):
+            if k == len(work) or work[k].size < size or work[k].dtype != h.dtype:
+                work[k : k + 1] = [np.empty(size, h.dtype)]
+    at = 0  # how much of work[2] the cache has taken
     for i, lay in enumerate(params.layers):
-        if inplace:
-            shape = h.shape[:-1] + lay.b.shape
+        shape = h.shape[:-1] + lay.b.shape
+        a_out = s_out = u_out = gamma_out = beta_out = None
+        if inplace and cache is None:
+            a_out = u_out = _view(work[i % 2], 0, shape)
+            s_out = _view(work[1 - i % 2], 0, shape)
+        elif inplace:
             size = math.prod(shape)
-            a_out = work[i % 2][:size].reshape(shape)
-            s_out = work[1 - i % 2][:size].reshape(shape)
+            a_out, u_out = _view(work[2], at, shape), _view(work[2], at + size, shape)
+            at += 2 * size
+            film_shape = emb.shape[:-1] + lay.b.shape
+            s_out, gamma_out = _view(work[0], 0, shape), _view(work[0], 0, film_shape)
+            beta_out = _view(work[1], 0, film_shape)
         # in-place bias adds: no second batch-sized buffer per affine
         a = np.matmul(h, lay.w, out=a_out)
         a += lay.b
         s = _sigmoid(a, out=s_out)
-        u = np.multiply(a, s, out=a_out)
-        gamma = emb @ lay.gamma_w
+        u = np.multiply(a, s, out=u_out)
+        gamma = np.matmul(emb, lay.gamma_w, out=gamma_out)  # s is dead, so may share its buffer
         gamma += lay.gamma_b
-        beta = emb @ lay.beta_w
+        beta = np.matmul(emb, lay.beta_w, out=beta_out)
         beta += lay.beta_b
         if cache is not None:
-            cache.append((h, a, s, gamma))
+            cache.append((h, a))
         h = film(u, gamma, beta, out=u)
     if cache is not None:
         cache.append(h)
@@ -310,20 +351,19 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Precon
     as one bare little-endian float32 payload in _tensor_shapes order.
     """
     cfg = params.config
-    payload = [] if p.center is None else [("center", (cfg.input_dim,), p.center)]
-    for what, net in (("raw", params), ("EMA", ema)):
-        payload += [(f"{what} {name}", shape, t)
-                    for (name, shape), t in zip(_tensor_shapes(cfg), net.tensors(), strict=True)]
-    for name, shape, t in payload:
-        if np.shape(t) != shape:
-            raise ValueError(f"tensor {name} has shape {np.shape(t)}, config implies {shape}")
+    if ema.config != cfg:
+        raise ValueError(f"raw weights are for {cfg}, EMA weights for {ema.config}")
+    if p.center is not None and p.center.shape != (cfg.input_dim,):
+        raise ValueError(f"tensor center has shape {p.center.shape}, "
+                         f"config implies {(cfg.input_dim,)}")
+    payload = [params.flat, ema.flat] if p.center is None else [p.center, params.flat, ema.flat]
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim))
         for widths in (cfg.encoder_widths, cfg.decoder_widths):
             fh.write(struct.pack(f"<B{len(widths)}I", len(widths), *widths))
         fh.write(struct.pack("<IdBdd", cfg.embed_dim, float(p.sigma_data), p.center is not None,
                              float(noise.p_mean), float(noise.p_std)))
-        for _, _, t in payload:
+        for t in payload:
             fh.write(np.ascontiguousarray(t, dtype="<f4"))
 
 
@@ -369,21 +409,14 @@ def load_checkpoint(path):
         center, raw, ema = (np.fromfile(fh, dtype="<f4", count=count)
                             for count in (n_center, param_count(cfg), param_count(cfg)))
     p = Preconditioner(sigma_data, center if has_center else None)
-    return _params_from_flat(cfg, raw), _params_from_flat(cfg, ema), p, noise
+    return DenoiserParams(cfg, raw), DenoiserParams(cfg, ema), p, noise
 
 
-def _params_from_flat(cfg: NetworkConfig, flat) -> DenoiserParams:
-    """Views into one flat array holding every tensor in _tensor_shapes order."""
-    tensors, at = [], 0
-    for _, shape in _tensor_shapes(cfg):
-        size = math.prod(shape)
-        tensors.append(flat[at : at + size].reshape(shape))
-        at += size
-    return _params_from_tensors(cfg, tensors)
-
-
-def _params_from_tensors(cfg: NetworkConfig, tensors) -> DenoiserParams:
-    """Unflatten tensors listed in _tensor_shapes order."""
-    n = len(DenoiserParams._TRAINABLE)
-    layers = [LayerParams(*tensors[i : i + n]) for i in range(1, len(tensors) - 2, n)]
-    return DenoiserParams(cfg, tensors[0], layers, tensors[-2], tensors[-1])
+def _flat_views(cfg: NetworkConfig, flat, first=0) -> list[np.ndarray]:
+    """Views into one flat array holding the tensors of _tensor_shapes,
+    from index `first` on (1: the trainable ones), in that order."""
+    views, at = [], 0
+    for _, shape in _tensor_shapes(cfg)[first:]:
+        views.append(_view(flat, at, shape))
+        at += views[-1].size
+    return views

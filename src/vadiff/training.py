@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_batches
-from .network import DenoiserParams, Preconditioner, fourier_embed, forward_raw, scalings
+from .network import (DenoiserParams, Preconditioner, _flat_views, _sigmoid, _view, forward_raw,
+                      fourier_embed, scalings)
 from .rng import Rng
 from .sampling import TrainNoiseConfig, noise_bounds  # noise_bounds: kept importable from here
 
@@ -63,17 +64,25 @@ def loss_weight(p: Preconditioner, sigma):
 
 
 def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
-             sigma: np.ndarray, rng: Rng):
+             sigma: np.ndarray, rng: Rng, *, work=None):
     """Weighted reconstruction loss on one batch, plus parameter gradients.
 
     Returns (loss, grads): the loss reduced in float64, and gradients in
     params.dtype, aligned with params.trainable().  The corruption eps is
     drawn from rng inside, one standard-normal row per instance.  The
     gradients are the closed-form backward of the forward pass, run
-    through the activations forward_raw caches: four rows x width arrays
-    per hidden layer (input, pre-activation, sigmoid, FiLM scale).  The
-    backward overwrites them in place and frees each one, and the head
-    input, right after its last read.
+    through the two arrays per hidden layer that forward_raw caches
+    (input, pre-activation); sigmoid, SiLU and the FiLM scale are
+    recomputed by the forward's own ops, so give the same bits.
+
+    The list `work` keeps the step's buffers between calls: work[0] is
+    the flat gradient vector, in the layout of params.trainable_flat, and
+    work[1] holds forward_raw's buffers.  The returned grads are views
+    into work[0].  Each gradient is written into its view; the propagated
+    gradient overwrites the cached layer input once that input's weight
+    gradient is formed.  A call with fewer rows than an earlier one uses
+    the leading part of each buffer.  Without `work`, each call gets fresh
+    buffers.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -84,8 +93,14 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
         raise ValueError(f"sigma must have shape ({n},), got {sigma.shape}")
 
     dt = params.dtype
-    eps = rng.standard_normal(x.shape, dtype=np.float64)
-    noised = x.astype(np.float64) + eps * sigma[:, None]
+    flat = params.trainable_flat
+    work = [] if work is None else work
+    if len(work) < 2 or work[0].shape != flat.shape or work[0].dtype != dt:
+        work[:] = [np.empty_like(flat), []]
+    grads = _flat_views(params.config, work[0], first=1)
+    noised = rng.standard_normal(x.shape, dtype=np.float64)  # eps, then x + eps sigma
+    noised *= sigma[:, None]
+    noised += x
 
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     lam = loss_weight(p, sigma)
@@ -93,34 +108,47 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
 
     cache = []
     f = forward_raw(params, (c_in[:, None] * noised).astype(dt), None,
-                    embedding=emb, cache=cache)
+                    embedding=emb, cache=cache, work=work[1])
     denoised = f * c_out[:, None].astype(dt)
     denoised += (c_skip[:, None] * noised).astype(dt)
-    resid = denoised.astype(np.float64) - x.astype(np.float64)
-    reported = float(np.sum(np.sum(resid**2, axis=1) * lam) / (n * d))
+    resid = denoised.astype(np.float64)
+    resid -= x
+    resid *= resid
+    reported = float(np.sum(np.sum(resid, axis=1) * lam) / (n * d))
+    del resid
 
     # dL/dF = 2 lam c_out (D - x) / (n d), per row
-    g = denoised - x.astype(dt)
+    g = np.subtract(denoised, x, out=denoised, dtype=dt)
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
-    grads = [cache.pop().T @ g, g.sum(axis=0)]  # the head input, freed once read
-    g = g @ params.out_w.T
+    head = cache.pop()
+    np.matmul(head.T, g, out=grads[-2])
+    g.sum(axis=0, out=grads[-1])
+    g = np.matmul(g, params.out_w.T, out=head)  # the head input is dead
+    scratch = work[1]
     for i in reversed(range(len(params.layers))):
-        h, a, s, gamma = cache.pop()
-        # out = gamma * silu(a) + beta; g is dL/d(out).  u = silu(a) as the
-        # forward formed it, in a's buffer: a is not read again
-        u = np.multiply(a, s, out=a)
-        g_gamma = g * u
-        layer_grads = [emb.T @ g_gamma, g_gamma.sum(axis=0), emb.T @ g, g.sum(axis=0)]
-        # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
+        h, a = cache.pop()
+        lay = params.layers[i]
+        dw, db, dgamma_w, dgamma_b, dbeta_w, dbeta_b = grads[6 * i : 6 * i + 6]
+        # out = gamma * silu(a) + beta; g is dL/d(out).  s and u = silu(a)
+        # as the forward formed them; a is dead once they are
+        s = _sigmoid(a, out=_view(scratch[0], 0, a.shape))
+        u = np.multiply(a, s, out=_view(scratch[1], 0, a.shape))
+        g_gamma = np.multiply(g, u, out=a)
+        np.matmul(emb.T, g_gamma, out=dgamma_w)
+        g_gamma.sum(axis=0, out=dgamma_b)
+        np.matmul(emb.T, g, out=dbeta_w)
+        g.sum(axis=0, out=dbeta_b)
+        gamma = np.matmul(emb, lay.gamma_w, out=a)
+        gamma += lay.gamma_b
         g *= gamma
-        u *= np.subtract(1.0, s, out=g_gamma)
+        # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
+        u *= np.subtract(1.0, s, out=a)
         u += s
         g *= u
-        del a, s, gamma, u, g_gamma  # dead: freed before the weight gradient is allocated
-        grads[:0] = [h.T @ g, g.sum(axis=0)] + layer_grads
-        del h
+        np.matmul(h.T, g, out=dw)
+        g.sum(axis=0, out=db)
         if i:
-            g = g @ params.layers[i].w.T
+            g = np.matmul(g, lay.w.T, out=h)  # h is dead once dw is formed
     return reported, grads
 
 
@@ -131,23 +159,29 @@ _EPS = 1e-8
 # inverse time decay of the learning rate
 _INV_GAMMA = 20000.0
 _POWER = 1.0
+# elements per pass of the flat Adam and EMA updates: a chunk and its two
+# temporaries stay in a core's L2 through every pass over it
+_CHUNK = 1 << 16
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments, the EMA copy and the step count, under one TrainConfig."""
+    """Adam moments, the EMA copy, the gradient and the step count, under
+    one TrainConfig.  m, v and grad are flat vectors in the layout of
+    DenoiserParams.trainable_flat."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     ema: DenoiserParams
     cfg: TrainConfig
+    grad: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: DenoiserParams, cfg: TrainConfig) -> "OptimizerState":
-        tensors = params.trainable()
-        return cls(m=[np.zeros_like(t) for t in tensors], v=[np.zeros_like(t) for t in tensors],
-                   ema=params.copy(), cfg=cfg)
+        flat = params.trainable_flat
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), ema=params.copy(), cfg=cfg,
+                   grad=np.zeros_like(flat))
 
 
 def inverse_lr(state: OptimizerState) -> float:
@@ -157,37 +191,66 @@ def inverse_lr(state: OptimizerState) -> float:
     return state.cfg.base_lr / (1.0 + state.step / _INV_GAMMA) ** _POWER
 
 
+def _in_chunks(update, vectors):
+    """update(*pieces, t, u) over _CHUNK-element pieces of equal-length flat
+    vectors, t and u two scratch pieces of the first vector's dtype."""
+    t, u = np.empty(_CHUNK, vectors[0].dtype), np.empty(_CHUNK, vectors[0].dtype)
+    for lo in range(0, vectors[0].size, _CHUNK):
+        pieces = [vec[lo : lo + _CHUNK] for vec in vectors]
+        update(*pieces, t[: pieces[0].size], u[: pieces[0].size])
+
+
 def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserParams:
-    """One in-place Adam update with decoupled weight decay (lr * wd * p)."""
-    tensors = params.trainable()
-    if len(grads) != len(state.m) or len(tensors) != len(state.m):
-        raise ValueError("tensor, gradient, and state counts must match")
-    for p_, g in zip(tensors, grads):
-        if p_.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p_.shape}")
+    """One in-place Adam update with decoupled weight decay (lr * wd * p).
+
+    `grads` is either state.grad (as fit passes it, filled by dsm_loss) or
+    a list aligned with params.trainable(), which is copied into state.grad.
+    """
+    if state.m.shape != params.trainable_flat.shape:
+        raise ValueError("parameter and optimizer state sizes must match")
+    if grads is not state.grad:
+        views = _flat_views(params.config, state.grad, first=1)
+        if len(grads) != len(views):
+            raise ValueError("tensor and gradient counts must match")
+        for dst, g in zip(views, grads):
+            if dst.shape != np.shape(g):
+                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {dst.shape}")
+            dst[...] = g
     lr = inverse_lr(state)
     state.step += 1
     bc1 = 1.0 - _BETA1**state.step
     bc2 = 1.0 - _BETA2**state.step
     wd = state.cfg.weight_decay
-    for p_, g, m, v in zip(tensors, grads, state.m, state.v):
-        g = g.astype(p_.dtype, copy=False)
+
+    def update(p_, g, m, v, t, u):
+        # per element, the ops of the whole-tensor expressions, in their order
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += np.multiply(g, 1.0 - _BETA1, out=t)
         v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        p_ -= (lr / bc1) * m / (np.sqrt(v / bc2) + _EPS)
+        np.multiply(g, g, out=t)
+        t *= 1.0 - _BETA2
+        v += t
+        np.multiply(m, lr / bc1, out=t)  # / (sqrt(v / bc2) + eps), formed in u
+        np.sqrt(np.divide(v, bc2, out=u), out=u)
+        u += _EPS
+        t /= u
+        p_ -= t
         if wd:
-            p_ -= (lr * wd) * p_
+            p_ -= np.multiply(p_, lr * wd, out=t)
+
+    _in_chunks(update, (params.trainable_flat, state.grad, state.m, state.v))
     return params
 
 
 def ema_update(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
     """ema <- decay * ema + (1 - decay) * params, trainable tensors only."""
     d = state.cfg.ema_decay
-    for e, p_ in zip(state.ema.trainable(), params.trainable()):
+
+    def update(e, p_, t, _):
         e *= d
-        e += (1.0 - d) * p_
+        e += np.multiply(p_, 1.0 - d, out=t)
+
+    _in_chunks(update, (state.ema.trainable_flat, params.trainable_flat))
     return state.ema
 
 
@@ -220,6 +283,7 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     shuffle_rng = rng.split("shuffle")
     noise_rng = rng.split("train-noise")
     state = OptimizerState.init(params, cfg)
+    work = [state.grad, []]  # dsm_loss writes each step's gradients into state.grad
     history: list[EpochLog] = []
     for epoch in range(cfg.epochs):
         lr_epoch = inverse_lr(state)
@@ -227,12 +291,12 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
         for idx in make_batches(n, cfg.batch_size, shuffle=True, rng=shuffle_rng):
             batch = x[idx] if p.center is None else x[idx] - p.center
             sigma = sample_train_sigma(noise_rng, noise_cfg, batch.shape[0])
-            loss, grads = dsm_loss(params, p, batch, sigma, noise_rng)
+            loss, _ = dsm_loss(params, p, batch, sigma, noise_rng, work=work)
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss {loss} at epoch {epoch}, step {state.step}"
                 )
-            adam_step(state, params, grads)
+            adam_step(state, params, state.grad)
             ema_update(state, params)
             losses.append(loss)
         entry = EpochLog(epoch, state.step, lr_epoch, float(np.mean(losses)))

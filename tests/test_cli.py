@@ -695,6 +695,22 @@ def test_eval_score_join_fault_is_data_error(eval_inputs, edit, message):
     assert err == f"error: {message}\n"
 
 
+def test_eval_huge_declared_segment_count_is_data_error(tmp_path, capsys, peak_heap):
+    """A count of 2**58 segments against one scored row: the join's memory
+    follows the rows and videos, not the declared count."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"version": 1, "segment_len": 16, "videos": [
+        {"video_id": "big", "frame_count": 2**62, "segment_offset": 0,
+         "segment_count": 2**58}]}))
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\nbig,0,0.5,0,0,1.0\n")
+    capsys.readouterr()
+    code, peak = peak_heap(lambda: run("eval", "--scores", str(scores), "--manifest", str(m),
+                                       "--out", str(tmp_path / "r.json")))
+    _assert_data_error(code, capsys, "video 'big': segment 1 scored 0 times")
+    assert peak < 2**20, peak
+
+
 # --- corrupted checkpoints -------------------------------------------------------------
 
 def _small_checkpoint(path):

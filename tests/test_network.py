@@ -33,8 +33,8 @@ def tiny_config(dim=6):
 def tiny_params(dim=6, seed=1, dtype=np.float64, randomize_output=True):
     params = init_params(tiny_config(dim), Rng(seed), dtype=dtype)
     if randomize_output:
-        params.out_w = Rng(seed + 100).standard_normal(params.out_w.shape).astype(dtype) * 0.3
-        params.out_b = Rng(seed + 200).standard_normal(params.out_b.shape).astype(dtype) * 0.1
+        params.out_w[...] = Rng(seed + 100).standard_normal(params.out_w.shape).astype(dtype) * 0.3
+        params.out_b[...] = Rng(seed + 200).standard_normal(params.out_b.shape).astype(dtype) * 0.1
     return params
 
 
@@ -195,24 +195,23 @@ def test_matmul_matches_triple_loop_oracle():
     cache = []
     f = forward_raw(params, x, 0.4, cache=cache)
     assert len(cache) == len(params.layers) + 1
-    for lay, (h, a, s, gamma) in zip(params.layers, cache):
+    for lay, (h, a) in zip(params.layers, cache):
         assert np.abs(a - (matmul_loop_oracle(h, lay.w) + lay.b)).max() <= 1e-12
-        assert np.array_equal(a * s, silu(a))
     assert np.array_equal(cache[0][0], x)
     assert np.abs(f - (matmul_loop_oracle(cache[-1], params.out_w) + params.out_b)).max() <= 1e-12
 
 
 def test_affine_identity():
     params = one_layer_params(2, 2)
-    params.layers[0].w = np.eye(2)
-    params.layers[0].b = np.zeros(2)
+    params.layers[0].w[...] = np.eye(2)
+    params.layers[0].b[...] = np.zeros(2)
     assert np.array_equal(first_preactivation(params, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
 
 def test_affine_hand_arithmetic():
     params = one_layer_params(2, 1)
-    params.layers[0].w = np.array([[2.0], [3.0]])
-    params.layers[0].b = np.array([1.0])
+    params.layers[0].w[...] = np.array([[2.0], [3.0]])
+    params.layers[0].b[...] = np.array([1.0])
     assert np.array_equal(first_preactivation(params, np.array([[1.0, 1.0]])), [[6.0]])
 
 
@@ -505,18 +504,36 @@ def test_tensor_shapes_match_init_params():
 
 def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
     params = tiny_params(dtype=np.float32)
-    bad = params.copy()
-    bad.layers[0].w = np.zeros((4, 5), dtype=np.float32)
+    other = init_params(NetworkConfig(input_dim=6, encoder_widths=(8, 5), decoder_widths=(4, 8),
+                                      embed_dim=8), Rng(0))
     path = tmp_path / "model.bin"
-    w_fault = r"layers\[0\]\.w has shape \(4, 5\), config implies \(6, 8\)"
     for pair, center, fragment in [
-        ((bad, params), None, "tensor raw " + w_fault),
-        ((params, bad), None, "tensor EMA " + w_fault),
+        ((other, params), None, r"raw weights are for .*\(8, 5\).*, EMA weights for .*\(8, 4\)"),
+        ((params, other), None, r"raw weights are for .*\(8, 4\).*, EMA weights for .*\(8, 5\)"),
         ((params, params), np.zeros(5), r"tensor center has shape \(5,\), config implies \(6,\)"),
     ]:
         with pytest.raises(ValueError, match=fragment):
             save_checkpoint(path, *pair, Preconditioner(1.0, center), TrainNoiseConfig())
         assert not path.exists()
+
+
+def test_weight_tensors_are_views_into_one_flat_vector():
+    """Every tensor is a view into `flat`, and assigning a named tensor
+    writes into it: no tensor can be rebound to an array outside it."""
+    params = tiny_params(dtype=np.float32, randomize_output=False)
+    assert all(np.shares_memory(t, params.flat) for t in params.tensors())
+    assert sum(t.size for t in params.tensors()) == params.flat.size
+    params.out_b = np.arange(6)
+    assert np.array_equal(params.flat[-6:], np.arange(6, dtype=np.float32))
+    params.layers[1].b = 7.0
+    assert np.count_nonzero(params.flat == 7.0) == 4
+    with pytest.raises(ValueError):
+        params.layers[0].w = np.zeros((6, 9), dtype=np.float32)
+    with pytest.raises(ValueError, match="flat weights"):
+        network.DenoiserParams(params.config, params.flat[1:])
+    for twin in (params.copy(), params.astype(np.float64)):
+        assert not np.shares_memory(twin.flat, params.flat)
+        assert np.array_equal(twin.flat, params.flat)
 
 
 def test_checkpoint_layout_is_header_then_flat_float32_payload(tmp_path):

@@ -112,8 +112,8 @@ def test_derivative_zero_denoiser():
 
 def test_derivative_score_consistency_with_network():
     cfg = NetworkConfig(input_dim=6, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
-    params = init_params(cfg, Rng(3))
-    params.out_w = Rng(4).standard_normal(params.out_w.shape) * 0.5
+    params = init_params(cfg, Rng(3)).astype(np.float64)  # float64 head, as drawn
+    params.out_w[...] = Rng(4).standard_normal(params.out_w.shape) * 0.5
     p = Preconditioner(1.0)
     den = as_denoiser(params, p)
     x = Rng(5).standard_normal((5, 6))

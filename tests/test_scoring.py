@@ -27,8 +27,8 @@ from vadiff import scoring
 
 def small_model(dim=4, seed=2):
     cfg = NetworkConfig(input_dim=dim, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
-    params = init_params(cfg, Rng(seed))
-    params.out_w = Rng(seed + 1).standard_normal(params.out_w.shape) * 0.1
+    params = init_params(cfg, Rng(seed)).astype(np.float64)  # float64 head, as drawn
+    params.out_w[...] = Rng(seed + 1).standard_normal(params.out_w.shape) * 0.1
     return params, Preconditioner(1.0)
 
 
@@ -205,7 +205,7 @@ def test_score_batch_scores_ignore_k():
 def test_score_batch_float32_weights_keep_float64_losses():
     cfg = NetworkConfig(input_dim=4, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
     params = init_params(cfg, Rng(2))
-    params.out_w = (Rng(3).standard_normal(params.out_w.shape) * 0.1).astype(np.float32)
+    params.out_w[...] = Rng(3).standard_normal(params.out_w.shape) * 0.1
     p = Preconditioner(1.0)
     sig = short_schedule()
     batch = Rng(12).standard_normal((16, 4))
@@ -251,7 +251,7 @@ def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
     cfg_net = NetworkConfig(input_dim=4, encoder_widths=(16, 8), decoder_widths=(8, 16),
                             embed_dim=8)
     params = init_params(cfg_net, Rng(21), dtype=np.float32)
-    params.out_w = (Rng(22).standard_normal(params.out_w.shape) * 0.1).astype(np.float32)
+    params.out_w[...] = Rng(22).standard_normal(params.out_w.shape) * 0.1
     p = Preconditioner(1.0)
     sig = short_schedule()
     feats = Rng(23).standard_normal((23, 4)).astype(np.float32)

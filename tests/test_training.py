@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vadiff import training
 from vadiff import (
     FeatureSet,
     NetworkConfig,
@@ -19,6 +22,7 @@ from vadiff import (
     init_params,
     inverse_lr,
     loss_weight,
+    make_batches,
     param_count,
     sample_train_sigma,
     scalings,
@@ -85,7 +89,7 @@ def test_train_config_rejects_bad_weight_decay(bad):
 
 def test_dsm_loss_single_row_compositional_oracle():
     params = tiny_params()
-    params.out_w = Rng(50).standard_normal(params.out_w.shape) * 0.3
+    params.out_w[...] = Rng(50).standard_normal(params.out_w.shape) * 0.3
     p = Preconditioner(0.9)
     x = Rng(51).standard_normal((1, 6))
     sigma = np.array([0.8])
@@ -132,8 +136,8 @@ def test_dsm_loss_reported_in_float64():
 
 def test_dsm_loss_gradient_matches_finite_differences():
     params = tiny_params()
-    params.out_w = Rng(70).standard_normal(params.out_w.shape) * 0.2
-    params.out_b = Rng(71).standard_normal(params.out_b.shape) * 0.1
+    params.out_w[...] = Rng(70).standard_normal(params.out_w.shape) * 0.2
+    params.out_b[...] = Rng(71).standard_normal(params.out_b.shape) * 0.1
     p = Preconditioner(1.0)
     x = Rng(72).standard_normal((3, 6))
     sigma = np.array([0.3, 1.0, 2.5])
@@ -161,8 +165,8 @@ def test_dsm_loss_gradient_matches_finite_differences():
 
 def test_dsm_loss_float32_gradients_match_float64():
     p64 = tiny_params()
-    p64.out_w = Rng(80).standard_normal(p64.out_w.shape) * 0.3
-    p64.out_b = Rng(81).standard_normal(p64.out_b.shape) * 0.1
+    p64.out_w[...] = Rng(80).standard_normal(p64.out_w.shape) * 0.3
+    p64.out_b[...] = Rng(81).standard_normal(p64.out_b.shape) * 0.1
     p32 = p64.astype(np.float32)
     p64 = p32.astype(np.float64)  # same weights, exactly representable in both
     x = Rng(82).standard_normal((16, 6)).astype(np.float32)
@@ -175,20 +179,66 @@ def test_dsm_loss_float32_gradients_match_float64():
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
 
 
-def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer(peak_heap):
-    """One step of the default network holds, at its peak, the cache (input,
-    pre-activation, sigmoid and FiLM scale per hidden layer, plus the network
-    input), two rows x widest working arrays and one gradient set."""
+def step_ledger(cfg, rows):
+    """Bytes of one step's workspace: two cached arrays per hidden layer
+    (input, pre-activation) plus the head input and the network input, and
+    two rows x widest scratch arrays, all float32."""
+    widths = cfg.hidden_widths
+    return 4 * rows * (2 * sum(widths) + cfg.input_dim + 2 * max(widths))
+
+
+def test_dsm_loss_peak_heap_is_two_cached_arrays_per_layer(peak_heap):
+    """One step of the default network holds, at its peak, the workspace and
+    one gradient vector, plus a few float64 rows x dim arrays (the noised
+    batch, the residual)."""
     cfg = NetworkConfig(input_dim=64)
     params = init_params(cfg, Rng(0))
     n = 2048
     x = Rng(1).standard_normal((n, 64)).astype(np.float32)
     sigma = sample_train_sigma(Rng(2), TrainNoiseConfig(), n)
-    bound = 4 * (n * (4 * sum(cfg.hidden_widths) + 64) + 2 * n * max(cfg.hidden_widths)
-                 + param_count(cfg))
+    bound = step_ledger(cfg, n) + 4 * param_count(cfg) + 6 * n * 64 * 8
     _, peak = peak_heap(lambda: dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(3)))
-    # a fifth cached array per layer, silu(a), would add 28 MiB to the 138 MiB bound
+    # caching sigmoid(a) again would add 14 MiB to the 88 MiB bound
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def pipeline_fit(on_epoch=None):
+    """fit at the benchmark pipeline's shape: 2100 x 64 rows, 512-row batches
+    (the last of each epoch 52 rows), 2 epochs, the default network."""
+    x = Rng(40).standard_normal((2100, 64)).astype(np.float32)
+    params = init_params(NetworkConfig(input_dim=64), Rng(41))
+    return fit(x, params, Preconditioner(1.0), TrainConfig(epochs=2, batch_size=512),
+               TrainNoiseConfig(), Rng(42), on_epoch=on_epoch)
+
+
+def test_fit_peak_heap_at_pipeline_shape(peak_heap):
+    """Four weight sets (raw, EMA, Adam's m and v), one gradient vector and
+    one 512-row workspace: 66 MiB, where one gradient set per step and four
+    cached arrays per layer took 79 MiB."""
+    cfg = NetworkConfig(input_dim=64)
+    bound = 5 * 4 * param_count(cfg) + step_ledger(cfg, 512) + 8 * 2100 * 64 * 4
+    _, peak = peak_heap(pipeline_fit)
+    assert peak < bound < 70 * 2**20, (peak / 2**20, bound / 2**20)
+
+
+def test_fit_steps_after_the_first_allocate_no_step_sized_memory():
+    """No page churn: once the first step has sized the workspace, a step
+    allocates only a few rows x dim arrays and the update's two scratch
+    chunks, not a gradient set or a cache."""
+    held = []
+
+    def on_epoch(entry):
+        if entry.epoch == 0:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        pipeline_fit(on_epoch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] < 6 * 512 * 64 * 8 + 2 * 4 * training._CHUNK, (peak - held[0]) / 2**20
 
 
 # --- dsm_loss backward: the head's gradients and the SiLU derivative -------------
@@ -196,7 +246,7 @@ def test_dsm_loss_peak_heap_is_four_cached_arrays_per_layer(peak_heap):
 def head_gradient_oracle_inputs():
     """dsm_loss's head gradients and, from the same noise draw, dL/dF by hand."""
     params = tiny_params()
-    params.out_w = Rng(77).standard_normal(params.out_w.shape) * 0.3
+    params.out_w[...] = Rng(77).standard_normal(params.out_w.shape) * 0.3
     p = Preconditioner(0.8)
     x = Rng(78).standard_normal((5, 6))
     sigma = np.array([0.2, 0.5, 1.0, 3.0, 9.0])
@@ -236,7 +286,7 @@ def test_silu_gradient_matches_finite_differences():
     for i, lay in enumerate(params.layers):
         lay.w *= 6.0
         lay.b[:] = Rng(110 + i).standard_normal(lay.b.shape) * 3.0
-    params.out_w = Rng(74).standard_normal(params.out_w.shape) * 0.3
+    params.out_w[...] = Rng(74).standard_normal(params.out_w.shape) * 0.3
     p = Preconditioner(1.0)
     x = Rng(75).standard_normal((4, 6))
     sigma = np.array([0.1, 0.6, 1.8, 7.0])
@@ -448,3 +498,135 @@ def test_fit_epoch_log_fields():
     # 40 rows at batch 16 -> 3 steps per epoch including the short tail
     assert [h.step for h in history] == [3, 6]
     assert all(np.isfinite(h.mean_loss) for h in history)
+
+
+# --- bit-exactness oracle: the list-based training step, one array per tensor ----
+
+def ref_dsm_loss(ts, p, x, sigma, rng):
+    """dsm_loss as a plain list-based reference: ts lists every tensor in
+    _tensor_shapes order; the cache keeps (h, a, sigmoid(a), gamma) per layer."""
+    n, d = x.shape
+    dt = ts[0].dtype
+    eps = rng.standard_normal(x.shape, dtype=np.float64)
+    noised = x.astype(np.float64) + eps * sigma[:, None]
+    c_skip, c_out, c_in, c_noise = scalings(p, sigma)
+    lam = loss_weight(p, sigma)
+    phase = 2.0 * np.pi * (np.asarray(c_noise, dtype=dt)[:, None] * ts[0])
+    emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+    layers = [ts[i : i + 6] for i in range(1, len(ts) - 2, 6)]
+
+    h, cache = (c_in[:, None] * noised).astype(dt), []
+    for w, b, gamma_w, gamma_b, beta_w, beta_b in layers:
+        a = h @ w
+        a += b
+        s = np.tanh(a * 0.5)
+        s *= 0.5
+        s += 0.5
+        u = a * s
+        gamma = emb @ gamma_w
+        gamma += gamma_b
+        beta = emb @ beta_w
+        beta += beta_b
+        cache.append((h, a, s, gamma))
+        h = gamma * u
+        h += beta
+    f = h @ ts[-2]
+    f += ts[-1]
+    denoised = f * c_out[:, None].astype(dt)
+    denoised += (c_skip[:, None] * noised).astype(dt)
+    resid = denoised.astype(np.float64) - x.astype(np.float64)
+    loss = float(np.sum(np.sum(resid**2, axis=1) * lam) / (n * d))
+
+    g = denoised - x.astype(dt)
+    g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
+    grads = [h.T @ g, g.sum(axis=0)]
+    g = g @ ts[-2].T
+    for i in reversed(range(len(layers))):
+        h, a, s, gamma = cache[i]
+        u = a * s
+        g_gamma = g * u
+        layer_grads = [emb.T @ g_gamma, g_gamma.sum(axis=0), emb.T @ g, g.sum(axis=0)]
+        g *= gamma
+        u *= 1.0 - s
+        u += s
+        g *= u
+        grads[:0] = [h.T @ g, g.sum(axis=0)] + layer_grads
+        g = g @ layers[i][0].T
+    return loss, grads
+
+
+def ref_fit(x, ts, p, cfg, noise_cfg, rng):
+    """fit with per-tensor Adam and EMA; returns (params, ema, m, v) as lists."""
+    shuffle_rng, noise_rng = rng.split("shuffle"), rng.split("train-noise")
+    ts = [t.copy() for t in ts]
+    ema = [t.copy() for t in ts]
+    m, v = [np.zeros_like(t) for t in ts[1:]], [np.zeros_like(t) for t in ts[1:]]
+    step = 0
+    for _ in range(cfg.epochs):
+        for idx in make_batches(x.shape[0], cfg.batch_size, shuffle=True, rng=shuffle_rng):
+            sigma = sample_train_sigma(noise_rng, noise_cfg, idx.size)
+            _, grads = ref_dsm_loss(ts, p, x[idx], sigma, noise_rng)
+            lr = cfg.base_lr / (1.0 + step / 20000.0)
+            step += 1
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for p_, g, m_, v_ in zip(ts[1:], grads, m, v):
+                m_ *= 0.9
+                m_ += (1.0 - 0.9) * g
+                v_ *= 0.999
+                v_ += (1.0 - 0.999) * (g * g)
+                p_ -= (lr / bc1) * m_ / (np.sqrt(v_ / bc2) + 1e-8)
+                p_ -= (lr * cfg.weight_decay) * p_
+            for e, p_ in zip(ema[1:], ts[1:]):
+                e *= cfg.ema_decay
+                e += (1.0 - cfg.ema_decay) * p_
+    return ts, ema, m, v
+
+
+@pytest.mark.parametrize("cfg, rows, batch", [
+    (NetworkConfig(input_dim=6, encoder_widths=(8, 4), decoder_widths=(4, 8), embed_dim=8),
+     40, 16),
+    (NetworkConfig(input_dim=64), 100, 48),
+], ids=["tiny", "default-dim64"])
+def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, batch):
+    """Three steps, the last on a short batch: the flat weights, the EMA and
+    Adam's moments equal a per-tensor reference's in every bit."""
+    x = (Rng(20).standard_normal((rows, cfg.input_dim)) * 0.7).astype(np.float32)
+    params = init_params(cfg, Rng(21))
+    params.out_w[...] = Rng(22).standard_normal(params.out_w.shape) * 0.1
+    train_cfg = TrainConfig(epochs=1, batch_size=batch, ema_decay=0.9)
+    want = ref_fit(x, params.tensors(), Preconditioner(0.8), train_cfg, TrainNoiseConfig(),
+                   Rng(23))
+    states = []
+    init = OptimizerState.init
+    monkeypatch.setattr(OptimizerState, "init",
+                        lambda *a: states.append(init(*a)) or states[-1])
+    ema, history = fit(x, params, Preconditioner(0.8), train_cfg, TrainNoiseConfig(), Rng(23))
+    assert history[-1].step == 3 and rows % batch
+    (state,) = states
+    got = [params.tensors(), ema.tensors(), state.m, state.v]
+    flat = [np.concatenate([t.ravel() for t in ts]) for ts in want]
+    for name, a, b in zip(("params", "ema", "m", "v"), got, flat):
+        a = np.concatenate([t.ravel() for t in a]) if isinstance(a, list) else a
+        assert a.dtype == np.float32 and np.array_equal(a, b), name
+
+
+def test_dsm_loss_reused_work_gives_the_same_gradients():
+    """A reused workspace, after a call with more rows, gives the gradients a
+    fresh one does, and both equal the list-based reference's bits."""
+    params = tiny_params(dtype=np.float32)
+    params.out_w[...] = Rng(30).standard_normal(params.out_w.shape) * 0.3
+    p = Preconditioner(0.7)
+    work = []
+    big = Rng(31).standard_normal((20, 6)).astype(np.float32)
+    dsm_loss(params, p, big, sample_train_sigma(Rng(32), TrainNoiseConfig(), 20), Rng(33),
+             work=work)
+    x = Rng(34).standard_normal((7, 6)).astype(np.float32)
+    sigma = sample_train_sigma(Rng(35), TrainNoiseConfig(), 7)
+    loss, reused = dsm_loss(params, p, x, sigma, Rng(36), work=work)
+    fresh_loss, fresh = dsm_loss(params, p, x, sigma, Rng(36))
+    ref_loss, ref = ref_dsm_loss(params.tensors(), p, x, sigma, Rng(36))
+    assert loss == fresh_loss == ref_loss
+    assert len(reused) == len(fresh) == len(ref) == len(params.trainable())
+    for a, b, c in zip(reused, fresh, ref):
+        assert np.array_equal(a, c) and np.array_equal(b, c)
+    assert np.shares_memory(reused[0], work[0]) and not np.shares_memory(fresh[0], work[0])
