@@ -52,11 +52,13 @@ class FeatureSet:
 def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
     """Per-video consistency checks; returns the total segment count.
 
-    Raises DataError naming the offending video.
+    Raises DataError naming the offending video.  The label values of all
+    videos are checked at once, after every per-video check.
     """
     if segment_len < 1:
         raise DataError(f"segment_len must be >= 1, got {segment_len}")
     offset = 0
+    labelled, labels_of = [], []  # the videos with labels, and their labels
     for rec in manifest:
         if rec.segment_offset != offset:
             raise DataError(
@@ -74,9 +76,19 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
                 raise DataError(
                     f"video {rec.video_id!r}: {labels.shape[0]} labels for {rec.frame_count} frames"
                 )
-            if not ((labels == 0) | (labels == 1)).all():
+            if labels.dtype.kind not in "biufO":  # no common type with numbers
                 raise DataError(f"video {rec.video_id!r}: labels must be 0 or 1")
+            labelled.append(rec)
+            labels_of.append(labels)
         offset += rec.segment_count
+    if labelled:
+        flat = np.concatenate(labels_of)
+        bad = flat != 0
+        bad &= flat != 1
+        if bad.any():
+            ends = np.cumsum([a.size for a in labels_of])
+            v = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            raise DataError(f"video {labelled[v].video_id!r}: labels must be 0 or 1")
     return offset
 
 
@@ -163,13 +175,14 @@ def _video_record(i: int, entry) -> VideoRecord:
 
 def _int8_labels(obj: dict) -> dict:
     """json object_hook: a "labels" array becomes int8 as its object is
-    parsed, so one video's labels at a time are Python ints."""
+    parsed, so one video's labels at a time are Python ints.  The array
+    owns its bytes: the bytearray it is read from is dropped at once."""
     raw = obj.get("labels")
     if type(raw) is list:
         # in C: a string, float, null, array or value outside 0-255 raises,
         # and the list stays for _video_record to reject
         with contextlib.suppress(TypeError, ValueError):
-            obj["labels"] = np.frombuffer(bytearray(raw), dtype=np.int8)
+            obj["labels"] = np.frombuffer(bytearray(raw), dtype=np.int8).copy()
     return obj
 
 
@@ -177,14 +190,14 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     """(video records, segment_len) from a manifest JSON file, in one line
     or indented.
 
-    Each video's labels become an int8 array as the parser finishes that
-    video, so the labels are held once, at one byte per frame.  Every
-    structural fault (wrong JSON type, missing key, a count or offset
-    outside [0, 2**63)) raises DataError naming the video index and the
-    key; the checks run once per video, not per frame.  The records'
-    consistency (offsets, segment counts, labels) is checked once by the
-    stage that uses them: load_features through validate, evaluate through
-    validate_manifest.
+    Each video's labels become an int8 array that owns its bytes as the
+    parser finishes that video, so the records hold the labels once, at
+    one byte per frame.  Every structural fault (wrong JSON type, missing
+    key, a count or offset outside [0, 2**63)) raises DataError naming the
+    video index and the key; the checks run once per video, not per frame.
+    The records' consistency (offsets, segment counts, labels) is checked
+    once by the stage that uses them: load_features through validate,
+    evaluate through validate_manifest.
     """
     with open(manifest_path) as fh:
         try:

@@ -14,6 +14,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +36,9 @@ def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
     """AUC of finite `scores` where score i stands for pos[i] positive and
     neg[i] negative items (int64 counts), ties counted one half.
 
-    Per tie group g: (2 * sum P_g * N_below_g + sum P_g * N_g) / (2 * P * N).
+    Per tie group g: sum P_g * (N_below_g + N_through_g) / (2 * P * N), with
+    N_through_g = N_below_g + N_g.  The counts through each group's end are
+    the cumulative sums in score order, read at the group's last index.
     The pair counts are summed in int64, exact while 2 * P * N < 2**63, so
     the final division is the only rounding.
     """
@@ -44,11 +47,15 @@ def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
         raise ValueError("AUC undefined: both classes must be present")
     order = np.argsort(scores)
     ordered = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    pos_g = np.add.reduceat(pos[order], starts)
-    neg_g = np.add.reduceat(neg[order], starts)
-    neg_below = np.cumsum(neg_g) - neg_g
-    twice = 2 * int(np.dot(pos_g, neg_below)) + int(np.dot(pos_g, neg_g))
+    is_last = np.append(ordered[1:] != ordered[:-1], True)  # at each tie group's end
+    del ordered
+    neg_through = np.cumsum(neg[order])[is_last]
+    run = pos[order]
+    del order
+    pos_g = np.cumsum(run, out=run)[is_last]
+    del run, is_last
+    pos_g[1:] -= pos_g[:-1]  # numpy buffers the overlapping operand
+    twice = int(np.dot(pos_g, neg_through)) + int(np.dot(pos_g[1:], neg_through[:-1]))
     return twice / (2 * n_pos * n_neg)
 
 
@@ -117,6 +124,7 @@ def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
     ends = np.cumsum(counts)
     offsets = ends - counts
     where = offsets[video]
+    del video
     where += np.minimum(index, n + 1)
     np.minimum(where, n + 1, out=where)
     size = min(int(counts.sum()), n + 1)
@@ -127,6 +135,7 @@ def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
         v = int(np.searchsorted(ends, at, side="right"))
         raise DataError(f"video {manifest[v].video_id!r}: segment {at - offsets[v]} "
                         f"scored {hits[at]} times")
+    del hits
     scores = np.empty(n, dtype=np.float64)
     scores[where] = mse
     return scores
@@ -141,7 +150,8 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
     segment score raises FloatingPointError naming its video and segment.
 
     Beyond per-segment arrays it holds one int8 copy of the frame labels,
-    then only the positive frames' positions, which it counts per segment.
+    then only the positive frames' positions, which it counts per segment
+    and frees before the AUC.
     """
     total = validate_manifest(manifest, segment_len)
     scores = np.asarray(scores, dtype=np.float64)
@@ -183,6 +193,7 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
     # positive frames per segment, from the positives' positions alone
     pos = np.bincount(np.searchsorted(first_frame, positives, side="right") - 1,
                       minlength=scores.size)
+    del first_frame, positives
     return EvalReport(
         auc=_tied_auc(scores, pos, width - pos),
         frame_count=n_frames,
@@ -209,11 +220,16 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
 
 
 def write_frames_csv(path, report: EvalReport) -> None:
-    """Optional per-frame dump for external plotting."""
-    frame_scores = iter(np.repeat(report.scores, report.widths))
+    """Optional per-frame dump for external plotting, expanded one video at
+    a time, so it holds no more than one video's frames."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_index", "score", "label"])
+        first = 0  # the video's first segment
         for rec in report.manifest:
-            for i, label in enumerate(np.asarray(rec.labels, dtype=np.int8).tolist()):
-                writer.writerow([rec.video_id, i, repr(float(next(frame_scores))), label])
+            end = first + rec.segment_count
+            scores = np.repeat(report.scores[first:end], report.widths[first:end]).tolist()
+            labels = np.asarray(rec.labels, dtype=np.int8).tolist()
+            writer.writerows(zip(repeat(rec.video_id), range(len(labels)), map(repr, scores),
+                                 labels))
+            first = end

@@ -204,7 +204,11 @@ def fourier_embed(params: DenoiserParams, c_noise):
     """
     c = np.asarray(c_noise, dtype=params.freqs.dtype)
     phase = _TWO_PI * (c[..., None] * params.freqs)
-    return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+    half = phase.shape[-1]
+    emb = np.empty(phase.shape[:-1] + (2 * half,), phase.dtype)
+    np.cos(phase, out=emb[..., :half])
+    np.sin(phase, out=emb[..., half:])
+    return emb
 
 
 def _sigmoid(x, out=None):

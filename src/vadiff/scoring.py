@@ -15,6 +15,7 @@ follow without rescoring.
 from __future__ import annotations
 
 import csv
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -162,6 +163,8 @@ def _raise_first_fault(path) -> None:
                         raise DataError(f"{where}: {name} {field!r:.40} is not {noun}") from None
         except csv.Error as e:
             raise DataError(f"score CSV line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"score CSV is not valid text: {e}") from None
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,33 +176,43 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by np.loadtxt; a body that fails that parse raises DataError naming the
     first faulty line.  Only the video_id, segment_index and mse columns are
     converted; the other three must be present but are not read, and are
-    parsed into zero-width fields, so they cost no memory.
+    parsed into zero-width fields, so they cost no memory.  Each video id
+    is interned as it is parsed, so all rows of a video share one str: the
+    ids cost one pointer per row.  Before the parse the file is held once,
+    as bytes, to look for empty lines; it is never decoded whole.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    ends = [at for at in (raw.find(b"\n"), raw.find(b"\r")) if at >= 0]
+    end = min(ends, default=len(raw))  # the header's line end
     try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header != _CSV_HEADER:
-                raise DataError(f"unexpected score CSV header {header!r:.200}")
-            body = fh.read()
+        header = next(csv.reader([raw[:end].decode()]))
     except UnicodeDecodeError as e:
         raise DataError(f"score CSV is not valid text: {e}") from None
     except csv.Error as e:
         raise DataError(f"score CSV line 1: {e}") from None
-    if not body:
+    if header != _CSV_HEADER:
+        raise DataError(f"unexpected score CSV header {header!r:.200}")
+    body = end + (2 if raw.startswith(b"\r\n", end) else 1)
+    if body >= len(raw):
         rows = np.empty(0, dtype=_CSV_DTYPE)
         return rows["video_id"], rows["segment_index"], rows["mse"]
     # np.loadtxt skips empty lines, which the csv format reads as empty rows:
     # a line end ("\n", "\r" or "\r\n") right after another, or at the start
-    if body.startswith(("\n", "\r")) or any(p in body for p in ("\n\n", "\n\r", "\r\r")):
+    if (raw.startswith((b"\n", b"\r"), body)
+            or any(raw.find(p, body) >= 0 for p in (b"\n\n", b"\n\r", b"\r\r"))):
         _raise_first_fault(path)  # returns when the empty lines sit inside quotes
-    del body  # np.loadtxt reads the file itself; hold one copy at a time
+    del raw  # np.loadtxt reads the file itself; hold one copy at a time
     try:
         with warnings.catch_warnings():
             # numpy releases that parse an integer field such as "1.5"
             # through float warn instead of failing; fail on every release
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(path, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
-                              comments=None, skiprows=1, ndmin=1)
+                              comments=None, skiprows=1, ndmin=1,
+                              converters={0: sys.intern})
+    except UnicodeDecodeError as e:
+        raise DataError(f"score CSV is not valid text: {e}") from None
     except (ValueError, DeprecationWarning) as e:
         _raise_first_fault(path)
         raise DataError(f"malformed score CSV: {e}") from None

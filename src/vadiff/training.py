@@ -104,13 +104,18 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
 
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     lam = loss_weight(p, sigma)
+    # c_in x and c_skip x in float64, each cast once formed; the second
+    # overwrites noised, whose last read it is
+    x_in = (c_in[:, None] * noised).astype(dt)
+    skip = np.multiply(noised, c_skip[:, None], out=noised).astype(dt)
+    del noised
     emb = fourier_embed(params, c_noise)
 
     cache = []
-    f = forward_raw(params, (c_in[:, None] * noised).astype(dt), None,
-                    embedding=emb, cache=cache, work=work[1])
-    denoised = f * c_out[:, None].astype(dt)
-    denoised += (c_skip[:, None] * noised).astype(dt)
+    denoised = forward_raw(params, x_in, None, embedding=emb, cache=cache, work=work[1])
+    denoised *= c_out[:, None].astype(dt)
+    denoised += skip
+    del skip
     resid = denoised.astype(np.float64)
     resid -= x
     resid *= resid

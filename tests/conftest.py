@@ -1,5 +1,5 @@
 """Shared test set-up: one deterministic hypothesis profile, and the
-`peak_heap` fixture the memory tests measure with.
+`peak_heap` and `held_heap` fixtures the memory tests measure with.
 
 Every property test draws the same examples on every run (derandomized,
 no example database), with no per-example deadline and a bounded
@@ -20,12 +20,13 @@ else:
     settings.load_profile("vadiff")
 
 
-def _peak_heap(fn):
-    """(fn(), the tracemalloc peak in bytes while fn ran)."""
+def _traced(fn):
+    """(fn(), heap bytes still allocated when fn returned, peak heap bytes
+    while fn ran)."""
     tracemalloc.start()
     try:
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
+        return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
@@ -33,4 +34,17 @@ def _peak_heap(fn):
 @pytest.fixture
 def peak_heap():
     """The function peak_heap(fn) -> (fn(), peak heap bytes while it ran)."""
-    return _peak_heap
+    def measure(fn):
+        result, _, peak = _traced(fn)
+        return result, peak
+    return measure
+
+
+@pytest.fixture
+def held_heap():
+    """The function held_heap(fn) -> (fn(), heap bytes fn left allocated,
+    its result included)."""
+    def measure(fn):
+        result, held, _ = _traced(fn)
+        return result, held
+    return measure

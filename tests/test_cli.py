@@ -524,6 +524,21 @@ def test_eval_accepts_empty_unread_score_fields(tmp_path):
     assert _eval_report(tmp_path, scores, m) == want
 
 
+def test_eval_peak_heap_per_frame(tmp_path, peak_heap):
+    """The whole eval stage in-process, on about 230 000 frames, peaks at 6.8
+    bytes of heap per frame (the manifest's text read), where the score
+    CSV's decoded text, one str per row and the AUC's per-group arrays
+    raised it to 10.5."""
+    f, m = make_data(tmp_path, n_normal=12000, dim=1)
+    scores = stand_in_scores(tmp_path / "s.csv", load_features(f, m))
+    frames = sum(video["frame_count"] for video in json.loads(m.read_text())["videos"])
+    assert frames >= 200_000
+    code, peak = peak_heap(lambda: run("eval", "--scores", str(scores), "--manifest", str(m),
+                                       "--out", str(tmp_path / "r.json")))
+    assert code == 0
+    assert peak < 8.5 * frames, peak / frames
+
+
 @pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",7"],
                          ids=["five-fields", "seven-fields"])
 def test_eval_score_row_field_count_is_data_error(tmp_path, capsys, edit):

@@ -71,6 +71,29 @@ def test_validate_rejects_labels_outside_0_1(labels):
         validate_manifest(manifest, 16)
 
 
+@pytest.mark.parametrize("bad", [np.array(["0", "1"]), np.array([b"0", b"1"])],
+                         ids=["str", "bytes"])
+def test_validate_rejects_non_numeric_labels(bad):
+    manifest = [VideoRecord("a", 2, 0, 1, labels=np.array([0, 1], dtype=np.int8)),
+                VideoRecord("b", 2, 1, 1, labels=bad)]
+    with pytest.raises(DataError, match="'b': labels must be 0 or 1"):
+        validate_manifest(manifest, 16)
+
+
+def test_validate_names_the_first_video_with_a_bad_label():
+    manifest = [VideoRecord(f"v{i}", 20, 2 * i, 2) for i in range(6)]
+    for i, rec in enumerate(manifest):
+        if i != 1:  # one video has no labels
+            rec.labels = np.zeros(20, dtype=np.int8)
+    manifest[3].labels[19] = 2
+    manifest[5].labels[0] = -1
+    with pytest.raises(DataError, match="^video 'v3': labels must be 0 or 1$"):
+        validate_manifest(manifest, 16)
+    manifest[2].labels = np.full(20, 0.5)
+    with pytest.raises(DataError, match="^video 'v2': labels must be 0 or 1$"):
+        validate_manifest(manifest, 16)
+
+
 def test_validate_rejects_segment_len_below_one():
     with pytest.raises(DataError, match="segment_len must be >= 1, got 0"):
         validate_manifest([VideoRecord("a", 2, 0, 1)], 0)
@@ -231,6 +254,22 @@ def test_load_manifest_peak_heap_per_frame(tmp_path, peak_heap):
     (manifest, _), peak = peak_heap(lambda: load_manifest(mpath))
     assert sum(rec.frame_count for rec in manifest) == frames
     assert peak < 10 * frames, peak / frames
+
+
+def test_load_manifest_holds_one_byte_per_frame_of_labels(tmp_path, held_heap):
+    """What load_manifest returns holds each label in one byte that its array
+    owns, plus a few hundred bytes per video: 2.0 bytes per frame in all
+    here (one per label, 364 per video), where an int8 view of each
+    video's bytearray held 2.9."""
+    fs = synth_generate(SynthConfig(n_normal=12500, n_anomalous=625, dim=1, seed=0))
+    frames = sum(rec.frame_count for rec in fs.manifest)
+    videos = len(fs.manifest)
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    del fs
+    (manifest, _), held = held_heap(lambda: load_manifest(mpath))
+    assert all(rec.labels.flags.owndata for rec in manifest)
+    assert held < 1.25 * frames + 400 * videos, ((held - 400 * videos) / frames, held / videos)
 
 
 @pytest.mark.parametrize("edits, message", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,57 @@ def test_scores_csv_quoted_ids_round_trip(tmp_path):
 def test_scores_csv_unread_fields_are_zero_width():
     dtype = scoring._CSV_DTYPE
     assert [dtype[name].itemsize for name in ("flagged", "batch_id", "l_th")] == [0, 0, 0]
+
+
+def many_rows_csv(path, n_videos, per_video):
+    """A score CSV of n_videos videos of per_video segments each, as
+    write_scores_csv writes it; returns the manifest."""
+    manifest = [VideoRecord(f"video{v:04d}", 16 * per_video, v * per_video, per_video)
+                for v in range(n_videos)]
+    n = n_videos * per_video
+    mse = Rng(30).uniform(0.0, 4.0, n)
+    scores = DatasetScores(mse, mse > 2.0, np.zeros(n, dtype=np.int64), np.full(n, 2.0), [])
+    write_scores_csv(path, FeatureSet(np.zeros((n, 1), dtype=np.float32), manifest), scores)
+    return manifest
+
+
+def test_read_scores_csv_shares_one_id_per_video(tmp_path):
+    path = tmp_path / "scores.csv"
+    manifest = many_rows_csv(path, 7, 5)
+    ids, _, _ = read_scores_csv(path)
+    assert ids.tolist() == [rec.video_id for rec in manifest for _ in range(5)]
+    assert len({id(s) for s in ids}) == len(manifest)
+
+
+def test_read_scores_csv_peak_heap_per_row(tmp_path, peak_heap):
+    """The file is held once, as bytes, before the parse, and a row then
+    costs its three fields: the peak is 41 bytes of heap per 41-byte row,
+    where a decoded copy of the text beside its bytes, then one str per
+    row, took 84."""
+    path = tmp_path / "scores.csv"
+    many_rows_csv(path, 400, 100)
+    rows, peak = peak_heap(lambda: read_scores_csv(path))
+    n = rows[0].size
+    assert n == 40_000
+    assert peak < 60 * n, peak / n
+
+
+def test_header_only_scores_csv_is_not_parsed(tmp_path, monkeypatch):
+    """No body, no np.loadtxt call (which warns on an empty input)."""
+    def no_parse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    path = tmp_path / "scores.csv"
+    for text in ("video_id,segment_index,mse,flagged,batch_id,l_th",
+                 "video_id,segment_index,mse,flagged,batch_id,l_th\n",
+                 "video_id,segment_index,mse,flagged,batch_id,l_th\r\n"):
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, index, mse = read_scores_csv(path)
+        assert (ids.size, index.size, mse.size) == (0, 0, 0)
+        assert (index.dtype, mse.dtype) == (np.int64, np.float64)
 
 
 @pytest.mark.parametrize("line", ["", "a,1,0.5,0,0", "a,1,0.5,0,0,1.0,7"],
