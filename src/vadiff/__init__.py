@@ -7,6 +7,8 @@ batch-local threshold mu_p + k * sigma_p.  Frame-level ROC-AUC closes the
 loop for labeled evaluation sets.
 """
 
+from types import ModuleType as _Module
+
 from .data import (
     DataError,
     FeatureSet,
@@ -44,7 +46,6 @@ from .network import (
     param_count,
     save_checkpoint,
     scalings,
-    silu,
 )
 from .rng import Rng
 from .sampling import (
@@ -79,23 +80,6 @@ from .training import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rng",
-    "NetworkConfig", "DenoiserParams", "Preconditioner", "CheckpointError",
-    "scalings", "fourier_embed", "silu", "film", "forward_raw", "denoise",
-    "as_denoiser", "init_params", "param_count", "save_checkpoint", "load_checkpoint",
-    "TrainNoiseConfig", "ScheduleConfig", "karras_schedule", "noise_bounds",
-    "multistep_coeff", "lms_sample",
-    "TrainConfig", "OptimizerState", "EpochLog",
-    "sample_train_sigma", "loss_weight", "dsm_loss", "inverse_lr",
-    "adam_step", "ema_update", "fit",
-    "DataError", "FeatureSet", "VideoRecord", "SynthConfig",
-    "load_features", "load_manifest", "save_features", "estimate_sigma_data",
-    "make_batches", "synth_generate", "validate", "validate_manifest",
-    "ScoringConfig", "DatasetScores",
-    "mse_per_instance", "batch_threshold", "score_dataset",
-    "write_scores_csv", "read_scores_csv",
-    "EvalReport", "join_scores", "roc_auc", "evaluate",
-    "write_report_json", "write_frames_csv",
-    "__version__",
-]
+# the names imported above, and the version; not the submodules
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _Module)] + ["__version__"]

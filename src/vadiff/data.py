@@ -64,7 +64,7 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
             raise DataError(
                 f"video {rec.video_id!r}: segment_offset {rec.segment_offset}, expected {offset}"
             )
-        expected = math.ceil(rec.frame_count / segment_len)
+        expected = -(-rec.frame_count // segment_len)  # exact at any size, unlike a float
         if rec.segment_count != expected:
             raise DataError(
                 f"video {rec.video_id!r}: {rec.frame_count} frames need {expected} "

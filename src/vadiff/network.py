@@ -224,9 +224,13 @@ def _view(buf, at, shape):
     return buf[at : at + math.prod(shape)].reshape(shape)
 
 
-def silu(x):
-    """Sigmoid-weighted linear unit x * sigmoid(x)."""
-    return x * _sigmoid(x)
+def _reserve(work, sizes, dtype):
+    """The list `work` holding one flat buffer of dtype per size: a buffer
+    kept from an earlier call is reused when it is large enough."""
+    for k, size in enumerate(sizes):
+        if k == len(work) or work[k].size < size or work[k].dtype != dtype:
+            work[k : k + 1] = [np.empty(size, dtype)]
+    return work
 
 
 def film(h, gamma, beta, out=None):
@@ -239,65 +243,34 @@ def film(h, gamma, beta, out=None):
     return out
 
 
-def forward_raw(params, x_scaled, c_noise, *, embedding=None, cache=None, work=None):
-    """Raw network pass F(x_scaled; c_noise): encoder, decoder, output head.
+def forward_raw(params, x_scaled, c_noise, *, work=None):
+    """Raw network pass F(x_scaled; c_noise) for inference: encoder,
+    decoder, output head.  (The training step runs its own forward, in
+    dsm_loss, beside the backward that reads it.)
 
-    `embedding` overrides the Fourier embedding when the caller already
-    computed it.  When `cache` is a list, each hidden layer appends the
-    pair (input h, pre-activation a) its backward needs, and the output
-    head then appends its input; the backward recomputes sigmoid(a),
-    silu(a) and the FiLM scale bit for bit.
-
-    With input, embedding and weights in one dtype (as denoise and
-    dsm_loss call it), every rows x width array lands in buffers that the
-    list `work` keeps between calls, grown only when a call needs more.
-    Without a cache each hidden layer runs in place in two buffers of rows
-    x widest layer that take turns: the affine product lands in one, the
-    sigmoid in the other (its input is dead once multiplied), and SiLU
-    and FiLM overwrite the affine product.  With a cache, a third buffer
-    holds each layer's pre-activation and output, and the two others take
-    the sigmoid, then the FiLM scale and shift; a caller may reuse those
-    two once the call returns.  Every path gives the same bits.
+    Each hidden layer runs in place in two buffers of rows x widest layer
+    that take turns, in np.result_type(x_scaled, weights): the affine
+    product lands in one, the sigmoid in the other (its input is dead
+    once multiplied), and SiLU and FiLM overwrite the affine product.  The
+    list `work` keeps the two buffers between calls, grown only when a
+    call needs more.
     """
-    emb = fourier_embed(params, c_noise) if embedding is None else embedding
+    emb = fourier_embed(params, c_noise)
     h = np.asarray(x_scaled)
-    inplace = h.dtype == emb.dtype == params.dtype
-    if inplace:
-        rows = h.size // h.shape[-1]
-        widths = params.config.hidden_widths
-        sizes = [rows * max(widths)] * 2 + ([2 * rows * sum(widths)] if cache is not None else [])
-        work = [] if work is None else work
-        for k, size in enumerate(sizes):
-            if k == len(work) or work[k].size < size or work[k].dtype != h.dtype:
-                work[k : k + 1] = [np.empty(size, h.dtype)]
-    at = 0  # how much of work[2] the cache has taken
+    size = h.size // h.shape[-1] * max(params.config.hidden_widths)
+    work = _reserve([] if work is None else work, [size, size], np.result_type(h, params.dtype))
     for i, lay in enumerate(params.layers):
         shape = h.shape[:-1] + lay.b.shape
-        a_out = s_out = u_out = gamma_out = beta_out = None
-        if inplace and cache is None:
-            a_out = u_out = _view(work[i % 2], 0, shape)
-            s_out = _view(work[1 - i % 2], 0, shape)
-        elif inplace:
-            size = math.prod(shape)
-            a_out, u_out = _view(work[2], at, shape), _view(work[2], at + size, shape)
-            at += 2 * size
-            film_shape = emb.shape[:-1] + lay.b.shape
-            s_out, gamma_out = _view(work[0], 0, shape), _view(work[0], 0, film_shape)
-            beta_out = _view(work[1], 0, film_shape)
         # in-place bias adds: no second batch-sized buffer per affine
-        a = np.matmul(h, lay.w, out=a_out)
+        a = np.matmul(h, lay.w, out=_view(work[i % 2], 0, shape))
         a += lay.b
-        s = _sigmoid(a, out=s_out)
-        u = np.multiply(a, s, out=u_out)
-        gamma = np.matmul(emb, lay.gamma_w, out=gamma_out)  # s is dead, so may share its buffer
+        s = _sigmoid(a, out=_view(work[1 - i % 2], 0, shape))
+        u = np.multiply(a, s, out=a)
+        gamma = emb @ lay.gamma_w
         gamma += lay.gamma_b
-        beta = np.matmul(emb, lay.beta_w, out=beta_out)
+        beta = emb @ lay.beta_w
         beta += lay.beta_b
-        if cache is not None:
-            cache.append((h, a))
         h = film(u, gamma, beta, out=u)
-    if cache is not None:
-        cache.append(h)
     f = h @ params.out_w
     f += params.out_b
     return f

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_batches
-from .network import (DenoiserParams, Preconditioner, _flat_views, _sigmoid, _view, forward_raw,
-                      fourier_embed, scalings)
+from .network import (DenoiserParams, Preconditioner, _flat_views, _reserve, _sigmoid, _view,
+                      film, fourier_embed, scalings)
 from .rng import Rng
 from .sampling import TrainNoiseConfig, noise_bounds  # noise_bounds: kept importable from here
 
@@ -70,19 +70,22 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     Returns (loss, grads): the loss reduced in float64, and gradients in
     params.dtype, aligned with params.trainable().  The corruption eps is
     drawn from rng inside, one standard-normal row per instance.  The
-    gradients are the closed-form backward of the forward pass, run
-    through the two arrays per hidden layer that forward_raw caches
-    (input, pre-activation); sigmoid, SiLU and the FiLM scale are
-    recomputed by the forward's own ops, so give the same bits.
+    step runs the network's forward with forward_raw's ops, in their
+    order, keeping two arrays per hidden layer (its input and its
+    pre-activation); the closed-form backward recomputes sigmoid, SiLU and
+    the FiLM scale from them with the same ops, so gives the same bits.
 
-    The list `work` keeps the step's buffers between calls: work[0] is
-    the flat gradient vector, in the layout of params.trainable_flat, and
-    work[1] holds forward_raw's buffers.  The returned grads are views
-    into work[0].  Each gradient is written into its view; the propagated
-    gradient overwrites the cached layer input once that input's weight
-    gradient is formed.  A call with fewer rows than an earlier one uses
-    the leading part of each buffer.  Without `work`, each call gets fresh
-    buffers.
+    The list `work` keeps the step's buffers between calls: the flat
+    gradient vector, in the layout of params.trainable_flat (a caller may
+    pass the list holding only its own vector); one rows x 2*sum(widths)
+    buffer holding each layer's pre-activation and output, the next
+    layer's input; and two rows x widest scratch buffers for the sigmoid
+    and the FiLM scale and shift.  The returned grads are views into the
+    gradient vector.  Each gradient is written into its view; the
+    propagated gradient overwrites the cached layer input once that
+    input's weight gradient is formed.  A call with fewer rows than an
+    earlier one uses the leading part of each buffer.  Without `work`,
+    each call gets fresh buffers.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -93,11 +96,11 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
         raise ValueError(f"sigma must have shape ({n},), got {sigma.shape}")
 
     dt = params.dtype
-    flat = params.trainable_flat
-    work = [] if work is None else work
-    if len(work) < 2 or work[0].shape != flat.shape or work[0].dtype != dt:
-        work[:] = [np.empty_like(flat), []]
+    widths = params.config.hidden_widths
+    work = _reserve([] if work is None else work,
+                    [params.trainable_flat.size, 2 * n * sum(widths)] + [n * max(widths)] * 2, dt)
     grads = _flat_views(params.config, work[0], first=1)
+    acts, scratch = work[1], work[2:]
     noised = rng.standard_normal(x.shape, dtype=np.float64)  # eps, then x + eps sigma
     noised *= sigma[:, None]
     noised += x
@@ -106,13 +109,27 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     lam = loss_weight(p, sigma)
     # c_in x and c_skip x in float64, each cast once formed; the second
     # overwrites noised, whose last read it is
-    x_in = (c_in[:, None] * noised).astype(dt)
+    h = (c_in[:, None] * noised).astype(dt)
     skip = np.multiply(noised, c_skip[:, None], out=noised).astype(dt)
     del noised
     emb = fourier_embed(params, c_noise)
 
-    cache = []
-    denoised = forward_raw(params, x_in, None, embedding=emb, cache=cache, work=work[1])
+    cache, at = [], 0  # (input, pre-activation) per layer; how much of acts is taken
+    for lay in params.layers:
+        shape = (n,) + lay.b.shape
+        a = np.matmul(h, lay.w, out=_view(acts, at, shape))
+        a += lay.b
+        s = _sigmoid(a, out=_view(scratch[0], 0, shape))
+        u = np.multiply(a, s, out=_view(acts, at + a.size, shape))
+        at += 2 * a.size
+        gamma = np.matmul(emb, lay.gamma_w, out=_view(scratch[0], 0, shape))  # s is dead
+        gamma += lay.gamma_b
+        beta = np.matmul(emb, lay.beta_w, out=_view(scratch[1], 0, shape))
+        beta += lay.beta_b
+        cache.append((h, a))
+        h = film(u, gamma, beta, out=u)
+    denoised = h @ params.out_w
+    denoised += params.out_b
     denoised *= c_out[:, None].astype(dt)
     denoised += skip
     del skip
@@ -125,11 +142,9 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     # dL/dF = 2 lam c_out (D - x) / (n d), per row
     g = np.subtract(denoised, x, out=denoised, dtype=dt)
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
-    head = cache.pop()
-    np.matmul(head.T, g, out=grads[-2])
+    np.matmul(h.T, g, out=grads[-2])
     g.sum(axis=0, out=grads[-1])
-    g = np.matmul(g, params.out_w.T, out=head)  # the head input is dead
-    scratch = work[1]
+    g = np.matmul(g, params.out_w.T, out=h)  # the head input is dead
     for i in reversed(range(len(params.layers))):
         h, a = cache.pop()
         lay = params.layers[i]
@@ -171,22 +186,20 @@ _CHUNK = 1 << 16
 
 @dataclass
 class OptimizerState:
-    """Adam moments, the EMA copy, the gradient and the step count, under
-    one TrainConfig.  m, v and grad are flat vectors in the layout of
+    """Adam moments, the EMA copy and the step count, under one
+    TrainConfig.  m and v are flat vectors in the layout of
     DenoiserParams.trainable_flat."""
 
     m: np.ndarray
     v: np.ndarray
     ema: DenoiserParams
     cfg: TrainConfig
-    grad: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: DenoiserParams, cfg: TrainConfig) -> "OptimizerState":
         flat = params.trainable_flat
-        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), ema=params.copy(), cfg=cfg,
-                   grad=np.zeros_like(flat))
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), ema=params.copy(), cfg=cfg)
 
 
 def inverse_lr(state: OptimizerState) -> float:
@@ -205,22 +218,15 @@ def _in_chunks(update, vectors):
         update(*pieces, t[: pieces[0].size], u[: pieces[0].size])
 
 
-def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserParams:
+def adam_step(state: OptimizerState, params: DenoiserParams, grad: np.ndarray) -> DenoiserParams:
     """One in-place Adam update with decoupled weight decay (lr * wd * p).
 
-    `grads` is either state.grad (as fit passes it, filled by dsm_loss) or
-    a list aligned with params.trainable(), which is copied into state.grad.
+    `grad` is one flat vector in the layout of params.trainable_flat, the
+    gradient vector dsm_loss writes.
     """
-    if state.m.shape != params.trainable_flat.shape:
-        raise ValueError("parameter and optimizer state sizes must match")
-    if grads is not state.grad:
-        views = _flat_views(params.config, state.grad, first=1)
-        if len(grads) != len(views):
-            raise ValueError("tensor and gradient counts must match")
-        for dst, g in zip(views, grads):
-            if dst.shape != np.shape(g):
-                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {dst.shape}")
-            dst[...] = g
+    if not state.m.shape == np.shape(grad) == params.trainable_flat.shape:
+        raise ValueError(f"parameters, gradient and optimizer state have sizes "
+                         f"{params.trainable_flat.size}, {np.size(grad)} and {state.m.size}")
     lr = inverse_lr(state)
     state.step += 1
     bc1 = 1.0 - _BETA1**state.step
@@ -243,7 +249,7 @@ def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> DenoiserP
         if wd:
             p_ -= np.multiply(p_, lr * wd, out=t)
 
-    _in_chunks(update, (params.trainable_flat, state.grad, state.m, state.v))
+    _in_chunks(update, (params.trainable_flat, grad, state.m, state.v))
     return params
 
 
@@ -279,6 +285,11 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     weights and one log entry per epoch: (epoch index, total optimizer
     steps completed, learning rate at the epoch start, mean batch loss).
     Raises FloatingPointError as soon as a batch loss stops being finite.
+
+    fit allocates one flat gradient vector and hands dsm_loss the list
+    holding it; dsm_loss writes each step's gradients into it, and lays
+    out the rest of its workspace in that list on the first step.  Every
+    later step, and adam_step, reuses them.
     """
     x = np.asarray(getattr(dataset, "features", dataset))
     if x.ndim != 2 or x.shape[0] < 1:
@@ -288,7 +299,8 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     shuffle_rng = rng.split("shuffle")
     noise_rng = rng.split("train-noise")
     state = OptimizerState.init(params, cfg)
-    work = [state.grad, []]  # dsm_loss writes each step's gradients into state.grad
+    grad = np.zeros_like(params.trainable_flat)
+    work = [grad]
     history: list[EpochLog] = []
     for epoch in range(cfg.epochs):
         lr_epoch = inverse_lr(state)
@@ -301,7 +313,7 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
                 raise FloatingPointError(
                     f"non-finite loss {loss} at epoch {epoch}, step {state.step}"
                 )
-            adam_step(state, params, state.grad)
+            adam_step(state, params, grad)
             ema_update(state, params)
             losses.append(loss)
         entry = EpochLog(epoch, state.step, lr_epoch, float(np.mean(losses)))

@@ -1,5 +1,7 @@
-"""Shared test set-up: one deterministic hypothesis profile, and the
-`peak_heap` and `held_heap` fixtures the memory tests measure with.
+"""Shared test set-up: one deterministic hypothesis profile, the
+`peak_heap` and `held_heap` fixtures the memory tests measure with, and
+`reference_forward`, the plain list-based network pass that the network
+and training tests check the library against.
 
 Every property test draws the same examples on every run (derandomized,
 no example database), with no per-example deadline and a bounded
@@ -8,6 +10,7 @@ example count, so a failure reproduces and the suite's time stays fixed.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 try:
@@ -48,3 +51,35 @@ def held_heap():
         result, held, _ = _traced(fn)
         return result, held
     return measure
+
+
+def reference_forward(params, x, c_noise):
+    """The raw network pass written plainly, one fresh array per op, in
+    the library's ops and order.  `params` lists every tensor in
+    `_tensor_shapes` order (`DenoiserParams.tensors()`).  Returns (output,
+    cache, embedding): the cache holds (input h, pre-activation a,
+    sigmoid(a), FiLM scale gamma) per hidden layer, then the head input.
+    """
+    freqs, out_w, out_b = params[0], params[-2], params[-1]
+    phase = 2.0 * np.pi * (np.asarray(c_noise, dtype=freqs.dtype)[..., None] * freqs)
+    emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+    h, cache = np.asarray(x), []
+    for i in range(1, len(params) - 2, 6):
+        w, b, gamma_w, gamma_b, beta_w, beta_b = params[i : i + 6]
+        a = h @ w
+        a += b
+        s = np.tanh(a * 0.5)
+        s *= 0.5
+        s += 0.5
+        u = a * s
+        gamma = emb @ gamma_w
+        gamma += gamma_b
+        beta = emb @ beta_w
+        beta += beta_b
+        cache.append((h, a, s, gamma))
+        h = gamma * u
+        h += beta
+    cache.append(h)
+    f = h @ out_w
+    f += out_b
+    return f, cache, emb

@@ -52,6 +52,15 @@ def test_validate_rejects_wrong_segment_count():
         validate_manifest(manifest, 16)
 
 
+def test_validate_segment_count_is_exact_past_float_precision():
+    """The segment count is an integer ceiling: past 2**53 frames a float
+    division rounds, rejecting a correct count and passing one too few."""
+    assert validate_manifest([VideoRecord("v", 2**60 + 1, 0, 2**56 + 1)], 16) == 2**56 + 1
+    with pytest.raises(DataError, match=rf"'v': {2**60 + 1} frames need {2**56 + 1} segments "
+                                        rf"of 16, manifest says {2**56}$"):
+        validate_manifest([VideoRecord("v", 2**60 + 1, 0, 2**56)], 16)
+
+
 def test_validate_rejects_bad_labels():
     manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 31)]
     with pytest.raises(DataError, match="a"):

@@ -19,10 +19,11 @@ from vadiff import (
     param_count,
     save_checkpoint,
     scalings,
-    silu,
 )
 from vadiff import network
 from vadiff.network import _tensor_shapes
+
+from conftest import reference_forward
 
 
 def tiny_config(dim=6):
@@ -150,7 +151,7 @@ def test_film_width_mismatch():
 def test_silu_does_not_overflow(dtype):
     x = np.array([-1e4, -50.0, 50.0, 1e4], dtype=dtype)
     with np.errstate(all="raise"):
-        got = silu(x)
+        got = x * network._sigmoid(x)
     assert got.dtype == dtype
     assert np.abs(got[:2]).max() <= 1e-18
     assert np.array_equal(got[2:], [50.0, 1e4])
@@ -158,13 +159,15 @@ def test_silu_does_not_overflow(dtype):
 
 def test_silu_on_plain_arrays():
     x = np.array([0.0, 1.0, -1.0])
-    got = silu(x)
+    got = x * network._sigmoid(x)
     want = x / (1.0 + np.exp(-x))
     assert np.allclose(got, want, atol=1e-15)
     assert got[0] == 0.0
 
 
 # --- the affines inside forward_raw, against loops -----------------------------
+# forward_raw keeps no activations, so each layer's affine is read from the
+# reference forward, after checking that forward_raw gives its output bits
 
 def one_layer_params(dim, width):
     cfg = NetworkConfig(input_dim=dim, encoder_widths=(width,), decoder_widths=(dim,),
@@ -173,8 +176,8 @@ def one_layer_params(dim, width):
 
 
 def first_preactivation(params, x):
-    cache = []
-    forward_raw(params, x, 0.0, cache=cache)
+    f, cache, _ = reference_forward(params.tensors(), x, 0.0)
+    assert np.array_equal(forward_raw(params, x, 0.0), f)
     return cache[0][1]
 
 
@@ -192,10 +195,11 @@ def matmul_loop_oracle(a, b):
 def test_matmul_matches_triple_loop_oracle():
     params = tiny_params()
     x = Rng(13).standard_normal((5, 6))
-    cache = []
-    f = forward_raw(params, x, 0.4, cache=cache)
+    f = forward_raw(params, x, 0.4)
+    want, cache, _ = reference_forward(params.tensors(), x, 0.4)
+    assert np.array_equal(f, want)
     assert len(cache) == len(params.layers) + 1
-    for lay, (h, a) in zip(params.layers, cache):
+    for lay, (h, a, _, _) in zip(params.layers, cache):
         assert np.abs(a - (matmul_loop_oracle(h, lay.w) + lay.b)).max() <= 1e-12
     assert np.array_equal(cache[0][0], x)
     assert np.abs(f - (matmul_loop_oracle(cache[-1], params.out_w) + params.out_b)).max() <= 1e-12
@@ -223,10 +227,12 @@ def test_affine_dimension_mismatch():
 # --- raw forward and the preconditioned denoiser -------------------------------
 
 def test_forward_cache_leaves_output_unchanged():
+    """forward_raw, which keeps no activation, gives the bits of the
+    reference forward, which caches every layer's."""
     params = tiny_params()
     x = Rng(14).standard_normal((4, 6))
     c_noise = np.array([0.1, -0.3, 0.7, 0.2])
-    assert np.array_equal(forward_raw(params, x, c_noise, cache=[]),
+    assert np.array_equal(reference_forward(params.tensors(), x, c_noise)[0],
                           forward_raw(params, x, c_noise))
 
 
@@ -364,16 +370,34 @@ def test_batch_equivariance_under_permutation():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
 def test_forward_in_place_equals_cached_path_bitwise(dtype, per_row):
+    """A reused `work` gives the bits of a fresh one and of the cached
+    path, the reference forward."""
     # the widths 8, 4, 4, 8 make each layer use a different prefix of the buffers
     params = tiny_params(dtype=dtype)
     x = Rng(19).standard_normal((9, 6)).astype(dtype)
     c_noise = np.linspace(-0.5, 0.8, 9) if per_row else 0.3
-    cached = forward_raw(params, x, c_noise, cache=[])
+    cached, _, _ = reference_forward(params.tensors(), x, c_noise)
     work = []
     assert np.array_equal(forward_raw(params, x, c_noise), cached)
     assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
     assert len(work) == 2 and all(buf.dtype == dtype for buf in work)
     assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_forward_mixed_dtypes_run_in_two_buffers_of_the_result_dtype(per_row):
+    """A float64 input on float32 weights runs through the same two
+    buffers, in float64, and gives the reference forward's bits."""
+    params = tiny_params(dtype=np.float32)
+    x = Rng(20).standard_normal((9, 6))
+    c_noise = np.linspace(-0.5, 0.8, 9) if per_row else 0.3
+    want, _, _ = reference_forward(params.tensors(), x, c_noise)
+    work = []
+    got = forward_raw(params, x, c_noise, work=work)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert len(work) == 2 and all(buf.dtype == np.float64 for buf in work)
+    assert np.array_equal(forward_raw(params, x, c_noise, work=work), want)
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])

@@ -18,7 +18,6 @@ from vadiff import (
     dsm_loss,
     ema_update,
     fit,
-    forward_raw,
     init_params,
     inverse_lr,
     loss_weight,
@@ -27,6 +26,8 @@ from vadiff import (
     sample_train_sigma,
     scalings,
 )
+
+from conftest import reference_forward
 
 
 def tiny_params(dim=6, seed=1, dtype=np.float64):
@@ -258,8 +259,7 @@ def head_gradient_oracle_inputs():
 
     noised = x + Rng(79).standard_normal(x.shape) * sigma[:, None]
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
-    cache = []
-    f = forward_raw(params, c_in[:, None] * noised, c_noise, cache=cache)
+    f, cache, _ = reference_forward(params.tensors(), c_in[:, None] * noised, c_noise)
     den = c_skip[:, None] * noised + c_out[:, None] * f
     g = 2.0 * (loss_weight(p, sigma) * c_out)[:, None] * (den - x) / x.size
     return grads, cache[-1], g
@@ -327,11 +327,9 @@ def test_adam_zero_gradients_leave_weights_near_still():
     params = tiny_params()
     cfg = TrainConfig(weight_decay=0.0)
     state = OptimizerState.init(params, cfg)
-    before = [t.copy() for t in params.trainable()]
-    grads = [np.zeros_like(t) for t in params.trainable()]
-    adam_step(state, params, grads)
-    for b, t in zip(before, params.trainable()):
-        assert np.array_equal(b, t)
+    before = params.trainable_flat.copy()
+    adam_step(state, params, np.zeros_like(before))
+    assert np.array_equal(before, params.trainable_flat)
     assert state.step == 1
 
 
@@ -339,14 +337,13 @@ def test_adam_first_step_size_is_lr_in_gradient_direction():
     params = tiny_params()
     cfg = TrainConfig(base_lr=1e-3, weight_decay=0.0)
     state = OptimizerState.init(params, cfg)
-    before = [t.copy() for t in params.trainable()]
-    grads = [Rng(80 + i).standard_normal(t.shape) for i, t in enumerate(params.trainable())]
-    adam_step(state, params, grads)
-    for b, t, g in zip(before, params.trainable(), grads):
-        step = t - b
-        # first Adam step is -lr * g/(|g| + eps') elementwise, magnitude ~= lr
-        assert np.abs(np.abs(step) - 1e-3).max() <= 1e-5
-        assert np.all(np.sign(step[g != 0]) == -np.sign(g[g != 0]))
+    before = params.trainable_flat.copy()
+    g = Rng(80).standard_normal(before.shape)
+    adam_step(state, params, g)
+    step = params.trainable_flat - before
+    # first Adam step is -lr * g/(|g| + eps') elementwise, magnitude ~= lr
+    assert np.abs(np.abs(step) - 1e-3).max() <= 1e-5
+    assert np.all(np.sign(step[g != 0]) == -np.sign(g[g != 0]))
 
 
 def test_adam_decoupled_weight_decay_shrinks_weights():
@@ -355,8 +352,7 @@ def test_adam_decoupled_weight_decay_shrinks_weights():
     state = OptimizerState.init(params, cfg)
     w = params.layers[0].w
     w[:] = 1.0
-    grads = [np.zeros_like(t) for t in params.trainable()]
-    adam_step(state, params, grads)
+    adam_step(state, params, np.zeros_like(params.trainable_flat))
     assert np.abs(w - (1.0 - 1e-2 * 0.1)).max() <= 1e-12
 
 
@@ -365,8 +361,7 @@ def test_adam_determinism():
         params = tiny_params()
         state = OptimizerState.init(params, TrainConfig())
         for s in range(3):
-            grads = [Rng(90 + s).standard_normal(t.shape) for t in params.trainable()]
-            adam_step(state, params, grads)
+            adam_step(state, params, Rng(90 + s).standard_normal(params.trainable_flat.shape))
         return params
 
     a, b = run(), run()
@@ -377,10 +372,10 @@ def test_adam_determinism():
 def test_adam_shape_mismatch_rejected():
     params = tiny_params()
     state = OptimizerState.init(params, TrainConfig())
-    grads = [np.zeros_like(t) for t in params.trainable()]
-    grads[0] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        adam_step(state, params, grads)
+    for size in (params.trainable_flat.size - 1, params.trainable_flat.size + 1):
+        with pytest.raises(ValueError, match="sizes"):
+            adam_step(state, params, np.zeros(size))
+    assert state.step == 0
 
 
 def test_ema_geometric_decay_oracle():
@@ -402,8 +397,7 @@ def test_ema_untouched_by_adam_and_vice_versa():
     params = tiny_params()
     state = OptimizerState.init(params, TrainConfig())
     snap = [t.copy() for t in state.ema.tensors()]
-    grads = [Rng(7).standard_normal(t.shape) for t in params.trainable()]
-    adam_step(state, params, grads)
+    adam_step(state, params, Rng(7).standard_normal(params.trainable_flat.shape))
     for s, t in zip(snap, state.ema.tensors()):
         assert np.array_equal(s, t)
 
@@ -508,34 +502,16 @@ def test_fit_epoch_log_fields():
 
 def ref_dsm_loss(ts, p, x, sigma, rng):
     """dsm_loss as a plain list-based reference: ts lists every tensor in
-    _tensor_shapes order; the cache keeps (h, a, sigmoid(a), gamma) per layer."""
+    _tensor_shapes order; the forward is reference_forward, whose cache
+    keeps (h, a, sigmoid(a), gamma) per layer."""
     n, d = x.shape
     dt = ts[0].dtype
     eps = rng.standard_normal(x.shape, dtype=np.float64)
     noised = x.astype(np.float64) + eps * sigma[:, None]
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     lam = loss_weight(p, sigma)
-    phase = 2.0 * np.pi * (np.asarray(c_noise, dtype=dt)[:, None] * ts[0])
-    emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
-    layers = [ts[i : i + 6] for i in range(1, len(ts) - 2, 6)]
-
-    h, cache = (c_in[:, None] * noised).astype(dt), []
-    for w, b, gamma_w, gamma_b, beta_w, beta_b in layers:
-        a = h @ w
-        a += b
-        s = np.tanh(a * 0.5)
-        s *= 0.5
-        s += 0.5
-        u = a * s
-        gamma = emb @ gamma_w
-        gamma += gamma_b
-        beta = emb @ beta_w
-        beta += beta_b
-        cache.append((h, a, s, gamma))
-        h = gamma * u
-        h += beta
-    f = h @ ts[-2]
-    f += ts[-1]
+    f, cache, emb = reference_forward(ts, (c_in[:, None] * noised).astype(dt), c_noise)
+    h = cache.pop()
     denoised = f * c_out[:, None].astype(dt)
     denoised += (c_skip[:, None] * noised).astype(dt)
     resid = denoised.astype(np.float64) - x.astype(np.float64)
@@ -545,7 +521,7 @@ def ref_dsm_loss(ts, p, x, sigma, rng):
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
     grads = [h.T @ g, g.sum(axis=0)]
     g = g @ ts[-2].T
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(len(cache))):
         h, a, s, gamma = cache[i]
         u = a * s
         g_gamma = g * u
@@ -555,7 +531,7 @@ def ref_dsm_loss(ts, p, x, sigma, rng):
         u += s
         g *= u
         grads[:0] = [h.T @ g, g.sum(axis=0)] + layer_grads
-        g = g @ layers[i][0].T
+        g = g @ ts[1 + 6 * i].T
     return loss, grads
 
 
