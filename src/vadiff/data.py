@@ -244,6 +244,15 @@ def load_features(features_path, manifest_path) -> FeatureSet:
     manifest, segment_len = load_manifest(manifest_path)
     fs = FeatureSet(features, manifest, segment_len=segment_len)
     validate(fs)
+    # a NaN or inf makes its row's float64 sum non-finite; the sums take
+    # one value per row, not a matrix-sized temporary
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(features.sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        row = int(np.argmin(finite))
+        rec = next(r for r in manifest if row < r.segment_offset + r.segment_count)
+        raise DataError(f"video {rec.video_id!r}, segment {row - rec.segment_offset}: "
+                        f"non-finite feature value")
     return fs
 
 
@@ -264,7 +273,7 @@ def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> Preconditioner:
         x = x - means
     sigma = float(np.std(x))  # population (divide-by-N) over all entries
     if sigma <= 0 or not np.isfinite(sigma):
-        raise DataError("features are degenerate (zero pooled standard deviation)")
+        raise DataError(f"features are degenerate (pooled standard deviation {sigma})")
     return Preconditioner(sigma, means)
 
 

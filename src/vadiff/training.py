@@ -64,7 +64,7 @@ def loss_weight(p: Preconditioner, sigma):
 
 
 def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
-             sigma: np.ndarray, rng: Rng, *, work=None):
+             sigma: np.ndarray, rng: Rng, *, work=None, sink=None):
     """Weighted reconstruction loss on one batch, plus parameter gradients.
 
     Returns (loss, grads): the loss reduced in float64, and gradients in
@@ -75,17 +75,23 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     pre-activation); the closed-form backward recomputes sigmoid, SiLU and
     the FiLM scale from them with the same ops, so gives the same bits.
 
-    The list `work` keeps the step's buffers between calls: the flat
-    gradient vector, in the layout of params.trainable_flat (a caller may
-    pass the list holding only its own vector); one rows x 2*sum(widths)
-    buffer holding each layer's pre-activation and output, the next
-    layer's input; and two rows x widest scratch buffers for the sigmoid
-    and the FiLM scale and shift.  The returned grads are views into the
-    gradient vector.  Each gradient is written into its view; the
-    propagated gradient overwrites the cached layer input once that
-    input's weight gradient is formed.  A call with fewer rows than an
-    earlier one uses the leading part of each buffer.  Without `work`,
-    each call gets fresh buffers.
+    The backward hands each trainable tensor's gradient, as it forms it,
+    to sink(k, a, b), k the tensor's index in params.trainable(): the
+    gradient is a.T @ b for a weight and b summed over rows for a bias (a
+    is None); a and b are overwritten after the call.  The default sink
+    writes each gradient into its view of one flat gradient vector, in the
+    layout of params.trainable_flat, and grads are those views; with a
+    caller's sink, grads is None.
+
+    The list `work` keeps the step's buffers between calls: the gradient
+    vector (default sink only; a caller may pass the list holding only
+    its own vector), then one rows x 2*sum(widths) buffer holding each
+    layer's pre-activation and output, the next layer's input, and two
+    rows x widest scratch buffers for the sigmoid and the FiLM scale and
+    shift.  The propagated gradient overwrites a cached layer input once
+    that input's weight gradient is handed on.  A call with fewer rows
+    than an earlier one uses the leading part of each buffer.  Without
+    `work`, each call gets fresh buffers.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -97,10 +103,21 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
 
     dt = params.dtype
     widths = params.config.hidden_widths
-    work = _reserve([] if work is None else work,
-                    [params.trainable_flat.size, 2 * n * sum(widths)] + [n * max(widths)] * 2, dt)
-    grads = _flat_views(params.config, work[0], first=1)
-    acts, scratch = work[1], work[2:]
+    sizes = [2 * n * sum(widths)] + [n * max(widths)] * 2
+    if sink is None:
+        sizes.insert(0, params.trainable_flat.size)
+    work = _reserve([] if work is None else work, sizes, dt)
+    acts, *scratch = work[len(sizes) - 3 : len(sizes)]
+    grads = None
+    if sink is None:
+        grads = _flat_views(params.config, work[0], first=1)
+
+        def sink(k, a, b):
+            if a is None:
+                b.sum(axis=0, out=grads[k])
+            else:
+                np.matmul(a.T, b, out=grads[k])
+
     noised = rng.standard_normal(x.shape, dtype=np.float64)  # eps, then x + eps sigma
     noised *= sigma[:, None]
     noised += x
@@ -142,22 +159,22 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     # dL/dF = 2 lam c_out (D - x) / (n d), per row
     g = np.subtract(denoised, x, out=denoised, dtype=dt)
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
-    np.matmul(h.T, g, out=grads[-2])
-    g.sum(axis=0, out=grads[-1])
+    k = 6 * len(widths)  # the head's weight
+    sink(k, h, g)
+    sink(k + 1, None, g)
     g = np.matmul(g, params.out_w.T, out=h)  # the head input is dead
     for i in reversed(range(len(params.layers))):
         h, a = cache.pop()
-        lay = params.layers[i]
-        dw, db, dgamma_w, dgamma_b, dbeta_w, dbeta_b = grads[6 * i : 6 * i + 6]
+        lay, k = params.layers[i], 6 * i
         # out = gamma * silu(a) + beta; g is dL/d(out).  s and u = silu(a)
         # as the forward formed them; a is dead once they are
         s = _sigmoid(a, out=_view(scratch[0], 0, a.shape))
         u = np.multiply(a, s, out=_view(scratch[1], 0, a.shape))
         g_gamma = np.multiply(g, u, out=a)
-        np.matmul(emb.T, g_gamma, out=dgamma_w)
-        g_gamma.sum(axis=0, out=dgamma_b)
-        np.matmul(emb.T, g, out=dbeta_w)
-        g.sum(axis=0, out=dbeta_b)
+        sink(k + 2, emb, g_gamma)
+        sink(k + 3, None, g_gamma)
+        sink(k + 4, emb, g)
+        sink(k + 5, None, g)
         gamma = np.matmul(emb, lay.gamma_w, out=a)
         gamma += lay.gamma_b
         g *= gamma
@@ -165,10 +182,10 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
         u *= np.subtract(1.0, s, out=a)
         u += s
         g *= u
-        np.matmul(h.T, g, out=dw)
-        g.sum(axis=0, out=db)
+        sink(k, h, g)
+        sink(k + 1, None, g)
         if i:
-            g = np.matmul(g, lay.w.T, out=h)  # h is dead once dw is formed
+            g = np.matmul(g, lay.w.T, out=h)  # h is dead once its gradient is handed on
     return reported, grads
 
 
@@ -179,7 +196,8 @@ _EPS = 1e-8
 # inverse time decay of the learning rate
 _INV_GAMMA = 20000.0
 _POWER = 1.0
-# elements per pass of the flat Adam and EMA updates: a chunk and its two
+# elements per pass of the flat Adam and EMA updates, and at most per
+# gradient block fit folds into the moments: a chunk and its two
 # temporaries stay in a core's L2 through every pass over it
 _CHUNK = 1 << 16
 
@@ -218,29 +236,29 @@ def _in_chunks(update, vectors):
         update(*pieces, t[: pieces[0].size], u[: pieces[0].size])
 
 
-def adam_step(state: OptimizerState, params: DenoiserParams, grad: np.ndarray) -> DenoiserParams:
-    """One in-place Adam update with decoupled weight decay (lr * wd * p).
+def _fold(g, m, v, t):
+    """Fold g, a piece of the gradient, into the same pieces of Adam's
+    moments m and v, in place; t is scratch of g's size."""
+    # per element, the ops of the whole-tensor expressions, in their order
+    m *= _BETA1
+    m += np.multiply(g, 1.0 - _BETA1, out=t)
+    v *= _BETA2
+    np.multiply(g, g, out=t)
+    t *= 1.0 - _BETA2
+    v += t
 
-    `grad` is one flat vector in the layout of params.trainable_flat, the
-    gradient vector dsm_loss writes.
-    """
-    if not state.m.shape == np.shape(grad) == params.trainable_flat.shape:
-        raise ValueError(f"parameters, gradient and optimizer state have sizes "
-                         f"{params.trainable_flat.size}, {np.size(grad)} and {state.m.size}")
+
+def _descend(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
+    """Adam's parameter step, in place, from moments that already hold this
+    step's gradient, with decoupled weight decay (lr * wd * p); counts
+    the step."""
     lr = inverse_lr(state)
     state.step += 1
     bc1 = 1.0 - _BETA1**state.step
     bc2 = 1.0 - _BETA2**state.step
     wd = state.cfg.weight_decay
 
-    def update(p_, g, m, v, t, u):
-        # per element, the ops of the whole-tensor expressions, in their order
-        m *= _BETA1
-        m += np.multiply(g, 1.0 - _BETA1, out=t)
-        v *= _BETA2
-        np.multiply(g, g, out=t)
-        t *= 1.0 - _BETA2
-        v += t
+    def update(p_, m, v, t, u):
         np.multiply(m, lr / bc1, out=t)  # / (sqrt(v / bc2) + eps), formed in u
         np.sqrt(np.divide(v, bc2, out=u), out=u)
         u += _EPS
@@ -249,8 +267,47 @@ def adam_step(state: OptimizerState, params: DenoiserParams, grad: np.ndarray) -
         if wd:
             p_ -= np.multiply(p_, lr * wd, out=t)
 
-    _in_chunks(update, (params.trainable_flat, grad, state.m, state.v))
+    _in_chunks(update, (params.trainable_flat, state.m, state.v))
     return params
+
+
+def adam_step(state: OptimizerState, params: DenoiserParams, grad: np.ndarray) -> DenoiserParams:
+    """One in-place Adam update with decoupled weight decay (lr * wd * p).
+
+    `grad` is one flat vector in the layout of params.trainable_flat, the
+    gradient vector dsm_loss writes.  fit makes the same update without
+    such a vector: its backward folds each gradient block into m and v as
+    it forms it (_moment_sink), then fit takes the parameter step.
+    """
+    if not state.m.shape == np.shape(grad) == params.trainable_flat.shape:
+        raise ValueError(f"parameters, gradient and optimizer state have sizes "
+                         f"{params.trainable_flat.size}, {np.size(grad)} and {state.m.size}")
+    _in_chunks(lambda g, m, v, t, _: _fold(g, m, v, t), (grad, state.m, state.v))
+    return _descend(state, params)
+
+
+def _moment_sink(state: OptimizerState, cfg):
+    """A dsm_loss sink that folds each gradient into state.m and state.v as
+    the backward hands it on.  A weight's gradient is formed in blocks of
+    whole rows, at most _CHUNK elements each (one row where a width exceeds
+    _CHUNK), in one scratch block, and each block is folded at once; a
+    bias's is one block.  So no gradient vector exists."""
+    ms, vs = (_flat_views(cfg, vec, first=1) for vec in (state.m, state.v))
+    g_buf, t_buf = np.empty((2, max(_CHUNK, *(m.shape[-1] for m in ms))), state.m.dtype)
+
+    def fold(k, a, b):
+        if a is None:
+            g = b.sum(axis=0, out=g_buf[: b.shape[1]])
+            _fold(g, ms[k], vs[k], t_buf[: g.size])
+            return
+        rows = max(1, _CHUNK // b.shape[1])
+        for r0 in range(0, a.shape[1], rows):
+            m, v = ms[k][r0 : r0 + rows], vs[k][r0 : r0 + rows]
+            # rows r0: of a.T @ b, with the whole product's bits
+            g = np.matmul(a[:, r0 : r0 + rows].T, b, out=g_buf[: m.size].reshape(m.shape))
+            _fold(g, m, v, t_buf[: m.size].reshape(m.shape))
+
+    return fold
 
 
 def ema_update(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
@@ -285,11 +342,17 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     weights and one log entry per epoch: (epoch index, total optimizer
     steps completed, learning rate at the epoch start, mean batch loss).
     Raises FloatingPointError as soon as a batch loss stops being finite.
+    The check follows that step's backward, which has already folded the
+    step's gradient into Adam's moments, so m and v may hold it; the raw
+    weights, the EMA and the step count are still those of the step
+    before.
 
-    fit allocates one flat gradient vector and hands dsm_loss the list
-    holding it; dsm_loss writes each step's gradients into it, and lays
-    out the rest of its workspace in that list on the first step.  Every
-    later step, and adam_step, reuses them.
+    fit holds four weight sets (the raw weights, the EMA, and Adam's m
+    and v, all flat) and no gradient vector: the backward hands each
+    gradient to _moment_sink, which folds it block by block into m and v,
+    and then the parameter step and ema_update run over the flat vectors.
+    The step's workspace is laid out on the first step and reused by
+    every later one.
     """
     x = np.asarray(getattr(dataset, "features", dataset))
     if x.ndim != 2 or x.shape[0] < 1:
@@ -299,8 +362,7 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     shuffle_rng = rng.split("shuffle")
     noise_rng = rng.split("train-noise")
     state = OptimizerState.init(params, cfg)
-    grad = np.zeros_like(params.trainable_flat)
-    work = [grad]
+    fold, work = _moment_sink(state, params.config), []
     history: list[EpochLog] = []
     for epoch in range(cfg.epochs):
         lr_epoch = inverse_lr(state)
@@ -308,12 +370,12 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
         for idx in make_batches(n, cfg.batch_size, shuffle=True, rng=shuffle_rng):
             batch = x[idx] if p.center is None else x[idx] - p.center
             sigma = sample_train_sigma(noise_rng, noise_cfg, batch.shape[0])
-            loss, _ = dsm_loss(params, p, batch, sigma, noise_rng, work=work)
+            loss, _ = dsm_loss(params, p, batch, sigma, noise_rng, work=work, sink=fold)
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss {loss} at epoch {epoch}, step {state.step}"
                 )
-            adam_step(state, params, grad)
+            _descend(state, params)
             ema_update(state, params)
             losses.append(loss)
         entry = EpochLog(epoch, state.step, lr_epoch, float(np.mean(losses)))

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,34 @@ def test_score_one_segment_is_data_error(tmp_path, capsys):
                "--out", str(out))
     _assert_data_error(code, capsys, "scoring needs at least 2 segments, got 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_feature_is_data_error_naming_the_segment(tmp_path, capsys, command, bad):
+    """A NaN or inf in one row of the feature file exits 2 naming its video and
+    segment, with nothing else on stderr: no numpy warning, no traceback."""
+    f, m = make_data(tmp_path)
+    manifest, _ = data.load_manifest(m)
+    rec = manifest[len(manifest) // 2]
+    row, col = rec.segment_offset + rec.segment_count - 1, 4
+    raw = bytearray(f.read_bytes())
+    at = len(raw) - 4 * 6 * sum(r.segment_count for r in manifest) + 4 * (6 * row + col)
+    raw[at : at + 4] = struct.pack("<f", bad)
+    f.write_bytes(bytes(raw))
+    ck = tmp_path / "model.bin"
+    args = ["--checkpoint", str(ck)]
+    if command == "score":
+        _small_checkpoint(ck)
+        args += ["--out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command, "--features", str(f), "--manifest", str(m), *args)
+    err = capsys.readouterr().err
+    assert code == 2 and not caught, [str(w.message) for w in caught]
+    assert err == (f"error: video {rec.video_id!r}, segment {rec.segment_count - 1}: "
+                   f"non-finite feature value\n")
 
 
 @pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])

@@ -343,7 +343,7 @@ def test_sigma_data_permutation_invariant():
 def test_sigma_data_rejects_degenerate():
     feats = np.zeros((4, 3), dtype=np.float32)
     fs = FeatureSet(feats, [VideoRecord("a", 64, 0, 4)])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"degenerate \(pooled standard deviation 0\.0\)"):
         estimate_sigma_data(fs)
     one = FeatureSet(np.ones((1, 3), dtype=np.float32), [VideoRecord("a", 16, 0, 1)])
     with pytest.raises(DataError):

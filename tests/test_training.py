@@ -180,6 +180,27 @@ def test_dsm_loss_float32_gradients_match_float64():
         assert np.abs(a - b).max() <= 1e-3 * np.abs(b).max()
 
 
+def test_dsm_loss_sink_receives_each_gradient_once():
+    """With a sink, the backward hands every trainable tensor's gradient on
+    once, as (a, b) forming the default path's bits, and makes no vector."""
+    params = tiny_params(dtype=np.float32)
+    params.out_w[...] = Rng(37).standard_normal(params.out_w.shape) * 0.3
+    x = Rng(38).standard_normal((9, 6)).astype(np.float32)
+    sigma = sample_train_sigma(Rng(39), TrainNoiseConfig(), 9)
+    formed = {}
+
+    def sink(k, a, b):
+        assert k not in formed
+        formed[k] = b.sum(axis=0) if a is None else a.T @ b
+
+    loss, none = dsm_loss(params, Preconditioner(0.7), x, sigma, Rng(40), sink=sink)
+    want_loss, want = dsm_loss(params, Preconditioner(0.7), x, sigma, Rng(40))
+    assert none is None and loss == want_loss
+    assert sorted(formed) == list(range(len(want)))
+    for k, g in enumerate(want):
+        assert np.array_equal(formed[k], g), k
+
+
 def step_ledger(cfg, rows):
     """Bytes of one step's workspace: two cached arrays per hidden layer
     (input, pre-activation) plus the head input and the network input, and
@@ -217,13 +238,14 @@ def pipeline_fit(on_epoch=None):
 
 
 def test_fit_peak_heap_at_pipeline_shape(peak_heap):
-    """Four weight sets (raw, EMA, Adam's m and v), one gradient vector and
-    one 512-row workspace: 66 MiB, where one gradient set per step and four
-    cached arrays per layer took 79 MiB."""
+    """Four weight sets (raw, EMA, Adam's m and v), one 512-row workspace, a
+    few chunk-sized scratch blocks, the features and a few float64 batch
+    arrays: 57 MiB, where a gradient vector beside them took 66 MiB."""
     cfg = NetworkConfig(input_dim=64)
-    bound = 5 * 4 * param_count(cfg) + step_ledger(cfg, 512) + 8 * 2100 * 64 * 4
+    bound = (4 * 4 * param_count(cfg) + step_ledger(cfg, 512) + 4 * 4 * training._CHUNK
+             + 4 * 2100 * 64 + 8 * 8 * 512 * 64)
     _, peak = peak_heap(pipeline_fit)
-    assert peak < bound < 70 * 2**20, (peak / 2**20, bound / 2**20)
+    assert peak < bound < 61 * 2**20, (peak / 2**20, bound / 2**20)
 
 
 def test_fit_steps_after_the_first_allocate_no_step_sized_memory():
@@ -562,12 +584,11 @@ def ref_fit(x, ts, p, cfg, noise_cfg, rng):
     return ts, ema, m, v
 
 
-@pytest.mark.parametrize("cfg, rows, batch", [
-    (NetworkConfig(input_dim=6, encoder_widths=(8, 4), decoder_widths=(4, 8), embed_dim=8),
-     40, 16),
-    (NetworkConfig(input_dim=64), 100, 48),
-], ids=["tiny", "default-dim64"])
-def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, batch):
+TINY = NetworkConfig(input_dim=6, encoder_widths=(8, 4), decoder_widths=(4, 8), embed_dim=8)
+DEFAULT_64 = NetworkConfig(input_dim=64)
+
+
+def assert_fit_matches_reference(monkeypatch, cfg, rows, batch):
     """Three steps, the last on a short batch: the flat weights, the EMA and
     Adam's moments equal a per-tensor reference's in every bit."""
     x = (Rng(20).standard_normal((rows, cfg.input_dim)) * 0.7).astype(np.float32)
@@ -588,6 +609,60 @@ def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, ba
     for name, a, b in zip(("params", "ema", "m", "v"), got, flat):
         a = np.concatenate([t.ravel() for t in a]) if isinstance(a, list) else a
         assert a.dtype == np.float32 and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("cfg, rows, batch", [(TINY, 40, 16), (DEFAULT_64, 100, 48)],
+                         ids=["tiny", "default-dim64"])
+def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, batch):
+    assert_fit_matches_reference(monkeypatch, cfg, rows, batch)
+
+
+@pytest.mark.parametrize("cfg, rows, batch, chunk", [
+    (TINY, 40, 16, 3),  # blocks of one row, and biases wider than a chunk
+    (TINY, 40, 16, 7),  # one below the widest layer (8)
+    (DEFAULT_64, 100, 48, 255),  # one row of every hidden width, three of the head's
+    (DEFAULT_64, 100, 48, 1023),  # one below the widest layer (1024)
+], ids=["tiny-3", "tiny-7", "default-dim64-255", "default-dim64-1023"])
+def test_fit_matches_reference_across_chunk_boundaries(monkeypatch, cfg, rows, batch, chunk):
+    """fit forms each weight gradient in row blocks of at most _CHUNK elements
+    and folds each into Adam's moments: any block size gives the bits of
+    the whole-tensor reference."""
+    monkeypatch.setattr(training, "_CHUNK", chunk)
+    assert_fit_matches_reference(monkeypatch, cfg, rows, batch)
+
+
+def test_fit_non_finite_loss_leaves_weights_and_ema_of_the_step_before(monkeypatch):
+    """A NaN noise level in the third step makes its loss NaN: fit raises
+    FloatingPointError, and the raw weights, the EMA and the step count
+    are those after two steps (Adam's moments may hold the third step's
+    gradient, which the backward folded in before the check)."""
+    def run(params, epochs):
+        cfg = TrainConfig(epochs=epochs, batch_size=32, ema_decay=0.9)
+        return fit(small_dataset(), params, Preconditioner(0.5), cfg, TrainNoiseConfig(), Rng(6))
+
+    before = tiny_params(dtype=np.float32)
+    ema, _ = run(before, epochs=1)  # 64 rows: two steps
+    draw, calls = training.sample_train_sigma, []
+
+    def poisoned(*a):
+        calls.append(1)
+        sigma = draw(*a)
+        if len(calls) == 3:
+            sigma[0] = np.nan
+        return sigma
+
+    monkeypatch.setattr(training, "sample_train_sigma", poisoned)
+    states = []
+    init = OptimizerState.init
+    monkeypatch.setattr(OptimizerState, "init",
+                        lambda *a: states.append(init(*a)) or states[-1])
+    params = tiny_params(dtype=np.float32)
+    with pytest.raises(FloatingPointError, match="step 2"):
+        run(params, epochs=2)
+    (state,) = states
+    assert state.step == 2
+    assert np.array_equal(params.flat, before.flat)
+    assert np.array_equal(state.ema.flat, ema.flat)
 
 
 def test_dsm_loss_reused_work_gives_the_same_gradients():
