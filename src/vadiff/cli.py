@@ -245,7 +245,6 @@ def cmd_score(args) -> int:
     cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
-    del params, ema  # the set not scored with is freed before the features are read
     sigmas = _build_schedule(args, noise)
     fs = load_features(args.features, args.manifest)
     if fs.features.shape[1] != weights.config.input_dim:

@@ -1,9 +1,10 @@
 """Feature files, manifests, data statistics, batching, synthetic data.
 
 Feature vectors live in a flat binary file (magic "VADF") holding one
-float32 row per video segment.  A separate JSON manifest maps contiguous
-segment ranges back to videos and carries optional per-frame 0/1 labels,
-JSON integers (true and false read as 1 and 0), loaded as int8 arrays.
+float32 row per video segment, which load_features maps and returns as a
+read-only view.  A separate JSON manifest maps contiguous segment ranges
+back to videos and carries optional per-frame 0/1 labels, JSON integers
+(true and false read as 1 and 0), loaded as int8 arrays.
 Labels are consumed exclusively by evaluation; training and scoring never
 look at them.  The data statistics come back as the network's
 Preconditioner, the record training and scoring share.
@@ -14,19 +15,23 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import aligned, map_file, replacing
 from .network import Preconditioner
 from .rng import Rng
 
 SEGMENT_LEN = 16
 
 _MAGIC = b"VADF"
-_VERSION = 1
+_FEATURE_VERSION = 2
+_HEADER = struct.Struct("<HIQ")  # version, dim, row count; after the magic
+_PAYLOAD_AT = aligned(len(_MAGIC) + _HEADER.size)  # 64: the header's zero padding ends here
+_MANIFEST_VERSION = 1
+_STAT_CHUNK = 2**20  # float64 elements per row chunk of estimate_sigma_data
 
 
 class DataError(ValueError):
@@ -101,17 +106,20 @@ def validate(fs: FeatureSet) -> None:
 
 
 def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
-    """Write the feature file and its manifest.
+    """Write the feature file and its manifest, each replacing its path
+    whole (files.replacing), so a live map of an old file keeps its bytes.
 
-    The manifest is one line of JSON from one json.dumps call (the C
-    encoder, default separators), labels as JSON integers 0/1.
+    The feature file is the magic, the version, the dim and the row count
+    (<HIQ), zero padding to byte 64, then the rows as little-endian
+    float32.  The manifest is one line of JSON from one json.dumps call
+    (the C encoder, default separators), labels as JSON integers 0/1.
     """
     validate(fs)
     arr = np.ascontiguousarray(fs.features, dtype="<f4")
-    with open(features_path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HIQ", _VERSION, arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+    with replacing(features_path) as fh:
+        header = _MAGIC + _HEADER.pack(_FEATURE_VERSION, arr.shape[1], arr.shape[0])
+        fh.write(header.ljust(_PAYLOAD_AT, b"\0"))
+        fh.write(arr)
     videos = []
     for rec in fs.manifest:
         entry = {
@@ -123,8 +131,8 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
         if rec.labels is not None:
             entry["labels"] = np.asarray(rec.labels, dtype=np.int8).tolist()
         videos.append(entry)
-    doc = {"version": _VERSION, "segment_len": fs.segment_len, "videos": videos}
-    with open(manifest_path, "w") as fh:
+    doc = {"version": _MANIFEST_VERSION, "segment_len": fs.segment_len, "videos": videos}
+    with replacing(manifest_path, "w") as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 
@@ -197,18 +205,18 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     video index and the key; the checks run once per video, not per frame.
     The records' consistency (offsets, segment counts, labels) is checked
     once by the stage that uses them: load_features through validate,
-    evaluate through validate_manifest.
+    evaluate through validate_manifest.  The text is decoded as UTF-8
+    straight from a map of the file, so no copy of its bytes is held.
     """
-    with open(manifest_path) as fh:
-        try:
-            doc = json.load(fh, object_hook=_int8_labels)
-        # a JSONDecodeError, a UnicodeDecodeError, or an integer longer than
-        # Python's digit limit for int conversion (4300 by default)
-        except ValueError as e:
-            raise DataError(f"manifest is not valid JSON: {e}") from e
+    try:
+        doc = json.loads(str(map_file(manifest_path), "utf-8"), object_hook=_int8_labels)
+    # a JSONDecodeError, a UnicodeDecodeError, or an integer longer than
+    # Python's digit limit for int conversion (4300 by default)
+    except ValueError as e:
+        raise DataError(f"manifest is not valid JSON: {e}") from e
     if type(doc) is not dict:
         raise DataError(f"manifest must be a JSON object, got {_json_type(doc)}")
-    if doc.get("version") != _VERSION:
+    if doc.get("version") != _MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {doc.get('version')!r}")
     videos = _field(doc, "videos", list, "manifest")
     manifest = [_video_record(i, entry) for i, entry in enumerate(videos)]
@@ -219,27 +227,30 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
 
 
 def load_features(features_path, manifest_path) -> FeatureSet:
-    with open(features_path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise DataError(f"bad feature file magic {magic!r}")
-        header = fh.read(struct.calcsize("<HIQ"))
-        if len(header) != struct.calcsize("<HIQ"):
-            raise DataError("truncated feature file: incomplete header")
-        version, dim, count = struct.unpack("<HIQ", header)
-        if version != _VERSION:
-            raise DataError(f"unsupported feature file version {version}")
-        if dim < 1:
-            raise DataError(f"feature file declares dim {dim}")
-        # checked against the file size first, so a corrupt count cannot
-        # ask for an allocation larger than the file
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
-        if available < 4 * dim * count:
-            raise DataError(
-                f"truncated feature file: expected {count} rows of {dim}, "
-                f"got {available // 4} values"
-            )
-        features = np.fromfile(fh, dtype="<f4", count=dim * count).reshape(count, dim)
+    """The feature file and its manifest, checked against each other.
+
+    The features are a read-only float32 view of a map of the file, not a
+    copy: they cost no heap, and stay valid however the path is later
+    rewritten by save_features.  Every header field is checked, and the
+    row count against the file size, before the view is made.
+    """
+    buf = map_file(features_path)
+    magic = buf[: len(_MAGIC)]
+    if magic != _MAGIC:
+        raise DataError(f"bad feature file magic {magic!r}")
+    if len(buf) < len(_MAGIC) + _HEADER.size:
+        raise DataError("truncated feature file: incomplete header")
+    version, dim, count = _HEADER.unpack_from(buf, len(_MAGIC))
+    if version != _FEATURE_VERSION:
+        raise DataError(f"unsupported feature file version {version}")
+    if dim < 1:
+        raise DataError(f"feature file declares dim {dim}")
+    if len(buf) < _PAYLOAD_AT + 4 * dim * count:
+        raise DataError(
+            f"truncated feature file: expected {count} rows of {dim}, "
+            f"got {max(len(buf) - _PAYLOAD_AT, 0) // 4} values"
+        )
+    features = np.frombuffer(buf, "<f4", dim * count, _PAYLOAD_AT).reshape(count, dim)
 
     manifest, segment_len = load_manifest(manifest_path)
     fs = FeatureSet(features, manifest, segment_len=segment_len)
@@ -263,15 +274,38 @@ def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> Preconditioner:
     With centering on, the deviation is measured around the per-dimension
     means, and the record carries those means (as float32), which fit and
     score_dataset subtract from each batch.
+
+    The passes are np.std's, over float64 copies of row chunks of at most
+    _STAT_CHUNK elements (one row if a row is longer): the per-dimension
+    means if centring, then the mean, then the squared deviations.  So the
+    heap holds one chunk at a time, not a float64 copy of the matrix.
+    Features that fit in one chunk get np.std's bits; beyond that the
+    chunk sums add in order, which agrees to about 1e-12 relative.
     """
-    x = np.asarray(fs.features, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise DataError(f"need at least 2 segments to estimate spread, got {x.shape[0]}")
-    means = None
-    if center:
-        means = x.mean(axis=0)
-        x = x - means
-    sigma = float(np.std(x))  # population (divide-by-N) over all entries
+    x = np.asarray(fs.features)
+    n, dim = x.shape
+    if n < 2:
+        raise DataError(f"need at least 2 segments to estimate spread, got {n}")
+    rows = max(1, _STAT_CHUNK // max(dim, 1))
+
+    def total(part, *shifts):
+        """The sum over row chunks of part(chunk), each chunk in float64
+        less each shift that is not None, in turn."""
+        acc = None
+        for r in range(0, n, rows):
+            c = x[r : r + rows].astype(np.float64)
+            for shift in shifts:
+                if shift is not None:
+                    c -= shift
+            value = part(c)
+            del c  # before the next chunk is made: one chunk at a time
+            acc = value if acc is None else acc + value
+        return acc
+
+    means = total(lambda c: c.sum(axis=0)) / n if center else None
+    mean = total(np.sum, means) / (n * dim)
+    squares = total(lambda c: np.square(c, out=c).sum(), means, mean)
+    sigma = float(np.sqrt(squares / (n * dim)))  # population (divide-by-N) over all entries
     if sigma <= 0 or not np.isfinite(sigma):
         raise DataError(f"features are degenerate (pooled standard deviation {sigma})")
     return Preconditioner(sigma, means)

@@ -15,12 +15,12 @@ the data; the checkpoint stores it with the weights and the training noise.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import aligned, map_file, replacing
 from .rng import Rng
 from .sampling import ScheduleConfig, TrainNoiseConfig, noise_bounds
 
@@ -305,27 +305,30 @@ def as_denoiser(params: DenoiserParams, p: Preconditioner):
 # --- checkpoint serialization (magic "VADW") --------------------------------
 
 _MAGIC = b"VADW"
-_VERSION = 3
+_VERSION = 4
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def _read_struct(fh, fmt):
-    size = struct.calcsize(fmt)
-    raw = fh.read(size)
-    if len(raw) != size:
+def _read_struct(buf, at, fmt):
+    """(the values of fmt unpacked from buf at offset `at`, the offset after them)."""
+    end = at + struct.calcsize(fmt)
+    if end > len(buf):
         raise CheckpointError("truncated checkpoint")
-    return struct.unpack(fmt, raw)
+    return struct.unpack_from(fmt, buf, at), end
 
 
 def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Preconditioner,
                     noise: TrainNoiseConfig) -> None:
     """Versioned binary checkpoint: a header holding the network config,
     sigma_data, whether a center follows, and the training noise (p_mean,
-    p_std); then the center (if any), the raw tensors and the EMA tensors
-    as one bare little-endian float32 payload in _tensor_shapes order.
+    p_std), zero-padded to a multiple of 64 bytes; then the center (if
+    any), the raw tensors and the EMA tensors as one bare little-endian
+    float32 payload in _tensor_shapes order.  The file replaces `path`
+    whole (files.replacing), so a live map of an old checkpoint keeps its
+    bytes.
     """
     cfg = params.config
     if ema.config != cfg:
@@ -334,12 +337,13 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Precon
         raise ValueError(f"tensor center has shape {p.center.shape}, "
                          f"config implies {(cfg.input_dim,)}")
     payload = [params.flat, ema.flat] if p.center is None else [p.center, params.flat, ema.flat]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim))
-        for widths in (cfg.encoder_widths, cfg.decoder_widths):
-            fh.write(struct.pack(f"<B{len(widths)}I", len(widths), *widths))
-        fh.write(struct.pack("<IdBdd", cfg.embed_dim, float(p.sigma_data), p.center is not None,
-                             float(noise.p_mean), float(noise.p_std)))
+    header = (_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim)
+              + b"".join(struct.pack(f"<B{len(widths)}I", len(widths), *widths)
+                         for widths in (cfg.encoder_widths, cfg.decoder_widths))
+              + struct.pack("<IdBdd", cfg.embed_dim, float(p.sigma_data), p.center is not None,
+                            float(noise.p_mean), float(noise.p_std)))
+    with replacing(path) as fh:
+        fh.write(header.ljust(aligned(len(header)), b"\0"))
         for t in payload:
             fh.write(np.ascontiguousarray(t, dtype="<f4"))
 
@@ -347,44 +351,48 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Precon
 def load_checkpoint(path):
     """Returns (params, ema, preconditioner, training noise).
 
-    The payload size is checked against the header before anything is
-    allocated.  The center, the raw weights and the EMA weights are read
-    into three arrays that share no memory, so a caller keeping one
-    weight set holds only that set.
+    Every header field, and the payload size against the header, is
+    checked before any array is made.  The center, the raw weights and
+    the EMA weights are then read-only float32 views of one map of the
+    file, not copies: a caller holds no weight set on its heap, and the
+    views stay valid however the path is later rewritten by
+    save_checkpoint.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (version,) = _read_struct(fh, "<H")
-        if version != _VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        input_dim, n_enc = _read_struct(fh, "<IB")
-        enc = _read_struct(fh, f"<{n_enc}I")
-        (n_dec,) = _read_struct(fh, "<B")
-        dec = _read_struct(fh, f"<{n_dec}I")
-        embed_dim, sigma_data, has_center, p_mean, p_std = _read_struct(fh, "<IdBdd")
-        try:
-            cfg = NetworkConfig(input_dim, enc, dec, embed_dim)
-            Preconditioner(sigma_data)
-            noise = TrainNoiseConfig(p_mean, p_std)
-            ScheduleConfig(*noise_bounds(noise))  # the default schedule must exist
-        except ValueError as e:
-            raise CheckpointError(f"bad checkpoint header: {e}") from None
-        if has_center > 1:
-            raise CheckpointError(f"bad center flag {has_center} in checkpoint")
-        n_center = input_dim if has_center else 0
-        # checked against the file size first, so a corrupt header cannot
-        # ask for an allocation larger than the file
-        want = n_center + 2 * param_count(cfg)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left != 4 * want:
-            raise CheckpointError(
-                f"checkpoint payload holds {left} bytes ({left // 4} float32 values), "
-                f"config implies {want} values"
-            )
-        center, raw, ema = (np.fromfile(fh, dtype="<f4", count=count)
-                            for count in (n_center, param_count(cfg), param_count(cfg)))
+    buf = map_file(path)
+    magic = buf[: len(_MAGIC)]
+    if magic != _MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    (version,), at = _read_struct(buf, len(_MAGIC), "<H")
+    if version != _VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (input_dim, n_enc), at = _read_struct(buf, at, "<IB")
+    enc, at = _read_struct(buf, at, f"<{n_enc}I")
+    (n_dec,), at = _read_struct(buf, at, "<B")
+    dec, at = _read_struct(buf, at, f"<{n_dec}I")
+    (embed_dim, sigma_data, has_center, p_mean, p_std), at = _read_struct(buf, at, "<IdBdd")
+    try:
+        cfg = NetworkConfig(input_dim, enc, dec, embed_dim)
+        Preconditioner(sigma_data)
+        noise = TrainNoiseConfig(p_mean, p_std)
+        ScheduleConfig(*noise_bounds(noise))  # the default schedule must exist
+    except ValueError as e:
+        raise CheckpointError(f"bad checkpoint header: {e}") from None
+    if has_center > 1:
+        raise CheckpointError(f"bad center flag {has_center} in checkpoint")
+    at = aligned(at)  # the payload starts after the header's zero padding
+    if at > len(buf):
+        raise CheckpointError("truncated checkpoint")
+    n_center = input_dim if has_center else 0
+    count = param_count(cfg)
+    want = n_center + 2 * count
+    left = len(buf) - at
+    if left != 4 * want:
+        raise CheckpointError(
+            f"checkpoint payload holds {left} bytes ({left // 4} float32 values), "
+            f"config implies {want} values"
+        )
+    payload = np.frombuffer(buf, "<f4", want, at)
+    center, raw, ema = np.split(payload, [n_center, n_center + count])
     p = Preconditioner(sigma_data, center if has_center else None)
     return DenoiserParams(cfg, raw), DenoiserParams(cfg, ema), p, noise
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, FeatureSet, make_batches
+from .files import map_file
 from .network import DenoiserParams, Preconditioner, as_denoiser
 from .rng import Rng
 from .sampling import lms_sample
@@ -143,8 +144,8 @@ def _raise_first_fault(path) -> None:
     """Rescan the score CSV row by row and raise DataError naming the first
     faulty line; returns if every row is well formed.
 
-    Runs only after the fast parse in read_scores_csv failed or met an
-    empty line, so a valid file never pays for it.
+    Runs only after the fast parse in read_scores_csv failed or gave fewer
+    rows than the body has lines, so a valid file never pays for it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -167,6 +168,23 @@ def _raise_first_fault(path) -> None:
             raise DataError(f"score CSV is not valid text: {e}") from None
 
 
+_SCAN = 2**18  # bytes per block of _line_count
+
+
+def _line_count(buf, start) -> int:
+    """How many lines buf[start:] holds, each ended by "\r\n", "\n" or "\r"
+    (the last one perhaps by the end of the buffer), counted in blocks so
+    that the temporaries stay small."""
+    a = np.frombuffer(buf, np.uint8)
+    n = 0
+    for at in range(start, a.size, _SCAN):
+        block = a[at : at + _SCAN + 1]  # and the byte after, for a "\r\n" across the edge
+        lf, cr = block == 10, block == 13
+        n += np.count_nonzero(lf[:_SCAN]) + np.count_nonzero(cr[:_SCAN])
+        n -= np.count_nonzero(cr[:-1] & lf[1:])  # a "\r\n" ends one line, not two
+    return n + (int(a[-1]) not in (10, 13))
+
+
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of a score CSV in file order, as three arrays: video ids,
     segment indices and scores (evaluation.join_scores puts them into
@@ -178,11 +196,10 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     converted; the other three must be present but are not read, and are
     parsed into zero-width fields, so they cost no memory.  Each video id
     is interned as it is parsed, so all rows of a video share one str: the
-    ids cost one pointer per row.  Before the parse the file is held once,
-    as bytes, to look for empty lines; it is never decoded whole.
+    ids cost one pointer per row.  The header and the body's line count
+    are read from a map of the file, which is never copied or decoded whole.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = map_file(path)
     ends = [at for at in (raw.find(b"\n"), raw.find(b"\r")) if at >= 0]
     end = min(ends, default=len(raw))  # the header's line end
     try:
@@ -193,16 +210,11 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DataError(f"score CSV line 1: {e}") from None
     if header != _CSV_HEADER:
         raise DataError(f"unexpected score CSV header {header!r:.200}")
-    body = end + (2 if raw.startswith(b"\r\n", end) else 1)
+    body = end + (2 if raw[end : end + 2] == b"\r\n" else 1)
     if body >= len(raw):
         rows = np.empty(0, dtype=_CSV_DTYPE)
         return rows["video_id"], rows["segment_index"], rows["mse"]
-    # np.loadtxt skips empty lines, which the csv format reads as empty rows:
-    # a line end ("\n", "\r" or "\r\n") right after another, or at the start
-    if (raw.startswith((b"\n", b"\r"), body)
-            or any(raw.find(p, body) >= 0 for p in (b"\n\n", b"\n\r", b"\r\r"))):
-        _raise_first_fault(path)  # returns when the empty lines sit inside quotes
-    del raw  # np.loadtxt reads the file itself; hold one copy at a time
+    lines = _line_count(raw, body)
     try:
         with warnings.catch_warnings():
             # numpy releases that parse an integer field such as "1.5"
@@ -216,4 +228,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except (ValueError, DeprecationWarning) as e:
         _raise_first_fault(path)
         raise DataError(f"malformed score CSV: {e}") from None
+    # np.loadtxt skips empty lines, which the csv format reads as empty rows;
+    # a line end inside a quoted id also leaves fewer rows than lines
+    if rows.size != lines:
+        _raise_first_fault(path)  # returns when every extra line end sits inside quotes
     return rows["video_id"], rows["segment_index"], rows["mse"]

@@ -1,5 +1,6 @@
 """Shared test set-up: one deterministic hypothesis profile, the
-`peak_heap` and `held_heap` fixtures the memory tests measure with, and
+`peak_heap` and `held_heap` fixtures the memory tests measure with, the
+`disk_full_after` fixture and `map_of` for the file tests, and
 `reference_forward`, the plain list-based network pass that the network
 and training tests check the library against.
 
@@ -8,10 +9,14 @@ no example database), with no per-example deadline and a bounded
 example count, so a failure reproduces and the suite's time stays fixed.
 """
 
+import errno
+import mmap
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from vadiff import files
 
 try:
     from hypothesis import settings
@@ -51,6 +56,50 @@ def held_heap():
         result, held, _ = _traced(fn)
         return result, held
     return measure
+
+
+def map_of(a: np.ndarray) -> mmap.mmap:
+    """The file map whose memory `a` views; fails unless `a` is a plain,
+    read-only, aligned ndarray that owns none of its memory."""
+    assert type(a) is np.ndarray, type(a)
+    assert not a.flags.writeable and a.flags.aligned and not a.flags.owndata
+    while isinstance(a, np.ndarray):
+        a = a.base
+    assert isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap), type(a)
+    return a.obj
+
+
+class _DiskFull:
+    """A file whose writes after the first `writes` fail part way, as on a full disk."""
+
+    def __init__(self, fh, writes):
+        self._fh, self._writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def write(self, data):
+        if self._writes == 0:
+            self._fh.write(memoryview(data).cast("B")[:16])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._writes -= 1
+        return self._fh.write(data)
+
+
+@pytest.fixture
+def disk_full_after(monkeypatch):
+    """The function disk_full_after(n): from then on, each binary file that
+    files.replacing opens takes n whole writes and fails in the next."""
+    def arm(writes):
+        monkeypatch.setattr(files, "open", lambda *a, **k: _DiskFull(open(*a, **k), writes),
+                            raising=False)
+    return arm
 
 
 def reference_forward(params, x, c_noise):

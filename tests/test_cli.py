@@ -334,18 +334,43 @@ def test_non_finite_feature_is_data_error_naming_the_segment(tmp_path, capsys, c
                    f"non-finite feature value\n")
 
 
+@pytest.mark.parametrize("corrupt, fragment", [
+    (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported feature file version 1"),
+    (lambda raw: raw[:4] + struct.pack("<H", 3) + raw[6:], "unsupported feature file version 3"),
+    (lambda raw: b"VADX" + raw[4:], "bad feature file magic b'VADX'"),
+    (lambda raw: b"", "bad feature file magic b''"),
+    (lambda raw: raw[:17], "truncated feature file: incomplete header"),
+    # the 18-byte header's zero padding to byte 64, cut short
+    (lambda raw: raw[:40], "truncated feature file: expected 144 rows of 6, got 0 values"),
+    (lambda raw: raw[:-4], "truncated feature file: expected 144 rows of 6, got 863 values"),
+], ids=["version-1", "version-3", "bad-magic", "empty", "header-cut", "padding-cut",
+        "one-value-short"])
+def test_score_malformed_feature_file_is_data_error(tmp_path, capsys, corrupt, fragment):
+    f, m = make_data(tmp_path)
+    f.write_bytes(corrupt(f.read_bytes()))
+    ck = tmp_path / "model.bin"
+    _small_checkpoint(ck)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+               "--out", str(out))
+    _assert_data_error(code, capsys, fragment)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])
 def test_score_holds_one_weight_set(tmp_path, peak_heap, weights):
     """Scoring 840 rows of dim 64 with the default network at --start-t 0 (10
-    NFEs) peaks under one weight set, the two rows x widest activation buffers
-    and 8 MiB for the rest.  Holding both weight sets adds 9.3 MiB."""
+    NFEs) peaks under the two rows x widest activation buffers (6.6 MiB) and
+    6 MiB for the rest: the weights stay in the checkpoint's map, so no
+    weight set (9.3 MiB each) is on the heap."""
     f, m = make_data(tmp_path, n_normal=800, fraction=0.05, dim=64)
     cfg = NetworkConfig(input_dim=64)
     params = init_params(cfg, Rng(0))
     ck = tmp_path / "model.bin"
     save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
     del params
-    bound = 4 * param_count(cfg) + 2 * 4 * 840 * max(cfg.hidden_widths) + 8 * 2**20
+    bound = 2 * 4 * 840 * max(cfg.hidden_widths) + 6 * 2**20
     code, peak = peak_heap(lambda: run(
         "score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
         "--out", str(tmp_path / "s.csv"), "--start-t", "0", *weights))
@@ -786,6 +811,7 @@ def _set_noise(raw, p_mean, p_std):
     (lambda raw: raw + bytes(4), _payload_message(955)),
     (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported checkpoint version 1"),
     (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], "unsupported checkpoint version 2"),
+    (lambda raw: raw[:4] + struct.pack("<H", 3) + raw[6:], "unsupported checkpoint version 3"),
     (lambda raw: _set_noise(raw, float("nan"), 1.2),
      "bad checkpoint header: need finite p_mean and p_std > 0, got (nan, 1.2)"),
     (lambda raw: _set_noise(raw, -1.2, 0.0),
@@ -799,8 +825,10 @@ def _set_noise(raw, p_mean, p_std):
     (lambda raw: raw[:6] + struct.pack("<I", _HUGE) + raw[10:], _payload_message(954, dim=_HUGE)),
     (lambda raw: raw[:11] + struct.pack("<I", _HUGE) + raw[15:],
      _payload_message(954, enc=(_HUGE,))),
-], ids=["one-value-short", "one-value-long", "version-1", "version-2", "p-mean-nan", "p-std-0",
-        "p-std-negative", "p-mean-huge", "huge-input-dim", "huge-width"])
+    # the 49-byte header's zero padding to byte 64, cut short
+    (lambda raw: raw[:60], "truncated checkpoint"),
+], ids=["one-value-short", "one-value-long", "version-1", "version-2", "version-3", "p-mean-nan",
+        "p-std-0", "p-std-negative", "p-mean-huge", "huge-input-dim", "huge-width", "padding-cut"])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
     f, m = make_data(tmp_path)
     ck = tmp_path / "model.bin"

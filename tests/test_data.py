@@ -1,9 +1,12 @@
 import json
+import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from vadiff import data
 from vadiff import (
     DataError,
     FeatureSet,
@@ -18,6 +21,8 @@ from vadiff import (
     synth_generate,
     validate_manifest,
 )
+
+from conftest import map_of
 
 
 def two_video_set(dim=4):
@@ -121,6 +126,89 @@ def test_round_trip_bit_identical(tmp_path):
     assert [r.video_id for r in back.manifest] == ["a", "b"]
     assert np.array_equal(back.manifest[0].labels, fs.manifest[0].labels)
     assert back.manifest[1].frame_count == 20
+
+
+def test_feature_file_layout_is_padded_header_then_float32_rows(tmp_path):
+    """Version 2: magic, <HIQ (version, dim, rows), zero padding to byte 64,
+    then the rows; the manifest stays at version 1."""
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    header = b"VADF" + struct.pack("<HIQ", 2, 4, 5)
+    assert fpath.read_bytes() == header + bytes(64 - 18) + fs.features.astype("<f4").tobytes()
+    assert json.loads(mpath.read_text())["version"] == 1
+
+
+def test_loaded_features_are_a_read_only_view_of_a_map(tmp_path):
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    features = load_features(fpath, mpath).features
+    map_of(features)
+    assert features.ctypes.data % 64 == 0 and features.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        features[0, 0] = 1.0
+
+
+def test_loaded_features_keep_their_values_when_the_path_is_rewritten(tmp_path):
+    """save_features replaces both files whole, so features loaded from the
+    old file, which view its map, do not change."""
+    fs = two_video_set()
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, fs)
+    loaded = load_features(fpath, mpath)
+    save_features(fpath, mpath, FeatureSet(np.zeros((1, 2), np.float32),
+                                           [VideoRecord("z", 16, 0, 1)]))
+    assert np.array_equal(loaded.features, fs.features)
+    assert load_features(fpath, mpath).features.shape == (1, 2)
+
+
+def test_failed_feature_save_leaves_the_old_files(tmp_path, disk_full_after):
+    """A save that fails part way through the payload leaves the old feature
+    file and manifest as they were and no temporary file behind."""
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    save_features(fpath, mpath, two_video_set())
+    before = fpath.read_bytes(), mpath.read_bytes()
+    disk_full_after(1)  # the header; then the rows fail
+    with pytest.raises(OSError, match="No space left"):
+        save_features(fpath, mpath, two_video_set(dim=6))
+    assert (fpath.read_bytes(), mpath.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.vadf"]
+
+
+def test_saved_files_get_the_mode_plain_open_gives(tmp_path):
+    """A new file gets 0o666 less the umask, and a rewritten one keeps its
+    mode, as open(path, "w") leaves them; not tempfile's 0o600."""
+    fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
+    umask = os.umask(0o022)
+    try:
+        save_features(fpath, mpath, two_video_set())
+        assert [p.stat().st_mode & 0o777 for p in (fpath, mpath)] == [0o644, 0o644]
+        fpath.chmod(0o640)
+        save_features(fpath, mpath, two_video_set())
+        assert [p.stat().st_mode & 0o777 for p in (fpath, mpath)] == [0o640, 0o644]
+    finally:
+        os.umask(umask)
+
+
+@pytest.fixture(scope="module")
+def mapped_64_mib(tmp_path_factory):
+    """A 64 MiB feature file of 262144 rows of dim 64, one video, and its manifest."""
+    rows = 2**18
+    fpath = tmp_path_factory.mktemp("big") / "x.vadf"
+    mpath = fpath.with_suffix(".json")
+    feats = np.random.default_rng(0).standard_normal((rows, 64), dtype=np.float32)
+    feats += np.linspace(-3, 3, 64, dtype=np.float32)
+    save_features(fpath, mpath, FeatureSet(feats, [VideoRecord("v", 16 * rows, 0, rows)]))
+    return fpath, mpath
+
+
+def test_load_features_peak_heap_is_per_row_not_per_value(mapped_64_mib, peak_heap):
+    """Loading 64 MiB of features peaks at about the finite check's one
+    float64 sum per row (2 MiB), not at the payload."""
+    fs, peak = peak_heap(lambda: load_features(*mapped_64_mib))
+    assert fs.features.nbytes == 64 * 2**20
+    assert peak < 16 * fs.features.shape[0] + 2**20, peak / 2**20
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -338,6 +426,45 @@ def test_sigma_data_permutation_invariant():
     a = estimate_sigma_data(fs1).sigma_data
     b = estimate_sigma_data(fs2).sigma_data
     assert abs(a - b) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2100, 64), (1000, 1000)])
+@pytest.mark.parametrize("center", [False, True], ids=["pooled", "centred"])
+def test_sigma_data_of_one_chunk_is_the_np_std_formula_bit_for_bit(shape, center):
+    feats = (np.random.default_rng(1).standard_normal(shape) * 2.5 + 0.7).astype(np.float32)
+    x = feats.astype(np.float64)
+    stats = estimate_sigma_data(FeatureSet(feats, []), center=center)
+    if center:
+        means = x.mean(axis=0)
+        assert np.array_equal(stats.center, means.astype(np.float32))
+        x = x - means
+    assert stats.sigma_data == float(np.std(x))
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 2**14])
+@pytest.mark.parametrize("center", [False, True], ids=["pooled", "centred"])
+def test_sigma_data_over_many_chunks_agrees_to_1e_12(monkeypatch, chunk, center):
+    """At most `chunk` elements per chunk (at least one 64-value row):
+    64, 15 and 256 rows of the 3000."""
+    feats = (np.random.default_rng(2).standard_normal((3000, 64)) * 2.5
+             + np.linspace(-4, 9, 64)).astype(np.float32)
+    want = estimate_sigma_data(FeatureSet(feats, []), center=center)
+    monkeypatch.setattr(data, "_STAT_CHUNK", chunk)
+    got = estimate_sigma_data(FeatureSet(feats, []), center=center)
+    assert abs(got.sigma_data - want.sigma_data) <= 1e-12 * want.sigma_data
+    if center:
+        assert np.allclose(got.center, want.center, rtol=1e-6, atol=0)
+
+
+def test_sigma_data_peak_heap_is_one_chunk_on_a_mapped_file(mapped_64_mib, peak_heap):
+    """On 64 MiB of mapped float32 features the heap holds one float64 chunk
+    of at most _STAT_CHUNK values (8 MiB) at a time, against 256 MiB for
+    a float64 copy of the matrix and np.std's temporary."""
+    fs = load_features(*mapped_64_mib)
+    for center in (False, True):
+        stats, peak = peak_heap(lambda: estimate_sigma_data(fs, center=center))
+        assert peak < 1.25 * 8 * data._STAT_CHUNK, (center, peak / 2**20)
+        assert 0.9 < stats.sigma_data < 3.5
 
 
 def test_sigma_data_rejects_degenerate():

@@ -23,7 +23,7 @@ from vadiff import (
 from vadiff import network
 from vadiff.network import _tensor_shapes
 
-from conftest import reference_forward
+from conftest import map_of, reference_forward
 
 
 def tiny_config(dim=6):
@@ -472,25 +472,68 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert p2.config == params.config
 
 
-def _owner(a):
-    while a.base is not None:
-        a = a.base
-    return a
+def test_checkpoint_records_hold_no_heap_memory(tmp_path, held_heap):
+    """Every raw tensor, EMA tensor and the center is a read-only, aligned
+    view of one map of the file, the payload starting on a 64-byte
+    boundary; what load_checkpoint returns holds no weight set on the
+    heap (9.3 MiB each at the default network)."""
+    cfg = NetworkConfig(input_dim=64)
+    params = init_params(cfg, Rng(0))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.zeros(64)),
+                    TrainNoiseConfig())
+    del params
+    (raw, ema, pre, _), held = held_heap(lambda: load_checkpoint(path))
+    assert held < 64 * 2**10, held
+    the_map = map_of(pre.center)
+    assert all(map_of(t) is the_map for t in raw.tensors() + ema.tensors())
+    assert map_of(raw.flat) is map_of(ema.flat) is the_map
+    assert pre.center.ctypes.data % 64 == 0
 
 
-def test_checkpoint_weight_sets_share_no_memory(tmp_path):
-    """Dropping one loaded weight set frees it: no raw tensor, EMA tensor or
-    center is a view into an array another of the three records keeps."""
+def test_load_checkpoint_peak_heap_does_not_grow_with_the_payload(tmp_path, peak_heap):
+    """Loading a 6.7 kB and an 18.6 MB checkpoint of the same tensor count
+    peaks at the same few kB of heap: the record objects, not the payload."""
+    peaks = []
+    for cfg in (NetworkConfig(8, (16, 8, 4), (4, 8, 16), 8), NetworkConfig(64)):
+        params = init_params(cfg, Rng(0))
+        path = tmp_path / f"model{cfg.input_dim}.bin"
+        save_checkpoint(path, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
+        del params
+        load_checkpoint(path)  # first-call imports and caches out of the measurement
+        peaks.append(peak_heap(lambda: load_checkpoint(path))[1])
+    assert peaks[1] < peaks[0] + 2**10 and peaks[1] < 64 * 2**10, peaks
+
+
+def test_loaded_checkpoint_keeps_its_values_when_the_path_is_rewritten(tmp_path):
+    """save_checkpoint replaces the file whole, so weights loaded from the
+    old file, which view its map, do not change."""
     params = tiny_params(dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.zeros(6)),
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.ones(6)),
                     TrainNoiseConfig())
     raw, ema, pre, _ = load_checkpoint(path)
-    owners = [[_owner(t) for t in raw.tensors()], [_owner(t) for t in ema.tensors()],
-              [_owner(pre.center)]]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for a in owners[i]:
-            assert not any(np.shares_memory(a, b) for b in owners[j]), (i, j)
+    other = tiny_params(seed=9, dtype=np.float32)
+    save_checkpoint(path, other, other.copy(), Preconditioner(2.0, np.zeros(6)),
+                    TrainNoiseConfig())
+    assert np.array_equal(raw.flat, params.flat) and np.array_equal(ema.flat, params.flat)
+    assert np.array_equal(pre.center, np.ones(6))
+    assert np.array_equal(load_checkpoint(path)[0].flat, other.flat)
+
+
+def test_failed_checkpoint_save_leaves_the_old_file(tmp_path, disk_full_after):
+    """A save that fails part way through the payload leaves the old file's
+    bytes as they were and no temporary file behind."""
+    params = tiny_params(dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
+    before = path.read_bytes()
+    disk_full_after(2)  # the header and the raw weights; then the EMA weights fail
+    other = tiny_params(seed=9, dtype=np.float32)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, other, other.copy(), Preconditioner(1.0), TrainNoiseConfig())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_checkpoint_without_center(tmp_path):
@@ -561,14 +604,16 @@ def test_weight_tensors_are_views_into_one_flat_vector():
 
 
 def test_checkpoint_layout_is_header_then_flat_float32_payload(tmp_path):
+    """Version 4: the 57-byte header, zero padding to byte 64, then the payload."""
     params = tiny_params(dtype=np.float32)
     ema = tiny_params(seed=77, dtype=np.float32)
     center = np.arange(6, dtype=np.float32)
     path = tmp_path / "model.bin"
     save_checkpoint(path, params, ema, Preconditioner(1.25, center), TrainNoiseConfig(0.5, 0.8))
-    header = (b"VADW" + struct.pack("<HI", 3, 6) + struct.pack("<B2I", 2, 8, 4)
+    header = (b"VADW" + struct.pack("<HI", 4, 6) + struct.pack("<B2I", 2, 8, 4)
               + struct.pack("<B2I", 2, 4, 8) + struct.pack("<IdBdd", 8, 1.25, 1, 0.5, 0.8))
+    assert len(header) == 57
     payload = np.concatenate([center] + [t.ravel() for t in params.tensors() + ema.tensors()])
-    assert path.read_bytes() == header + payload.astype("<f4").tobytes()
+    assert path.read_bytes() == header + bytes(7) + payload.astype("<f4").tobytes()
     assert len(payload) == 6 + 2 * param_count(params.config)
 

@@ -417,16 +417,16 @@ def test_read_scores_csv_shares_one_id_per_video(tmp_path):
 
 
 def test_read_scores_csv_peak_heap_per_row(tmp_path, peak_heap):
-    """The file is held once, as bytes, before the parse, and a row then
-    costs its three fields: the peak is 41 bytes of heap per 41-byte row,
-    where a decoded copy of the text beside its bytes, then one str per
-    row, took 84."""
+    """The file is mapped, never copied, and a row costs its three fields
+    and the parse: the peak is 27.5 bytes of heap per 41-byte row, where
+    the file's bytes took 41 and a decoded copy of the text beside its
+    bytes, then one str per row, 84."""
     path = tmp_path / "scores.csv"
     many_rows_csv(path, 400, 100)
     rows, peak = peak_heap(lambda: read_scores_csv(path))
     n = rows[0].size
     assert n == 40_000
-    assert peak < 60 * n, peak / n
+    assert peak < 35 * n, peak / n
 
 
 def test_header_only_scores_csv_is_not_parsed(tmp_path, monkeypatch):
@@ -451,11 +451,34 @@ def test_header_only_scores_csv_is_not_parsed(tmp_path, monkeypatch):
                          ids=["blank", "five-columns", "seven-columns"])
 def test_scores_csv_malformed_row_names_the_line(tmp_path, line):
     path = tmp_path / "scores.csv"
-    path.write_text(
-        "video_id,segment_index,mse,flagged,batch_id,l_th\n"
-        "a,0,0.5,0,0,1.0\n"
-        f"{line}\n"
-        "a,1,0.6,0,0,1.0\n"
-    )
-    with pytest.raises(DataError, match="line 3: expected 6 fields"):
-        read_scores_csv(path)
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(["video_id,segment_index,mse,flagged,batch_id,l_th",
+                                   "a,0,0.5,0,0,1.0", line, "a,1,0.6,0,0,1.0", ""]).encode())
+        with pytest.raises(DataError, match="line 3: expected 6 fields"):
+            read_scores_csv(path)
+
+
+@pytest.mark.parametrize("scan", [1, 2, 3, 2**18])
+def test_line_count_counts_each_line_end_once(monkeypatch, scan):
+    """Each "\r\n", "\n" or lone "\r" ends one line, a "\r\n" split across
+    two blocks included, and a last line without a line end counts."""
+    monkeypatch.setattr(scoring, "_SCAN", scan)
+    for text in [b"a", b"a\r\nb\r\n", b"a\rb\r", b"a\nb", b"a\r\rb\r", b"\r\n\r\n", b"\n\r",
+                 b"a\r\n\nb\r\r\n", b"ab\r\ncd\re\n\nf"]:
+        assert scoring._line_count(text, 0) == len(text.splitlines()), text
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("last", ["", "end"], ids=["no-last-end", "last-end"])
+def test_well_formed_scores_csv_is_not_rescanned(tmp_path, monkeypatch, end, last):
+    """A file whose every line is a row gives as many rows as lines, so the
+    row-by-row rescan never runs, whatever its line ends."""
+    def no_rescan(path):
+        raise AssertionError("rescanned")
+
+    monkeypatch.setattr(scoring, "_raise_first_fault", no_rescan)
+    path = tmp_path / "scores.csv"
+    path.write_bytes(end.join(["video_id,segment_index,mse,flagged,batch_id,l_th",
+                               "a,0,0.5,0,0,1.0", "a,1,0.6,0,0,1.0"]).encode()
+                     + (end.encode() if last else b""))
+    assert read_scores_csv(path)[1].tolist() == [0, 1]
