@@ -69,9 +69,7 @@ from .training import (
     EpochLog,
     OptimizerState,
     TrainConfig,
-    adam_step,
     dsm_loss,
-    ema_update,
     fit,
     inverse_lr,
     loss_weight,

@@ -31,7 +31,7 @@ from .data import (
 from .evaluation import evaluate, join_scores, write_frames_csv, write_report_json
 from .network import CheckpointError, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .rng import Rng
-from .sampling import ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
+from .sampling import MAX_STEPS, ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
 from .scoring import ScoringConfig, read_scores_csv, score_dataset, write_scores_csv
 from .training import TrainConfig, fit
 
@@ -161,6 +161,19 @@ def _build_schedule(args, noise):
     ))
 
 
+def _start_indices(args, given):
+    """The start indices `given`, each once in the order given, checked
+    against --steps.  --steps is bounded first, so that no value of it
+    lists a grid or makes a schedule."""
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"--steps must be <= {MAX_STEPS}, got {args.steps}")
+    ts = list(dict.fromkeys(given))
+    if not ts or any(not 0 <= t < args.steps for t in ts):
+        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
+                         f"got {ts}")
+    return ts
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser with every command's subparser and the flags of `command` only."""
     parser = argparse.ArgumentParser(
@@ -191,7 +204,10 @@ def cmd_synth(args) -> int:
     if not 0.0 <= args.anomaly_fraction < 1.0:
         raise ValueError(f"--anomaly-fraction must lie in [0, 1), got {args.anomaly_fraction}")
     cfg = _config(SynthConfig, args, n_anomalous=round(args.anomaly_fraction * args.n_normal))
-    fs = synth_generate(cfg)
+    try:
+        fs = synth_generate(cfg)
+    except (MemoryError, ValueError) as e:  # numpy refused an array too big to hold or address
+        raise ValueError(f"--n-normal {args.n_normal} at --dim {args.dim}: {e}") from None
     save_features(args.features, args.manifest, fs)
     print(
         f"wrote {fs.features.shape[0]} segments of dim {fs.features.shape[1]} "
@@ -238,10 +254,7 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     # the scoring config is checked before any input is read; the schedule, whose
     # default bounds come from the checkpoint's training noise, before the features
-    start_t = args.steps - 1 if args.start_t is None else args.start_t
-    if not 0 <= start_t < args.steps:
-        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
-                         f"got {start_t}")
+    (start_t,) = _start_indices(args, [args.steps - 1 if args.start_t is None else args.start_t])
     cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
@@ -277,11 +290,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     # each grid value once, in the order first given
-    t_list = list(dict.fromkeys(range(args.steps) if args.start_t is None else args.start_t))
+    t_list = _start_indices(args, range(args.steps) if args.start_t is None else args.start_t)
     p_means, p_stds, ks = (list(dict.fromkeys(v)) for v in (args.p_mean, args.p_std, args.k))
-    if not t_list or any(not 0 <= t < args.steps for t in t_list):
-        raise ValueError(f"--start-t values must lie in [0, {args.steps - 1}] "
-                         f"at --steps {args.steps}, got {t_list}")
 
     # every noise pair, its schedule, the fit config and one scoring config per
     # (t, k) cell are checked before any input is read

@@ -243,10 +243,35 @@ def film(h, gamma, beta, out=None):
     return out
 
 
+def _affine(x, w, b, out=None):
+    """x @ w + b, into `out` if given; the bias is added in place."""
+    y = np.matmul(x, w, out=out)
+    y += b
+    return y
+
+
+def _silu(a, s, u):
+    """(sigmoid(a), silu(a) = a * sigmoid(a)), formed in s and in u."""
+    s = _sigmoid(a, out=s)
+    return s, np.multiply(a, s, out=u)
+
+
+def _hidden_layer(lay: Layer, h, emb, a, s, u, scale=None, shift=None):
+    """One hidden layer, gamma * silu(h @ w + b) + beta with emb's FiLM scale
+    gamma and shift beta, formed in the caller's buffers of its output
+    shape: the pre-activation in a, the sigmoid in s, the SiLU and then the
+    returned output in u (which may be a), gamma and beta in scale (which
+    may be s) and shift, or, where None, in new arrays shaped by emb."""
+    a = _affine(h, lay.w, lay.b, out=a)
+    _, u = _silu(a, s, u)
+    gamma = _affine(emb, lay.gamma_w, lay.gamma_b, out=scale)
+    beta = _affine(emb, lay.beta_w, lay.beta_b, out=shift)
+    return film(u, gamma, beta, out=u)
+
+
 def forward_raw(params, x_scaled, c_noise, *, work=None):
     """Raw network pass F(x_scaled; c_noise) for inference: encoder,
-    decoder, output head.  (The training step runs its own forward, in
-    dsm_loss, beside the backward that reads it.)
+    decoder, output head.
 
     Each hidden layer runs in place in two buffers of rows x widest layer
     that take turns, in np.result_type(x_scaled, weights): the affine
@@ -261,19 +286,9 @@ def forward_raw(params, x_scaled, c_noise, *, work=None):
     work = _reserve([] if work is None else work, [size, size], np.result_type(h, params.dtype))
     for i, lay in enumerate(params.layers):
         shape = h.shape[:-1] + lay.b.shape
-        # in-place bias adds: no second batch-sized buffer per affine
-        a = np.matmul(h, lay.w, out=_view(work[i % 2], 0, shape))
-        a += lay.b
-        s = _sigmoid(a, out=_view(work[1 - i % 2], 0, shape))
-        u = np.multiply(a, s, out=a)
-        gamma = emb @ lay.gamma_w
-        gamma += lay.gamma_b
-        beta = emb @ lay.beta_w
-        beta += lay.beta_b
-        h = film(u, gamma, beta, out=u)
-    f = h @ params.out_w
-    f += params.out_b
-    return f
+        a = _view(work[i % 2], 0, shape)
+        h = _hidden_layer(lay, h, emb, a, _view(work[1 - i % 2], 0, shape), a)
+    return _affine(h, params.out_w, params.out_b)
 
 
 def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,

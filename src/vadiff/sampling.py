@@ -43,6 +43,12 @@ def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
         )
 
 
+# The longest schedule, ten times DDPM's 1000-step chain.  Checked before
+# any allocation: the grid holds steps + 1 values, and sweep by default
+# scores one cell per index.
+MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     sigma_min: float = 0.02
@@ -61,6 +67,8 @@ class ScheduleConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
 
 
 def karras_schedule(cfg: ScheduleConfig) -> np.ndarray:

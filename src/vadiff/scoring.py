@@ -99,10 +99,11 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     batch_ids = np.empty(n, dtype=np.int64)
     l_th = np.empty(n, dtype=np.float64)
     batch_stats = []
+    denoiser = as_denoiser(params, p)  # its activation buffers serve every batch
     for b, idx in enumerate(batches):
         batch = x[idx] if p.center is None else x[idx] - p.center
         eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
-        recon = lms_sample(as_denoiser(params, p), batch.astype(np.float64) + eps * sigmas[t],
+        recon = lms_sample(denoiser, batch.astype(np.float64) + eps * sigmas[t],
                            sigmas, start_index=t)
         losses = mse_per_instance(batch, recon)
         if not np.isfinite(losses).all():

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_batches
-from .network import (DenoiserParams, Preconditioner, _flat_views, _reserve, _sigmoid, _view,
-                      film, fourier_embed, scalings)
+from .network import (DenoiserParams, Preconditioner, _affine, _flat_views, _hidden_layer,
+                      _reserve, _silu, _view, fourier_embed, scalings)
 from .rng import Rng
 from .sampling import TrainNoiseConfig, noise_bounds  # noise_bounds: kept importable from here
 
@@ -70,10 +70,10 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     Returns (loss, grads): the loss reduced in float64, and gradients in
     params.dtype, aligned with params.trainable().  The corruption eps is
     drawn from rng inside, one standard-normal row per instance.  The
-    step runs the network's forward with forward_raw's ops, in their
-    order, keeping two arrays per hidden layer (its input and its
-    pre-activation); the closed-form backward recomputes sigmoid, SiLU and
-    the FiLM scale from them with the same ops, so gives the same bits.
+    step's forward runs each hidden layer through forward_raw's function,
+    keeping two arrays per layer (its input and its pre-activation); the
+    closed-form backward recomputes sigmoid, SiLU and the FiLM scale from
+    them through the same functions, so gives the same bits.
 
     The backward hands each trainable tensor's gradient, as it forms it,
     to sink(k, a, b), k the tensor's index in params.trainable(): the
@@ -134,19 +134,12 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     cache, at = [], 0  # (input, pre-activation) per layer; how much of acts is taken
     for lay in params.layers:
         shape = (n,) + lay.b.shape
-        a = np.matmul(h, lay.w, out=_view(acts, at, shape))
-        a += lay.b
-        s = _sigmoid(a, out=_view(scratch[0], 0, shape))
-        u = np.multiply(a, s, out=_view(acts, at + a.size, shape))
-        at += 2 * a.size
-        gamma = np.matmul(emb, lay.gamma_w, out=_view(scratch[0], 0, shape))  # s is dead
-        gamma += lay.gamma_b
-        beta = np.matmul(emb, lay.beta_w, out=_view(scratch[1], 0, shape))
-        beta += lay.beta_b
+        a = _view(acts, at, shape)
+        s, shift = (_view(buf, 0, shape) for buf in scratch)
         cache.append((h, a))
-        h = film(u, gamma, beta, out=u)
-    denoised = h @ params.out_w
-    denoised += params.out_b
+        h = _hidden_layer(lay, h, emb, a, s, _view(acts, at + a.size, shape), s, shift)
+        at += 2 * a.size
+    denoised = _affine(h, params.out_w, params.out_b)
     denoised *= c_out[:, None].astype(dt)
     denoised += skip
     del skip
@@ -168,16 +161,13 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
         lay, k = params.layers[i], 6 * i
         # out = gamma * silu(a) + beta; g is dL/d(out).  s and u = silu(a)
         # as the forward formed them; a is dead once they are
-        s = _sigmoid(a, out=_view(scratch[0], 0, a.shape))
-        u = np.multiply(a, s, out=_view(scratch[1], 0, a.shape))
+        s, u = _silu(a, *(_view(buf, 0, a.shape) for buf in scratch))
         g_gamma = np.multiply(g, u, out=a)
         sink(k + 2, emb, g_gamma)
         sink(k + 3, None, g_gamma)
         sink(k + 4, emb, g)
         sink(k + 5, None, g)
-        gamma = np.matmul(emb, lay.gamma_w, out=a)
-        gamma += lay.gamma_b
-        g *= gamma
+        g *= _affine(emb, lay.gamma_w, lay.gamma_b, out=a)
         # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
         u *= np.subtract(1.0, s, out=a)
         u += s
@@ -196,9 +186,9 @@ _EPS = 1e-8
 # inverse time decay of the learning rate
 _INV_GAMMA = 20000.0
 _POWER = 1.0
-# elements per pass of the flat Adam and EMA updates, and at most per
-# gradient block fit folds into the moments: a chunk and its two
-# temporaries stay in a core's L2 through every pass over it
+# elements per piece of the flat Adam+EMA update, and at most per
+# gradient block fit folds into the moments: a piece and its two
+# temporaries stay in a core's L2 through every op on it
 _CHUNK = 1 << 16
 
 
@@ -227,15 +217,6 @@ def inverse_lr(state: OptimizerState) -> float:
     return state.cfg.base_lr / (1.0 + state.step / _INV_GAMMA) ** _POWER
 
 
-def _in_chunks(update, vectors):
-    """update(*pieces, t, u) over _CHUNK-element pieces of equal-length flat
-    vectors, t and u two scratch pieces of the first vector's dtype."""
-    t, u = np.empty(_CHUNK, vectors[0].dtype), np.empty(_CHUNK, vectors[0].dtype)
-    for lo in range(0, vectors[0].size, _CHUNK):
-        pieces = [vec[lo : lo + _CHUNK] for vec in vectors]
-        update(*pieces, t[: pieces[0].size], u[: pieces[0].size])
-
-
 def _fold(g, m, v, t):
     """Fold g, a piece of the gradient, into the same pieces of Adam's
     moments m and v, in place; t is scratch of g's size."""
@@ -246,44 +227,6 @@ def _fold(g, m, v, t):
     np.multiply(g, g, out=t)
     t *= 1.0 - _BETA2
     v += t
-
-
-def _descend(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
-    """Adam's parameter step, in place, from moments that already hold this
-    step's gradient, with decoupled weight decay (lr * wd * p); counts
-    the step."""
-    lr = inverse_lr(state)
-    state.step += 1
-    bc1 = 1.0 - _BETA1**state.step
-    bc2 = 1.0 - _BETA2**state.step
-    wd = state.cfg.weight_decay
-
-    def update(p_, m, v, t, u):
-        np.multiply(m, lr / bc1, out=t)  # / (sqrt(v / bc2) + eps), formed in u
-        np.sqrt(np.divide(v, bc2, out=u), out=u)
-        u += _EPS
-        t /= u
-        p_ -= t
-        if wd:
-            p_ -= np.multiply(p_, lr * wd, out=t)
-
-    _in_chunks(update, (params.trainable_flat, state.m, state.v))
-    return params
-
-
-def adam_step(state: OptimizerState, params: DenoiserParams, grad: np.ndarray) -> DenoiserParams:
-    """One in-place Adam update with decoupled weight decay (lr * wd * p).
-
-    `grad` is one flat vector in the layout of params.trainable_flat, the
-    gradient vector dsm_loss writes.  fit makes the same update without
-    such a vector: its backward folds each gradient block into m and v as
-    it forms it (_moment_sink), then fit takes the parameter step.
-    """
-    if not state.m.shape == np.shape(grad) == params.trainable_flat.shape:
-        raise ValueError(f"parameters, gradient and optimizer state have sizes "
-                         f"{params.trainable_flat.size}, {np.size(grad)} and {state.m.size}")
-    _in_chunks(lambda g, m, v, t, _: _fold(g, m, v, t), (grad, state.m, state.v))
-    return _descend(state, params)
 
 
 def _moment_sink(state: OptimizerState, cfg):
@@ -310,16 +253,31 @@ def _moment_sink(state: OptimizerState, cfg):
     return fold
 
 
-def ema_update(state: OptimizerState, params: DenoiserParams) -> DenoiserParams:
-    """ema <- decay * ema + (1 - decay) * params, trainable tensors only."""
-    d = state.cfg.ema_decay
-
-    def update(e, p_, t, _):
+def _step(state: OptimizerState, params: DenoiserParams) -> None:
+    """One Adam+EMA update, in place, from moments that already hold this
+    step's gradient: Adam's parameter step with decoupled weight decay (lr
+    * wd * p), then ema <- decay * ema + (1 - decay) * params on the
+    updated weights.  One pass over _CHUNK-element pieces of the weights,
+    m, v and the EMA, with two scratch pieces; counts the step."""
+    lr = inverse_lr(state)
+    state.step += 1
+    bc1 = 1.0 - _BETA1**state.step
+    bc2 = 1.0 - _BETA2**state.step
+    wd, d = state.cfg.weight_decay, state.cfg.ema_decay
+    vectors = (params.trainable_flat, state.m, state.v, state.ema.trainable_flat)
+    scratch = np.empty((2, _CHUNK), params.dtype)
+    for lo in range(0, vectors[0].size, _CHUNK):
+        p_, m, v, e = (vec[lo : lo + _CHUNK] for vec in vectors)
+        t, u = scratch[:, : p_.size]
+        np.multiply(m, lr / bc1, out=t)  # / (sqrt(v / bc2) + eps), formed in u
+        np.sqrt(np.divide(v, bc2, out=u), out=u)
+        u += _EPS
+        t /= u
+        p_ -= t
+        if wd:
+            p_ -= np.multiply(p_, lr * wd, out=t)
         e *= d
         e += np.multiply(p_, 1.0 - d, out=t)
-
-    _in_chunks(update, (state.ema.trainable_flat, params.trainable_flat))
-    return state.ema
 
 
 @dataclass
@@ -350,9 +308,10 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     fit holds four weight sets (the raw weights, the EMA, and Adam's m
     and v, all flat) and no gradient vector: the backward hands each
     gradient to _moment_sink, which folds it block by block into m and v,
-    and then the parameter step and ema_update run over the flat vectors.
-    The step's workspace is laid out on the first step and reused by
-    every later one.
+    and then one pass over the four flat vectors (_step) takes Adam's
+    parameter step and moves the EMA toward the updated weights.  The
+    step's workspace is laid out on the first step and reused by every
+    later one.
     """
     x = np.asarray(getattr(dataset, "features", dataset))
     if x.ndim != 2 or x.shape[0] < 1:
@@ -375,8 +334,7 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
                 raise FloatingPointError(
                     f"non-finite loss {loss} at epoch {epoch}, step {state.step}"
                 )
-            _descend(state, params)
-            ema_update(state, params)
+            _step(state, params)
             losses.append(loss)
         entry = EpochLog(epoch, state.step, lr_epoch, float(np.mean(losses)))
         history.append(entry)

@@ -19,6 +19,7 @@ from vadiff import (
     NetworkConfig,
     Preconditioner,
     Rng,
+    ScheduleConfig,
     SynthConfig,
     TrainNoiseConfig,
     init_params,
@@ -34,6 +35,7 @@ from vadiff import (
 )
 from vadiff import data, evaluation
 from vadiff.cli import build_parser, main
+from vadiff.sampling import MAX_STEPS
 
 
 def run(*argv):
@@ -1039,6 +1041,48 @@ def test_sweep_zero_steps_names_the_steps(tmp_path, capsys):
     assert code == 1
     assert "--steps 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+@pytest.mark.parametrize("steps", [2**40, 2**62, MAX_STEPS + 1], ids=["2**40", "2**62", "max+1"])
+def test_huge_steps_names_the_flag_before_any_allocation(tmp_path, capsys, peak_heap,
+                                                         command, steps):
+    """--steps is bounded before a schedule, a start-index grid or an input
+    exists: sweep's default grid, one cell per index, is never listed.  The
+    inputs are absent, so reading one would exit 2."""
+    capsys.readouterr()
+    paths = {"--features": "absent.vadf", "--manifest": "absent.json", "--out": "out.csv"}
+    if command == "score":
+        paths["--checkpoint"] = "absent.ckpt"
+    argv = [a for flag, name in paths.items() for a in (flag, str(tmp_path / name))]
+    code, peak = peak_heap(lambda: run(command, *argv, "--steps", str(steps)))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"--steps must be <= {MAX_STEPS}, got {steps}" in err
+    assert "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_schedule_config_bounds_steps():
+    ScheduleConfig(steps=MAX_STEPS)
+    with pytest.raises(ValueError, match=f"steps must be <= {MAX_STEPS}"):
+        ScheduleConfig(steps=MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("n_normal", [2**40, 2**62], ids=["refused", "unaddressable"])
+def test_synth_huge_n_normal_names_the_flag(tmp_path, capsys, n_normal):
+    """At --dim 64, 2**40 rows are 512 TiB of float64, which the allocator
+    refuses at once, and 2**62 rows are past what numpy can address: both
+    exit 1 naming the flags, and no file is written."""
+    capsys.readouterr()
+    f, m = tmp_path / "f.vadf", tmp_path / "m.json"
+    code = run("synth", "--features", str(f), "--manifest", str(m),
+               "--n-normal", str(n_normal), "--dim", "64")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"--n-normal {n_normal} at --dim 64: " in err
+    assert "Traceback" not in err
+    assert not f.exists() and not m.exists()
 
 
 def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys):

@@ -13,6 +13,7 @@ from vadiff import (
     ScheduleConfig,
     ScoringConfig,
     VideoRecord,
+    as_denoiser,
     batch_threshold,
     denoise,
     init_params,
@@ -267,6 +268,38 @@ def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
         recon = lms_sample(lambda v, s: denoise(params, p, v, s),
                            x.astype(np.float64) + eps * sig[0], sig, start_index=0)
         assert np.array_equal(scores.mse[lo : lo + 8], mse_per_instance(x, recon))
+
+
+def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
+    """score_dataset makes one denoiser, whose buffers serve all three
+    batches (the last, with the one-row tail joined, the largest), and
+    writes the score CSV a fresh buffer set per evaluation writes."""
+    cfg_net = NetworkConfig(input_dim=4, encoder_widths=(16, 8), decoder_widths=(8, 16),
+                            embed_dim=8)
+    params = init_params(cfg_net, Rng(31), dtype=np.float32)
+    params.out_w[...] = Rng(32).standard_normal(params.out_w.shape) * 0.1
+    feats = Rng(33).standard_normal((25, 4)).astype(np.float32)
+    fs = FeatureSet(feats, [VideoRecord("a", 10 * 16, 0, 10), VideoRecord("b", 15 * 16, 10, 15)])
+    cfg = ScoringConfig(start_index=0, batch_size=8)  # batches of 8, 8 and 8 + 1 rows
+    built = []
+
+    def counted(params, p):
+        built.append(1)
+        return as_denoiser(params, p)
+
+    def score_csv(name):
+        path = tmp_path / name
+        scores = score_dataset(params, Preconditioner(1.0), short_schedule(), cfg, fs, Rng(34))
+        write_scores_csv(path, fs, scores)
+        assert len(scores.batch_stats) == 3
+        return path.read_bytes()
+
+    monkeypatch.setattr(scoring, "as_denoiser", counted)
+    once = score_csv("once.csv")
+    assert len(built) == 1
+    monkeypatch.setattr(scoring, "as_denoiser",
+                        lambda params, p: lambda x, s: denoise(params, p, x, s))
+    assert once == score_csv("fresh.csv")
 
 
 def test_dataset_determinism():

@@ -13,10 +13,8 @@ from vadiff import (
     TrainConfig,
     TrainNoiseConfig,
     VideoRecord,
-    adam_step,
     denoise,
     dsm_loss,
-    ema_update,
     fit,
     init_params,
     inverse_lr,
@@ -345,12 +343,19 @@ def test_inverse_lr_examples():
     assert abs(inverse_lr(state) - 5e-5) <= 1e-19
 
 
+def adam_ema_step(state, params, grad):
+    """One training update from a whole flat gradient vector: fold it into
+    Adam's moments, then the fused Adam+EMA step over the flat vectors."""
+    training._fold(grad, state.m, state.v, np.empty_like(grad))
+    training._step(state, params)
+
+
 def test_adam_zero_gradients_leave_weights_near_still():
     params = tiny_params()
     cfg = TrainConfig(weight_decay=0.0)
     state = OptimizerState.init(params, cfg)
     before = params.trainable_flat.copy()
-    adam_step(state, params, np.zeros_like(before))
+    adam_ema_step(state, params, np.zeros_like(before))
     assert np.array_equal(before, params.trainable_flat)
     assert state.step == 1
 
@@ -361,7 +366,7 @@ def test_adam_first_step_size_is_lr_in_gradient_direction():
     state = OptimizerState.init(params, cfg)
     before = params.trainable_flat.copy()
     g = Rng(80).standard_normal(before.shape)
-    adam_step(state, params, g)
+    adam_ema_step(state, params, g)
     step = params.trainable_flat - before
     # first Adam step is -lr * g/(|g| + eps') elementwise, magnitude ~= lr
     assert np.abs(np.abs(step) - 1e-3).max() <= 1e-5
@@ -374,7 +379,7 @@ def test_adam_decoupled_weight_decay_shrinks_weights():
     state = OptimizerState.init(params, cfg)
     w = params.layers[0].w
     w[:] = 1.0
-    adam_step(state, params, np.zeros_like(params.trainable_flat))
+    adam_ema_step(state, params, np.zeros_like(params.trainable_flat))
     assert np.abs(w - (1.0 - 1e-2 * 0.1)).max() <= 1e-12
 
 
@@ -383,7 +388,8 @@ def test_adam_determinism():
         params = tiny_params()
         state = OptimizerState.init(params, TrainConfig())
         for s in range(3):
-            adam_step(state, params, Rng(90 + s).standard_normal(params.trainable_flat.shape))
+            adam_ema_step(state, params,
+                          Rng(90 + s).standard_normal(params.trainable_flat.shape))
         return params
 
     a, b = run(), run()
@@ -391,37 +397,72 @@ def test_adam_determinism():
         assert np.array_equal(ta, tb)
 
 
-def test_adam_shape_mismatch_rejected():
-    params = tiny_params()
-    state = OptimizerState.init(params, TrainConfig())
-    for size in (params.trainable_flat.size - 1, params.trainable_flat.size + 1):
-        with pytest.raises(ValueError, match="sizes"):
-            adam_step(state, params, np.zeros(size))
-    assert state.step == 0
-
-
 def test_ema_geometric_decay_oracle():
+    # zero gradients and no weight decay hold the weights still (see above),
+    # so the EMA moves toward a frozen target
     params = tiny_params()
-    cfg = TrainConfig(ema_decay=0.9)
+    cfg = TrainConfig(ema_decay=0.9, weight_decay=0.0)
     state = OptimizerState.init(params, cfg)
     w = params.layers[0].w
     e = state.ema.layers[0].w
     start = e.copy()
     w[:] = 5.0
     for _ in range(3):
-        ema_update(state, params)
+        adam_ema_step(state, params, np.zeros_like(params.trainable_flat))
     # after n updates against a frozen target: d^n * start + (1 - d^n) * target
     want = 0.9**3 * start + (1 - 0.9**3) * 5.0
     assert np.abs(e - want).max() <= 1e-12
 
 
 def test_ema_untouched_by_adam_and_vice_versa():
+    """Folding a gradient into Adam's moments leaves the EMA as it was, and
+    the step's new weights and moments do not depend on the EMA's value."""
     params = tiny_params()
     state = OptimizerState.init(params, TrainConfig())
     snap = [t.copy() for t in state.ema.tensors()]
-    adam_step(state, params, Rng(7).standard_normal(params.trainable_flat.shape))
+    g = Rng(7).standard_normal(params.trainable_flat.shape)
+    training._fold(g, state.m, state.v, np.empty_like(g))
     for s, t in zip(snap, state.ema.tensors()):
         assert np.array_equal(s, t)
+
+    after = []
+    for ema_start in (0.0, 1e3):
+        p_, st = params.copy(), OptimizerState(state.m.copy(), state.v.copy(),
+                                              state.ema.copy(), state.cfg)
+        st.ema.trainable_flat[...] = ema_start
+        training._step(st, p_)
+        after.append((p_.flat, st.m, st.v))
+    for a, b in zip(*after):
+        assert np.array_equal(a, b)
+
+
+def test_fused_step_ema_reads_the_post_step_weights():
+    """One chunked pass gives, bit for bit, the two passes it replaces:
+    Adam's parameter step over the whole flat vectors, then the EMA of the
+    weights that step left."""
+    params = tiny_params(dtype=np.float32)
+    cfg = TrainConfig(base_lr=1e-2, weight_decay=0.1, ema_decay=0.9)
+    state = OptimizerState.init(params, cfg)
+    state.ema.trainable_flat[...] = Rng(8).standard_normal(state.m.shape)
+    for s in range(2):  # step 2 has a smaller rate and a moving EMA
+        g = Rng(9 + s).standard_normal(state.m.shape).astype(np.float32)
+        training._fold(g, state.m, state.v, np.empty_like(g))
+        lr, step = inverse_lr(state), state.step + 1
+        p_, e = params.trainable_flat.copy(), state.ema.trainable_flat.copy()
+        stale = e * cfg.ema_decay + (1.0 - cfg.ema_decay) * p_  # the EMA of the old weights
+        # pass 1, Adam
+        bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+        p_ -= (lr / bc1) * state.m / (np.sqrt(state.v / bc2) + 1e-8)
+        p_ -= (lr * cfg.weight_decay) * p_
+        # pass 2, the EMA of the updated weights
+        e *= cfg.ema_decay
+        e += (1.0 - cfg.ema_decay) * p_
+
+        training._step(state, params)
+        assert state.step == step
+        assert np.array_equal(params.trainable_flat, p_)
+        assert np.array_equal(state.ema.trainable_flat, e)
+        assert not np.array_equal(state.ema.trainable_flat, stale)
 
 
 # --- the fit loop ----------------------------------------------------------------
