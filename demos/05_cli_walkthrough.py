@@ -4,7 +4,7 @@ The five subcommands mirror the library pipeline:
 
     synth -> train -> score -> eval        (sweep grids over the last two)
 
-Each stage reads and writes plain files: a binary feature file, a JSON
+Each stage reads and writes plain files: a NumPy .npy feature file, a JSON
 manifest, a binary checkpoint, CSVs, and a JSON report, so any stage can
 be swapped for your own tooling.
 """
@@ -24,7 +24,7 @@ def cli(*args):
     return out.stdout
 
 work = Path(tempfile.mkdtemp(prefix="vadiff-demo-"))
-feats, manifest = work / "features.vadf", work / "manifest.json"
+feats, manifest = work / "features.npy", work / "manifest.json"
 ckpt, scores_csv, report = work / "model.ckpt", work / "scores.csv", work / "report.json"
 
 # 1. synthesize a labeled corpus

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -72,6 +73,7 @@ _SCHEDULE = ("sigma_min", "sigma_max", "rho", "steps")
 # sweep's grid flags take one or more values: name -> default grid (None: every index)
 _GRID = {"p_mean": [FLAGS["p_mean"][1]], "p_std": [FLAGS["p_std"][1]], "start_t": None,
          "k": [0.1, 0.3, 0.5, 0.7, 1.0]}
+_FLAG_OF = {**{name: "--" + name.replace("_", "-") for name in FLAGS}, "base_lr": "--lr"}
 _INPUTS = {"features": "input feature file", "manifest": "input manifest JSON"}
 
 # command -> (summary, file arguments, tunable flags besides --seed).  A file
@@ -146,9 +148,14 @@ def _resolve(args, config):
 
 
 def _config(cls, args, **given):
-    """A `cls` from `given` and, for its other fields, the flags of the same name."""
-    names = {f.name for f in dataclasses.fields(cls)} & set(FLAGS) - set(given)
-    return cls(**given, **{name: getattr(args, name) for name in names})
+    """A `cls` from `given` and the same-named flags; its errors name fields by flag."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    names = fields & set(FLAGS) - set(given)
+    try:
+        return cls(**given, **{name: getattr(args, name) for name in names})
+    except ValueError as e:
+        flags = {name: _FLAG_OF[name] for name in fields & _FLAG_OF.keys()}
+        raise ValueError(re.sub(r"\w+", lambda w: flags.get(w[0], w[0]), str(e))) from None
 
 
 def _build_schedule(args, noise):
@@ -255,7 +262,7 @@ def cmd_score(args) -> int:
     # the scoring config is checked before any input is read; the schedule, whose
     # default bounds come from the checkpoint's training noise, before the features
     (start_t,) = _start_indices(args, [args.steps - 1 if args.start_t is None else args.start_t])
-    cfg = ScoringConfig(start_index=start_t, k=args.k, batch_size=args.batch_size)
+    cfg = _config(ScoringConfig, args, start_index=start_t)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
     sigmas = _build_schedule(args, noise)
@@ -295,11 +302,10 @@ def cmd_sweep(args) -> int:
 
     # every noise pair, its schedule, the fit config and one scoring config per
     # (t, k) cell are checked before any input is read
-    grid = [(noise, _build_schedule(args, noise))
-            for noise in (TrainNoiseConfig(m, s) for m in p_means for s in p_stds)]
+    noises = [_config(TrainNoiseConfig, args, p_mean=m, p_std=s) for m in p_means for s in p_stds]
+    grid = [(noise, _build_schedule(args, noise)) for noise in noises]
     train_cfg = _config(TrainConfig, args, base_lr=args.lr)
-    scoring = [[ScoringConfig(start_index=t, k=k, batch_size=args.batch_size) for k in ks]
-               for t in t_list]
+    scoring = [[_config(ScoringConfig, args, start_index=t, k=k) for k in ks] for t in t_list]
     fs = load_features(args.features, args.manifest)
     # and the labels before any training, by evaluate's own rules
     evaluate(np.zeros(len(fs.features)), fs.manifest, fs.segment_len)

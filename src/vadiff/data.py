@@ -1,13 +1,13 @@
 """Feature files, manifests, data statistics, batching, synthetic data.
 
-Feature vectors live in a flat binary file (magic "VADF") holding one
-float32 row per video segment, which load_features maps and returns as a
-read-only view.  A separate JSON manifest maps contiguous segment ranges
-back to videos and carries optional per-frame 0/1 labels, JSON integers
-(true and false read as 1 and 0), loaded as int8 arrays.
-Labels are consumed exclusively by evaluation; training and scoring never
-look at them.  The data statistics come back as the network's
-Preconditioner, the record training and scoring share.
+Feature vectors live in a .npy file (version 1.0) of one float32 row per
+video segment, which load_features maps and returns as a read-only view.
+A separate JSON manifest maps contiguous segment ranges back to videos
+and carries optional per-frame 0/1 labels, JSON integers (true and false
+read as 1 and 0), loaded as int8 arrays.  Labels are consumed
+exclusively by evaluation; training and scoring never look at them.  The
+data statistics come back as the network's Preconditioner, the record
+training and scoring share.
 """
 
 from __future__ import annotations
@@ -15,21 +15,17 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import struct
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import aligned, map_file, replacing
+from .files import map_file, replacing
 from .network import Preconditioner
 from .rng import Rng
 
 SEGMENT_LEN = 16
 
-_MAGIC = b"VADF"
-_FEATURE_VERSION = 2
-_HEADER = struct.Struct("<HIQ")  # version, dim, row count; after the magic
-_PAYLOAD_AT = aligned(len(_MAGIC) + _HEADER.size)  # 64: the header's zero padding ends here
 _MANIFEST_VERSION = 1
 _STAT_CHUNK = 2**20  # float64 elements per row chunk of estimate_sigma_data
 
@@ -78,9 +74,8 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
         if rec.labels is not None:
             labels = np.asarray(rec.labels)
             if labels.shape != (rec.frame_count,):
-                raise DataError(
-                    f"video {rec.video_id!r}: {labels.shape[0]} labels for {rec.frame_count} frames"
-                )
+                raise DataError(f"video {rec.video_id!r}: labels of shape {labels.shape} "
+                                f"for {rec.frame_count} frames")
             if labels.dtype.kind not in "biufO":  # no common type with numbers
                 raise DataError(f"video {rec.video_id!r}: labels must be 0 or 1")
             labelled.append(rec)
@@ -109,25 +104,19 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
     """Write the feature file and its manifest, each replacing its path
     whole (files.replacing), so a live map of an old file keeps its bytes.
 
-    The feature file is the magic, the version, the dim and the row count
-    (<HIQ), zero padding to byte 64, then the rows as little-endian
-    float32.  The manifest is one line of JSON from one json.dumps call
-    (the C encoder, default separators), labels as JSON integers 0/1.
+    The feature file is np.save's output for the rows as a C-order <f4
+    array: a version 1.0 .npy header padded to a multiple of 64 bytes,
+    then the rows.  The manifest is one line of JSON from one json.dumps
+    call (the C encoder, default separators), labels as JSON integers 0/1.
     """
     validate(fs)
     arr = np.ascontiguousarray(fs.features, dtype="<f4")
     with replacing(features_path) as fh:
-        header = _MAGIC + _HEADER.pack(_FEATURE_VERSION, arr.shape[1], arr.shape[0])
-        fh.write(header.ljust(_PAYLOAD_AT, b"\0"))
-        fh.write(arr)
+        np.lib.format.write_array(fh, arr)
     videos = []
     for rec in fs.manifest:
-        entry = {
-            "video_id": rec.video_id,
-            "frame_count": rec.frame_count,
-            "segment_offset": rec.segment_offset,
-            "segment_count": rec.segment_count,
-        }
+        entry = {key: getattr(rec, key)
+                 for key in ("video_id", "frame_count", "segment_offset", "segment_count")}
         if rec.labels is not None:
             entry["labels"] = np.asarray(rec.labels, dtype=np.int8).tolist()
         videos.append(entry)
@@ -231,26 +220,28 @@ def load_features(features_path, manifest_path) -> FeatureSet:
 
     The features are a read-only float32 view of a map of the file, not a
     copy: they cost no heap, and stay valid however the path is later
-    rewritten by save_features.  Every header field is checked, and the
-    row count against the file size, before the view is made.
+    rewritten by save_features.  numpy reads the .npy header from the same
+    map; it must declare C-order <f4 rows of dim >= 1 that the file holds.
     """
     buf = map_file(features_path)
-    magic = buf[: len(_MAGIC)]
-    if magic != _MAGIC:
-        raise DataError(f"bad feature file magic {magic!r}")
-    if len(buf) < len(_MAGIC) + _HEADER.size:
-        raise DataError("truncated feature file: incomplete header")
-    version, dim, count = _HEADER.unpack_from(buf, len(_MAGIC))
-    if version != _FEATURE_VERSION:
-        raise DataError(f"unsupported feature file version {version}")
-    if dim < 1:
-        raise DataError(f"feature file declares dim {dim}")
-    if len(buf) < _PAYLOAD_AT + 4 * dim * count:
-        raise DataError(
-            f"truncated feature file: expected {count} rows of {dim}, "
-            f"got {max(len(buf) - _PAYLOAD_AT, 0) // 4} values"
-        )
-    features = np.frombuffer(buf, "<f4", dim * count, _PAYLOAD_AT).reshape(count, dim)
+    if not buf:
+        raise DataError("feature file is empty")
+    try:
+        version = np.lib.format.read_magic(buf)
+        if version != (1, 0):
+            raise ValueError(f"its version is {version[0]}.{version[1]}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(buf)
+    # numpy's parse of the header raises ValueError, or for some mangled headers one of the others
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as e:
+        raise DataError(f"feature file is not a version 1.0 .npy file: {e}") from None
+    if dtype != "<f4" or fortran or len(shape) != 2 or shape[0] < 0 or shape[1] < 1:
+        raise DataError(f"feature file holds a {'Fortran' if fortran else 'C'}-order {dtype} "
+                        f"array of shape {shape}, not C-order float32 rows (segments, dim >= 1)")
+    (count, dim), at = shape, buf.tell()
+    if len(buf) < at + 4 * dim * count:
+        raise DataError(f"truncated feature file: expected {count} rows of {dim}, "
+                        f"got {(len(buf) - at) // 4} values")
+    features = np.frombuffer(buf, "<f4", dim * count, at).reshape(count, dim)
 
     manifest, segment_len = load_manifest(manifest_path)
     fs = FeatureSet(features, manifest, segment_len=segment_len)
@@ -339,7 +330,8 @@ class SynthConfig:
         if self.n_normal < self.n_anomalous:
             raise ValueError("anomalies must not outnumber normal segments")
         if self.dim < 1 or self.segment_len < 1:
-            raise ValueError("dim and segment_len must be >= 1")
+            raise ValueError(f"dim and segment_len must be >= 1, "
+                             f"got ({self.dim}, {self.segment_len})")
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
 

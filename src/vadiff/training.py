@@ -33,7 +33,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ValueError(f"epochs and batch_size must be >= 1, "
+                             f"got ({self.epochs}, {self.batch_size})")
         if not 0 < self.base_lr < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0 <= self.ema_decay < 1:

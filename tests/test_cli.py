@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import pickle
 import struct
 import warnings
 from pathlib import Path
@@ -115,8 +116,8 @@ def test_train_missing_features_exit_2_no_partial_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["train", "--checkpoint", "c.bin", "--epochs", "0"], "epochs"),
-    (["train", "--checkpoint", "c.bin", "--lr", "nan"], "base_lr"),
+    (["train", "--checkpoint", "c.bin", "--epochs", "0"], "--epochs"),
+    (["train", "--checkpoint", "c.bin", "--lr", "nan"], "--lr"),
     (["score", "--checkpoint", "absent.bin", "--out", "s.csv", "--start-t", "99"], "--start-t"),
 ], ids=["train-epochs", "train-lr-nan", "score-start-t"])
 def test_bad_flag_is_usage_error_before_inputs_are_read(tmp_path, monkeypatch, capsys, argv, flag):
@@ -336,14 +337,21 @@ def test_non_finite_feature_is_data_error_naming_the_segment(tmp_path, capsys, c
                    f"non-finite feature value\n")
 
 
+# the header of a feature file of 144 rows of 6 in the older VADF format (version 2)
+_VADF = b"VADF" + struct.pack("<HIQ", 2, 6, 144)
+_NOT_NPY = "feature file is not a version 1.0 .npy file: "
+_HOLDS = "feature file holds a "
+
+
 @pytest.mark.parametrize("corrupt, fragment", [
-    (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported feature file version 1"),
-    (lambda raw: raw[:4] + struct.pack("<H", 3) + raw[6:], "unsupported feature file version 3"),
-    (lambda raw: b"VADX" + raw[4:], "bad feature file magic b'VADX'"),
-    (lambda raw: b"", "bad feature file magic b''"),
-    (lambda raw: raw[:17], "truncated feature file: incomplete header"),
-    # the 18-byte header's zero padding to byte 64, cut short
-    (lambda raw: raw[:40], "truncated feature file: expected 144 rows of 6, got 0 values"),
+    (lambda raw: raw[:6] + bytes([1, 1]) + raw[8:], _NOT_NPY + "its version is 1.1"),
+    (lambda raw: raw[:6] + bytes([3, 0]) + raw[8:], _NOT_NPY + "its version is 3.0"),
+    (lambda raw: _VADF.ljust(128, b"\0") + raw[128:],
+     _NOT_NPY + "the magic string is not correct; expected b'\\x93NUMPY', got b'VADF\\x02\\x00'"),
+    (lambda raw: b"", "feature file is empty"),
+    (lambda raw: raw[:17], "EOF: reading array header, expected 118 bytes got 7"),
+    # the header's space padding to byte 128, cut short
+    (lambda raw: raw[:100], "EOF: reading array header, expected 118 bytes got 90"),
     (lambda raw: raw[:-4], "truncated feature file: expected 144 rows of 6, got 863 values"),
 ], ids=["version-1", "version-3", "bad-magic", "empty", "header-cut", "padding-cut",
         "one-value-short"])
@@ -358,6 +366,91 @@ def test_score_malformed_feature_file_is_data_error(tmp_path, capsys, corrupt, f
                "--out", str(out))
     _assert_data_error(code, capsys, fragment)
     assert not out.exists()
+
+
+def _npy_header(fh, shape):
+    np.lib.format.write_array_header_1_0(fh, {"descr": "<f4", "fortran_order": False,
+                                              "shape": shape})
+
+
+_DICT = b"{'descr': '<f4', 'fortran_order': False, 'shape': (144, 6), }"
+
+
+def _raw_header(fh, text):
+    """A version 1.0 header of `text`, which numpy's writer would not write."""
+    fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text)
+
+
+@pytest.mark.parametrize("write, fragment", [
+    (lambda fh, x: np.save(fh, x.astype(np.float64)),
+     _HOLDS + "C-order float64 array of shape (144, 6), not C-order float32 rows"),
+    (lambda fh, x: np.save(fh, np.asfortranarray(x)),
+     _HOLDS + "Fortran-order float32 array of shape (144, 6)"),
+    (lambda fh, x: np.save(fh, x.ravel()), _HOLDS + "C-order float32 array of shape (864,)"),
+    (lambda fh, x: np.save(fh, x.reshape(144, 2, 3)),
+     _HOLDS + "C-order float32 array of shape (144, 2, 3)"),
+    (lambda fh, x: np.save(fh, x.astype(object)), _HOLDS + "C-order object array of shape (144, 6)"),
+    (lambda fh, x: (_npy_header(fh, (-1, 6)), fh.write(x.tobytes())),
+     _HOLDS + "C-order float32 array of shape (-1, 6)"),
+    (lambda fh, x: (_npy_header(fh, (144, 0)), fh.write(x.tobytes())),
+     _HOLDS + "C-order float32 array of shape (144, 0)"),
+    (lambda fh, x: (_npy_header(fh, (2**62, 6)), fh.write(x.tobytes())),
+     "truncated feature file: expected 4611686018427387904 rows of 6, got 864 values"),
+    # 10 050 bytes, past numpy's limit of 10 000
+    (lambda fh, x: (_raw_header(fh, _DICT.ljust(10049) + b"\n"), fh.write(x.tobytes())),
+     _NOT_NPY + "Header info length (10050) is large"),
+    # numpy's parser raises tokenize.TokenError and TypeError for these two
+    (lambda fh, x: (_raw_header(fh, _DICT[:-1].ljust(117) + b"\n"), fh.write(x.tobytes())),
+     _NOT_NPY + "('EOF in multi-line statement'"),
+    (lambda fh, x: (_raw_header(fh, b"{b" + _DICT[1:].ljust(116) + b"\n"),
+                    fh.write(x.tobytes())),
+     _NOT_NPY + "'<' not supported between instances of"),
+    (lambda fh, x: np.lib.format.write_array(fh, x, version=(2, 0)),
+     _NOT_NPY + "its version is 2.0"),
+], ids=["float64", "fortran", "1-d", "3-d", "object", "negative-rows", "zero-dim", "huge-rows",
+        "long-header", "unclosed-dict", "bytes-key", "version-2"])
+def test_score_npy_of_another_array_is_data_error(tmp_path, capsys, monkeypatch, write, fragment):
+    """An .npy file that does not hold one C-order float32 matrix of dim >= 1,
+    or declares more rows than it holds, exits 2 naming the fault; an object
+    array's pickled payload is never unpickled."""
+    f, m = make_data(tmp_path)
+    x = np.load(f)  # a copy: the file is rewritten in place below
+    with open(f, "wb") as fh:
+        write(fh, x)
+    ck = tmp_path / "model.bin"
+    _small_checkpoint(ck)
+    for name in ("load", "loads"):
+        monkeypatch.setattr(pickle, name, None)
+    capsys.readouterr()
+    code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+               "--out", str(tmp_path / "s.csv"))
+    _assert_data_error(code, capsys, "error: " + fragment)
+
+
+def test_plain_np_save_output_is_a_feature_file(tmp_path):
+    """A C-order float32 matrix written by np.save trains and scores to the
+    same checkpoint and score CSV as the matrix written by save_features;
+    np.load reads synth's output, and the rows start at a multiple of 64."""
+    f, m = make_data(tmp_path)
+    assert np.array_equal(np.load(f), load_features(f, m).features)
+    with open(f, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        np.lib.format.read_array_header_1_0(fh)
+        assert fh.tell() % 64 == 0
+    manifest, _ = data.load_manifest(m)
+    x = Rng(9).standard_normal((144, 6)).astype(np.float32) * 2 + 1
+    outputs = []
+    for name in ("saved", "plain"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        features = run_dir / "x.npy"  # np.save adds the suffix to a path without it
+        if name == "saved":
+            save_features(features, run_dir / "m.json", FeatureSet(x, manifest))
+        else:
+            np.save(features, x)
+        ck = train_tiny(run_dir, features, m)
+        outputs.append((ck.read_bytes(), score_tiny(run_dir, features, m, ck).read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])
@@ -853,12 +946,17 @@ def score_inputs(tmp_path_factory):
     return raw, tmp
 
 
-def _score_bytes(directory, checkpoint: bytes):
-    """(exit code, stderr) of `vadiff score` with the given checkpoint contents."""
+def _score_bytes(directory, checkpoint: bytes, features: bytes | None = None):
+    """(exit code, stderr) of `vadiff score` with the given checkpoint contents
+    and, if given, feature file contents."""
     (directory / "c.bin").write_bytes(checkpoint)
+    feats = directory / "feat.vadf"
+    if features is not None:
+        feats = directory / "flipped.npy"
+        feats.write_bytes(features)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["score", "--features", str(directory / "feat.vadf"), "--manifest",
+        code = main(["score", "--features", str(feats), "--manifest",
                      str(directory / "man.json"), "--checkpoint", str(directory / "c.bin"),
                      "--out", str(directory / "s.csv")])
     return code, err.getvalue()
@@ -880,6 +978,18 @@ def test_score_flipped_checkpoint_byte_never_escapes(score_inputs, data):
     code, err = _score_bytes(score_inputs[1], bytes(raw))
     assert "Traceback" not in err
     # a flipped weight can overflow the reconstruction: the numeric exit
+    assert code in (0, 2) or (code == 3 and "non-finite" in err), err
+
+
+@given(data=st.data())
+def test_score_flipped_feature_byte_never_escapes(score_inputs, data):
+    raw = bytearray((score_inputs[1] / "feat.vadf").read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    code, err = _score_bytes(score_inputs[1], score_inputs[0], bytes(raw))
+    assert "Traceback" not in err
+    # a flipped header byte, or a NaN or inf value, exits 2; a huge value can
+    # overflow the reconstruction: the numeric exit
     assert code in (0, 2) or (code == 3 and "non-finite" in err), err
 
 
@@ -1011,12 +1121,12 @@ def test_sweep_scores_each_repeated_grid_value_once(tmp_path):
 
 
 @pytest.mark.parametrize("bad, fragment", [
-    (["--steps", "1"], "steps must be >= 2, got 1"),
-    (["--sigma-min", "5", "--sigma-max", "1"], "need 0 < sigma_min < sigma_max"),
-    (["--p-std", "1.2", "0"], "p_std > 0"),
-    (["--k", "1.0", "nan"], "k must be finite, got nan"),
-    (["--k", "1.0", "0.5", "inf"], "k must be finite, got inf"),
-    (["--batch-size", "1"], "batch_size must be >= 2, got 1"),
+    (["--steps", "1"], "--steps must be >= 2, got 1"),
+    (["--sigma-min", "5", "--sigma-max", "1"], "need 0 < --sigma-min < --sigma-max"),
+    (["--p-std", "1.2", "0"], "--p-std > 0"),
+    (["--k", "1.0", "nan"], "--k must be finite, got nan"),
+    (["--k", "1.0", "0.5", "inf"], "--k must be finite, got inf"),
+    (["--batch-size", "1"], "--batch-size must be >= 2, got 1"),
 ], ids=["steps", "sigma-bounds", "p-std", "k-nan", "k-inf", "batch-size"])
 def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad, fragment):
     f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
@@ -1030,6 +1140,32 @@ def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad, fragment)
     assert "Traceback" not in err
     assert "trained" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["score", "--steps", "1"], "--steps must be >= 2, got 1"),
+    (["score", "--batch-size", "1"], "--batch-size must be >= 2, got 1"),
+    (["score", "--rho", "0"], "--rho must be positive, got 0.0"),
+    (["train", "--lr", "0"], "--lr must be positive and finite, got 0.0"),
+    (["train", "--epochs", "0"], "--epochs and --batch-size must be >= 1, got (0, 8192)"),
+    (["train", "--batch-size", "0"], "--epochs and --batch-size must be >= 1, got (50, 0)"),
+    (["synth", "--dim", "0"], "--dim and --segment-len must be >= 1, got (0, 16)"),
+], ids=["score-steps", "score-batch-size", "score-rho", "train-lr", "train-epochs",
+        "train-batch-size", "synth-dim"])
+def test_config_errors_name_the_flag(tmp_path, capsys, argv, message):
+    """A flag value its config rejects exits 1 with the config's message,
+    each field named by its flag."""
+    f, m = make_data(tmp_path)
+    ck = tmp_path / "model.bin"
+    _small_checkpoint(ck)
+    files = {"synth": ["--features", tmp_path / "new.npy", "--manifest", tmp_path / "new.json"],
+             "train": ["--features", f, "--manifest", m, "--checkpoint", tmp_path / "new.bin"],
+             "score": ["--features", f, "--manifest", m, "--checkpoint", ck,
+                       "--out", tmp_path / "s.csv"]}
+    capsys.readouterr()
+    code = run(argv[0], *map(str, files[argv[0]]), *argv[1:])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not any(tmp_path.glob("new*")) and not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_zero_steps_names_the_steps(tmp_path, capsys):

@@ -75,6 +75,14 @@ def test_validate_rejects_bad_labels():
         validate_manifest(manifest, 16)
 
 
+@pytest.mark.parametrize("labels, shape", [(np.int8(1), "()"), (1, "()"),
+                                           (np.zeros((16, 1), np.int8), "(16, 1)")],
+                         ids=["int8-scalar", "int-scalar", "column"])
+def test_validate_names_the_shape_of_misshapen_labels(labels, shape):
+    with pytest.raises(DataError, match=re.escape(f"'v': labels of shape {shape} for 16 frames")):
+        validate_manifest([VideoRecord("v", 16, 0, 1, labels)], 16)
+
+
 @pytest.mark.parametrize("labels", [np.array([0, -1], dtype=np.int8),
                                     np.array([0, 2], dtype=np.int8),
                                     np.array([0.0, 0.5]), [True, 3]],
@@ -129,13 +137,15 @@ def test_round_trip_bit_identical(tmp_path):
 
 
 def test_feature_file_layout_is_padded_header_then_float32_rows(tmp_path):
-    """Version 2: magic, <HIQ (version, dim, rows), zero padding to byte 64,
-    then the rows; the manifest stays at version 1."""
+    """A .npy file of version 1.0: the magic, the header's length, the header
+    dict padded with spaces and a newline to byte 128, then the rows; the
+    path is used as given, and the manifest stays at version 1."""
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
     save_features(fpath, mpath, fs)
-    header = b"VADF" + struct.pack("<HIQ", 2, 4, 5)
-    assert fpath.read_bytes() == header + bytes(64 - 18) + fs.features.astype("<f4").tobytes()
+    text = b"{'descr': '<f4', 'fortran_order': False, 'shape': (5, 4), }"
+    header = b"\x93NUMPY\x01\x00" + struct.pack("<H", 118) + text.ljust(117) + b"\n"
+    assert fpath.read_bytes() == header + fs.features.astype("<f4").tobytes()
     assert json.loads(mpath.read_text())["version"] == 1
 
 
@@ -217,7 +227,7 @@ def test_load_rejects_bad_magic(tmp_path):
     save_features(fpath, mpath, fs)
     raw = fpath.read_bytes()
     fpath.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="not a version 1.0 .npy file: the magic string is not"):
         load_features(fpath, mpath)
 
 
@@ -227,7 +237,7 @@ def test_load_rejects_truncated_payload(tmp_path):
     save_features(fpath, mpath, fs)
     raw = fpath.read_bytes()
     fpath.write_bytes(raw[:-8])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="expected 5 rows of 4, got 18 values"):
         load_features(fpath, mpath)
 
 
@@ -235,9 +245,9 @@ def test_load_rejects_row_count_beyond_file_size(tmp_path):
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
     save_features(fpath, mpath, fs)
-    raw = bytearray(fpath.read_bytes())
-    raw[10:18] = (2**40).to_bytes(8, "little")  # the header's row count
-    fpath.write_bytes(bytes(raw))
+    raw = fpath.read_bytes()
+    # the header's row count, in place of 12 of its padding spaces
+    fpath.write_bytes(raw.replace(b"(5, 4), }" + b" " * 12, b"(1099511627776, 4), }"))
     with pytest.raises(DataError, match="expected 1099511627776 rows of 4, got 20 values"):
         load_features(fpath, mpath)
 

@@ -278,7 +278,7 @@ def test_evaluate_checks_the_manifest():
         evaluate(scores, [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)], 0)
     with pytest.raises(DataError, match="'a': 48 frames need 3 segments of 16"):
         evaluate(scores, [VideoRecord("a", 48, 0, 2, labels=[0] * 24 + [1] * 24)], 16)
-    with pytest.raises(DataError, match="'a': 31 labels for 32 frames"):
+    with pytest.raises(DataError, match=r"'a': labels of shape \(31,\) for 32 frames"):
         evaluate(scores, [VideoRecord("a", 32, 0, 2, labels=[0] * 15 + [1] * 16)], 16)
 
 
