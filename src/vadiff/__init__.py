@@ -17,7 +17,6 @@ from .data import (
     estimate_sigma_data,
     load_features,
     load_manifest,
-    make_batches,
     save_features,
     synth_generate,
     validate,

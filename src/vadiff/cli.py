@@ -259,10 +259,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # the scoring config is checked before any input is read; the schedule, whose
-    # default bounds come from the checkpoint's training noise, before the features
+    # the scoring config, --steps and --rho (at ScheduleConfig's own sigma bounds) are
+    # checked before any input is read; the sigma bounds, whose defaults come from the
+    # checkpoint's training noise, before the features
     (start_t,) = _start_indices(args, [args.steps - 1 if args.start_t is None else args.start_t])
     cfg = _config(ScoringConfig, args, start_index=start_t)
+    _config(ScheduleConfig, args, sigma_min=ScheduleConfig.sigma_min,
+            sigma_max=ScheduleConfig.sigma_max)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
     sigmas = _build_schedule(args, noise)

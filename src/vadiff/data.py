@@ -1,4 +1,4 @@
-"""Feature files, manifests, data statistics, batching, synthetic data.
+"""Feature files, manifests, data statistics, synthetic data.
 
 Feature vectors live in a .npy file (version 1.0) of one float32 row per
 video segment, which load_features maps and returns as a read-only view.
@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import tokenize
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .network import Preconditioner
 from .rng import Rng
 
 SEGMENT_LEN = 16
+_VIDEO_SEGS = 40  # segments in the longest synthetic video
 
 _MANIFEST_VERSION = 1
 _STAT_CHUNK = 2**20  # float64 elements per row chunk of estimate_sigma_data
@@ -53,11 +55,12 @@ class FeatureSet:
 def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
     """Per-video consistency checks; returns the total segment count.
 
-    Raises DataError naming the offending video.  The label values of all
-    videos are checked at once, after every per-video check.
+    Raises DataError naming the offending video, or a segment_len outside
+    [1, 2**63).  The label values of all videos are checked at once, after
+    every per-video check.
     """
-    if segment_len < 1:
-        raise DataError(f"segment_len must be >= 1, got {segment_len}")
+    if not 1 <= segment_len < 2**63:
+        raise DataError(f"segment_len {segment_len} is not in [1, 2**63)")
     offset = 0
     labelled, labels_of = [], []  # the videos with labels, and their labels
     for rec in manifest:
@@ -221,18 +224,26 @@ def load_features(features_path, manifest_path) -> FeatureSet:
     The features are a read-only float32 view of a map of the file, not a
     copy: they cost no heap, and stay valid however the path is later
     rewritten by save_features.  numpy reads the .npy header from the same
-    map; it must declare C-order <f4 rows of dim >= 1 that the file holds.
+    map; it must be a Python literal, not a Python 2 one, and declare
+    C-order <f4 rows of dim >= 1 that the file holds.
     """
     buf = map_file(features_path)
     if not buf:
         raise DataError("feature file is empty")
     try:
-        version = np.lib.format.read_magic(buf)
-        if version != (1, 0):
-            raise ValueError(f"its version is {version[0]}.{version[1]}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(buf)
-    # numpy's parse of the header raises ValueError, or for some mangled headers one of the others
-    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as e:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            version = np.lib.format.read_magic(buf)
+            if version != (1, 0):
+                raise ValueError(f"its version is {version[0]}.{version[1]}")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(buf)
+    # not a Python literal: numpy's fallback parse for Python 2 headers warned or failed
+    except (UserWarning, SyntaxError, tokenize.TokenError):
+        header = buf[10 : buf.tell()].decode("latin1")  # after magic, version and length
+        raise DataError(f"feature file is not a version 1.0 .npy file: "
+                        f"its header {header.strip()!r:.200} is not a Python literal") from None
+    # numpy's own checks of the header raise ValueError, or TypeError for some mangled ones
+    except (ValueError, TypeError) as e:
         raise DataError(f"feature file is not a version 1.0 .npy file: {e}") from None
     if dtype != "<f4" or fortran or len(shape) != 2 or shape[0] < 0 or shape[1] < 1:
         raise DataError(f"feature file holds a {'Fortran' if fortran else 'C'}-order {dtype} "
@@ -302,19 +313,6 @@ def estimate_sigma_data(fs: FeatureSet, center: bool = False) -> Preconditioner:
     return Preconditioner(sigma, means)
 
 
-def make_batches(n: int, batch_size: int, shuffle: bool, rng: Rng | None = None):
-    """Partition 0..n-1 into batches; the final one may be short."""
-    if n < 1 or batch_size < 1:
-        raise ValueError(f"need n >= 1 and batch_size >= 1, got ({n}, {batch_size})")
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffled batching needs an rng")
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
-    return [order[lo : lo + batch_size] for lo in range(0, n, batch_size)]
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     n_normal: int = 20000
@@ -332,6 +330,8 @@ class SynthConfig:
         if self.dim < 1 or self.segment_len < 1:
             raise ValueError(f"dim and segment_len must be >= 1, "
                              f"got ({self.dim}, {self.segment_len})")
+        if _VIDEO_SEGS * self.segment_len >= 2**63:  # a video's frame count must fit int64
+            raise ValueError(f"segment_len must be < 2**63 / {_VIDEO_SEGS}, got {self.segment_len}")
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
 
@@ -382,7 +382,7 @@ def synth_generate(cfg: SynthConfig) -> FeatureSet:
     vid = 0
     total = flags.size
     while pos < total:
-        count = min(int(layout.integers(8, 41)), total - pos)
+        count = min(int(layout.integers(8, _VIDEO_SEGS + 1)), total - pos)
         frame_count = count * cfg.segment_len
         if layout.integers(0, 3) == 0 and cfg.segment_len > 1:
             frame_count -= int(layout.integers(1, cfg.segment_len))

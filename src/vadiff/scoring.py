@@ -1,11 +1,12 @@
 """Per-batch anomaly decisions from reconstruction error.
 
-Each batch of segments is centred as the preconditioner says, partially
-noised, reconstructed through the reverse process, and scored by
-per-instance MSE.  The decision threshold is data-driven and
-batch-local: l_th = mu_p + k * sigma_p over the batch's own losses, with
-strictly-greater comparison for the abnormal flag.  Raw MSE doubles as
-the continuous score for ROC evaluation; k moves only the flags.
+Each batch, a range of consecutive segments in manifest order, is
+centred as the preconditioner says, partially noised, reconstructed
+through the reverse process, and scored by per-instance MSE.  The
+decision threshold is data-driven and batch-local: l_th = mu_p + k *
+sigma_p over the batch's own losses, with strictly-greater comparison
+for the abnormal flag.  Raw MSE doubles as the continuous score for ROC
+evaluation; k moves only the flags.
 `DatasetScores` is the one record of a scoring run: per segment its
 score, flag, batch and threshold (the score CSV's columns), and per
 batch the (mu_p, sigma_p) pair, from which the flags at any other k
@@ -18,10 +19,11 @@ import csv
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .data import DataError, FeatureSet, make_batches
+from .data import DataError, FeatureSet
 from .files import map_file
 from .network import DenoiserParams, Preconditioner, as_denoiser
 from .rng import Rng
@@ -72,13 +74,13 @@ class DatasetScores:
 
 def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
                   cfg: ScoringConfig, fs: FeatureSet, rng: Rng) -> DatasetScores:
-    """Score every segment, batching in manifest order (never shuffled).
+    """Score every segment, in batches of consecutive rows in manifest order.
 
-    Each batch is centred by p.center, if set, as it is sliced, the same
-    way fit centres its batches.  The corruption is additive, x + eps *
-    sigmas[t] with standard normal eps and t = cfg.start_index, so t close
-    to the end of the grid perturbs only slightly; LMS integration from
-    sigmas[t] back to 0 reconstructs it.
+    Each batch is a view of fs.features, or a copy centred by p.center, if
+    set, the same way fit centres its batches.  The corruption is additive,
+    x + eps * sigmas[t] with standard normal eps and t = cfg.start_index,
+    so t close to the end of the grid perturbs only slightly; LMS
+    integration from sigmas[t] back to 0 reconstructs it.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
     joins the batch before it.  Each batch draws its noise from an
@@ -92,25 +94,23 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     n = x.shape[0]
     if n < 2:
         raise DataError(f"scoring needs at least 2 segments, got {n}")
-    batches = make_batches(n, cfg.batch_size, shuffle=False)
-    if len(batches) > 1 and batches[-1].size == 1:
-        batches[-2:] = [np.concatenate(batches[-2:])]
+    bounds = [*range(0, n - 1, cfg.batch_size), n]  # none at n - 1: no one-row tail
     mse = np.empty(n, dtype=np.float64)
     batch_ids = np.empty(n, dtype=np.int64)
     l_th = np.empty(n, dtype=np.float64)
     batch_stats = []
     denoiser = as_denoiser(params, p)  # its activation buffers serve every batch
-    for b, idx in enumerate(batches):
-        batch = x[idx] if p.center is None else x[idx] - p.center
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        batch = x[lo:hi] if p.center is None else x[lo:hi] - p.center
         eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
         recon = lms_sample(denoiser, batch.astype(np.float64) + eps * sigmas[t],
                            sigmas, start_index=t)
         losses = mse_per_instance(batch, recon)
         if not np.isfinite(losses).all():
             raise FloatingPointError("non-finite reconstruction loss")
-        mu_p, sigma_p, l_th[idx] = batch_threshold(losses, cfg.k)
-        mse[idx] = losses
-        batch_ids[idx] = b
+        mu_p, sigma_p, l_th[lo:hi] = batch_threshold(losses, cfg.k)
+        mse[lo:hi] = losses
+        batch_ids[lo:hi] = b
         batch_stats.append((mu_p, sigma_p))
     return DatasetScores(mse, mse > l_th, batch_ids, l_th, batch_stats)
 
@@ -124,16 +124,12 @@ def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for rec in fs.manifest:
-            for local in range(rec.segment_count):
-                g = rec.segment_offset + local
-                writer.writerow([
-                    rec.video_id,
-                    local,
-                    repr(float(scores.mse[g])),
-                    int(scores.flags[g]),
-                    int(scores.batch_ids[g]),
-                    repr(float(scores.l_th[g])),
-                ])
+            at = slice(rec.segment_offset, rec.segment_offset + rec.segment_count)
+            writer.writerows(zip(repeat(rec.video_id), range(rec.segment_count),
+                                 map(repr, scores.mse[at].tolist()),
+                                 scores.flags[at].astype(int).tolist(),
+                                 scores.batch_ids[at].tolist(),
+                                 map(repr, scores.l_th[at].tolist())))
 
 
 # the last three columns are zero-width: np.loadtxt counts them, stores nothing

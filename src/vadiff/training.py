@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import make_batches
 from .network import (DenoiserParams, Preconditioner, _affine, _flat_views, _hidden_layer,
                       _reserve, _silu, _view, fourier_embed, scalings)
 from .rng import Rng
@@ -295,16 +294,16 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     """Train params in place on the dataset's feature rows.
 
     `dataset` is a FeatureSet or a plain (n, dim) array; only the feature
-    matrix is ever touched, so labels cannot influence the result.  Each
-    batch is centred by p.center, if set, as it is sliced.  The final
-    short batch of an epoch is used, not dropped.  Returns the EMA
-    weights and one log entry per epoch: (epoch index, total optimizer
-    steps completed, learning rate at the epoch start, mean batch loss).
-    Raises FloatingPointError as soon as a batch loss stops being finite.
-    The check follows that step's backward, which has already folded the
-    step's gradient into Adam's moments, so m and v may hold it; the raw
-    weights, the EMA and the step count are still those of the step
-    before.
+    matrix is ever touched, so labels cannot influence the result.  An
+    epoch's batches are slices of one permutation of the rows, each centred
+    by p.center, if set, as it is gathered; the final short one is used, not
+    dropped.  Returns the EMA weights and one log entry per epoch: (epoch
+    index, total optimizer steps completed, learning rate at the epoch
+    start, mean batch loss).  Raises FloatingPointError as soon as a batch
+    loss stops being finite.  The check follows that step's backward, which
+    has already folded the step's gradient into Adam's moments, so m and v
+    may hold it; the raw weights, the EMA and the step count are still those
+    of the step before.
 
     fit holds four weight sets (the raw weights, the EMA, and Adam's m
     and v, all flat) and no gradient vector: the backward hands each
@@ -327,7 +326,9 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         lr_epoch = inverse_lr(state)
         losses = []
-        for idx in make_batches(n, cfg.batch_size, shuffle=True, rng=shuffle_rng):
+        order = shuffle_rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
             batch = x[idx] if p.center is None else x[idx] - p.center
             sigma = sample_train_sigma(noise_rng, noise_cfg, batch.shape[0])
             loss, _ = dsm_loss(params, p, batch, sigma, noise_rng, work=work, sink=fold)

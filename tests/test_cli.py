@@ -250,6 +250,15 @@ def test_score_schedule_flags_are_checked_before_features_are_read(tmp_path, cap
     err = capsys.readouterr().err
     assert code == 1, err
     assert "rho must be positive" in err and "absent" not in err
+    # --steps and --rho need no checkpoint, so they are checked before it is read
+    for bad, message in ((["--steps", "1"], "--steps must be >= 2, got 1"),
+                         (["--rho", "0"], "--rho must be positive, got 0.0"),
+                         (["--rho", "-1", "--steps", "5"], "--rho must be positive, got -1.0")):
+        code = run("score", "--features", str(tmp_path / "absent.vadf"),
+                   "--manifest", str(tmp_path / "absent.json"),
+                   "--checkpoint", str(tmp_path / "absent.bin"),
+                   "--out", str(tmp_path / "s.csv"), *bad)
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
 
 
 def test_score_flag_count_non_increasing_in_k(tmp_path):
@@ -353,18 +362,32 @@ _HOLDS = "feature file holds a "
     # the header's space padding to byte 128, cut short
     (lambda raw: raw[:100], "EOF: reading array header, expected 118 bytes got 90"),
     (lambda raw: raw[:-4], "truncated feature file: expected 144 rows of 6, got 863 values"),
+    # numpy's fallback for Python 2 headers would read this one as (14, 6), with a warning
+    (lambda raw: raw.replace(b"(144, 6)", b"(14L, 6)"),
+     _NOT_NPY + "its header \"{'descr': '<f4', 'fortran_order': False, 'shape': (14L, 6), }\" "
+     "is not a Python literal"),
+    (lambda raw: raw.replace(b"6), }", b"6),  "),
+     _NOT_NPY + "its header \"{'descr': '<f4', 'fortran_order': False, 'shape': (144, 6),\" "
+     "is not a Python literal"),
 ], ids=["version-1", "version-3", "bad-magic", "empty", "header-cut", "padding-cut",
-        "one-value-short"])
+        "one-value-short", "python-2-long", "no-closing-brace"])
 def test_score_malformed_feature_file_is_data_error(tmp_path, capsys, corrupt, fragment):
+    """Each exits 2 with one line on stderr naming the fault: no traceback,
+    no warning."""
     f, m = make_data(tmp_path)
     f.write_bytes(corrupt(f.read_bytes()))
     ck = tmp_path / "model.bin"
     _small_checkpoint(ck)
     out = tmp_path / "s.csv"
     capsys.readouterr()
-    code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
-               "--out", str(out))
-    _assert_data_error(code, capsys, fragment)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                   "--out", str(out))
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
     assert not out.exists()
 
 
@@ -401,7 +424,7 @@ def _raw_header(fh, text):
      _NOT_NPY + "Header info length (10050) is large"),
     # numpy's parser raises tokenize.TokenError and TypeError for these two
     (lambda fh, x: (_raw_header(fh, _DICT[:-1].ljust(117) + b"\n"), fh.write(x.tobytes())),
-     _NOT_NPY + "('EOF in multi-line statement'"),
+     _NOT_NPY + "its header \"" + _DICT[:-1].decode().strip() + "\" is not a Python literal"),
     (lambda fh, x: (_raw_header(fh, b"{b" + _DICT[1:].ljust(116) + b"\n"),
                     fh.write(x.tobytes())),
      _NOT_NPY + "'<' not supported between instances of"),
@@ -986,8 +1009,11 @@ def test_score_flipped_feature_byte_never_escapes(score_inputs, data):
     raw = bytearray((score_inputs[1] / "feat.vadf").read_bytes())
     at = data.draw(st.integers(0, len(raw) - 1), label="offset")
     raw[at] ^= data.draw(st.integers(1, 255), label="mask")
-    code, err = _score_bytes(score_inputs[1], score_inputs[0], bytes(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _score_bytes(score_inputs[1], score_inputs[0], bytes(raw))
     assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
     # a flipped header byte, or a NaN or inf value, exits 2; a huge value can
     # overflow the reconstruction: the numeric exit
     assert code in (0, 2) or (code == 3 and "non-finite" in err), err
@@ -1219,6 +1245,41 @@ def test_synth_huge_n_normal_names_the_flag(tmp_path, capsys, n_normal):
     assert f"--n-normal {n_normal} at --dim 64: " in err
     assert "Traceback" not in err
     assert not f.exists() and not m.exists()
+
+
+@pytest.mark.parametrize("segment_len", [2**62, 2**63, 2**64], ids=["2**62", "2**63", "2**64"])
+def test_synth_segment_len_past_int64_frames_names_the_flag(tmp_path, capsys, segment_len):
+    """A video of synth's longest, 40 segments, must have fewer than 2**63
+    frames, as a manifest's frame_count must: a longer --segment-len exits 1
+    naming it before any array is made, and no file is written."""
+    capsys.readouterr()
+    f, m = tmp_path / "f.npy", tmp_path / "m.json"
+    code = run("synth", "--features", str(f), "--manifest", str(m),
+               "--segment-len", str(segment_len))
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: --segment-len must be < 2**63 / 40, got {segment_len}\n")
+    assert not f.exists() and not m.exists()
+
+
+@pytest.mark.parametrize("segment_len", [2**62, 2**63, 2**64], ids=["2**62", "2**63", "2**64"])
+def test_eval_segment_len_outside_int64_is_data_error(tmp_path, capsys, segment_len):
+    """Videos of one segment each, as any segment_len beyond their frame
+    counts declares: [1, 2**63) is evaluated, anything longer exits 2
+    naming segment_len."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"version": 1, "segment_len": segment_len, "videos": [
+        {"video_id": v, "frame_count": 16, "segment_offset": i, "segment_count": 1,
+         "labels": [i] * 16} for i, v in enumerate("ab")]}))
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n"
+                      "a,0,0.25,0,0,1.0\nb,0,0.5,0,0,1.0\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    if segment_len < 2**63:
+        assert code == 0 and json.loads((tmp_path / "r.json").read_text())["auc"] == 1.0
+    else:
+        _assert_data_error(code, capsys, f"error: segment_len {segment_len} is not in [1, 2**63)")
 
 
 def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys):

@@ -6,17 +6,23 @@ import struct
 import numpy as np
 import pytest
 
-from vadiff import data
+from vadiff import data, training
 from vadiff import (
     DataError,
     FeatureSet,
+    NetworkConfig,
+    Preconditioner,
     Rng,
     SynthConfig,
+    TrainConfig,
+    TrainNoiseConfig,
     VideoRecord,
+    dsm_loss,
     estimate_sigma_data,
+    fit,
+    init_params,
     load_features,
     load_manifest,
-    make_batches,
     save_features,
     synth_generate,
     validate_manifest,
@@ -117,8 +123,17 @@ def test_validate_names_the_first_video_with_a_bad_label():
 
 
 def test_validate_rejects_segment_len_below_one():
-    with pytest.raises(DataError, match="segment_len must be >= 1, got 0"):
+    with pytest.raises(DataError, match=r"segment_len 0 is not in \[1, 2\*\*63\)"):
         validate_manifest([VideoRecord("a", 2, 0, 1)], 0)
+
+
+@pytest.mark.parametrize("segment_len", [2**63, 2**64], ids=["2**63", "2**64"])
+def test_validate_rejects_segment_len_beyond_int64(segment_len):
+    """One segment per video, as a manifest of such a length declares: the
+    bound is checked before any per-segment array is sized by it."""
+    with pytest.raises(DataError, match=rf"segment_len {segment_len} is not in \[1, 2\*\*63\)"):
+        validate_manifest([VideoRecord("a", 16, 0, 1)], segment_len)
+    assert validate_manifest([VideoRecord("a", 16, 0, 1)], 2**62) == 1
 
 
 # --- binary feature file + manifest round trip ----------------------------------------
@@ -488,27 +503,46 @@ def test_sigma_data_rejects_degenerate():
 
 
 # --- batching ---------------------------------------------------------------------------
+# fit slices one permutation of the rows per epoch.  Row i holds the value i, so
+# each batch that dsm_loss receives names its rows.
 
-def test_batches_shape_and_tail():
-    batches = make_batches(10, 4, shuffle=False)
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert list(batches[0]) == [0, 1, 2, 3]
-    assert list(batches[2]) == [8, 9]
+def fit_batches(monkeypatch, n, batch_size, seed, epochs=1):
+    x = np.repeat(np.arange(n, dtype=np.float32)[:, None], 6, axis=1)
+    seen = []
+
+    def recording(params, p, batch, *args, **kwargs):
+        seen.append(batch[:, 0].astype(int).tolist())
+        return dsm_loss(params, p, batch, *args, **kwargs)
+
+    monkeypatch.setattr(training, "dsm_loss", recording)
+    net = NetworkConfig(input_dim=6, encoder_widths=(8, 4), decoder_widths=(4, 8), embed_dim=8)
+    fit(x, init_params(net, Rng(1), dtype=np.float32), Preconditioner(4.0),
+        TrainConfig(epochs=epochs, batch_size=batch_size), TrainNoiseConfig(), Rng(seed))
+    return seen
 
 
-def test_batches_partition_property():
+def test_batches_shape_and_tail(monkeypatch):
+    batches = fit_batches(monkeypatch, 10, 4, seed=7, epochs=3)
+    assert [len(b) for b in batches] == [4, 4, 2] * 3
+
+
+def test_batches_partition_property(monkeypatch):
     for n, bs in [(1, 1), (7, 3), (100, 100), (5, 8)]:
-        batches = make_batches(n, bs, shuffle=True, rng=Rng(1))
-        flat = np.concatenate(batches)
-        assert sorted(flat.tolist()) == list(range(n))
+        batches = fit_batches(monkeypatch, n, bs, seed=1, epochs=2)
+        per_epoch = -(-n // bs)
+        assert len(batches) == 2 * per_epoch
+        epochs = [sum(batches[i : i + per_epoch], []) for i in (0, per_epoch)]
+        assert all(sorted(rows) == list(range(n)) for rows in epochs)
         assert all(len(b) <= bs for b in batches)
+    epochs = [sum(fit_batches(monkeypatch, 50, 8, seed=1, epochs=2)[i : i + 7], [])
+              for i in (0, 7)]
+    assert epochs[0] != epochs[1]  # each epoch draws its own order
 
 
-def test_batches_shuffle_determinism():
-    a = make_batches(50, 8, shuffle=True, rng=Rng(9))
-    b = make_batches(50, 8, shuffle=True, rng=Rng(9))
-    for ba, bb in zip(a, b):
-        assert np.array_equal(ba, bb)
+def test_batches_shuffle_determinism(monkeypatch):
+    a = fit_batches(monkeypatch, 50, 8, seed=9, epochs=2)
+    assert fit_batches(monkeypatch, 50, 8, seed=9, epochs=2) == a
+    assert a != fit_batches(monkeypatch, 50, 8, seed=10, epochs=2)
 
 
 # --- synthetic corpus --------------------------------------------------------------------

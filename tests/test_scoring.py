@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -302,6 +303,25 @@ def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
     assert once == score_csv("fresh.csv")
 
 
+def test_dataset_batches_are_views_of_the_features(monkeypatch):
+    """Without a center, each batch reaches the loss as a slice of the
+    features, not a copy; the one-row tail joins the batch before it."""
+    params, p = small_model()
+    feats = Rng(27).standard_normal((9, 4)).astype(np.float32)
+    fs = FeatureSet(feats, [VideoRecord("v", 9 * 16, 0, 9)])
+    batches = []
+
+    def recording(fea, fea_hat):
+        batches.append(fea)
+        return mse_per_instance(fea, fea_hat)
+
+    monkeypatch.setattr(scoring, "mse_per_instance", recording)
+    score_dataset(params, p, short_schedule(), ScoringConfig(start_index=1, batch_size=4),
+                  fs, Rng(28))
+    assert [b.shape[0] for b in batches] == [4, 5]
+    assert all(np.shares_memory(b, feats) for b in batches)
+
+
 def test_dataset_determinism():
     params, p = small_model()
     sig = short_schedule()
@@ -422,6 +442,31 @@ def test_scores_csv_quoted_ids_round_trip(tmp_path):
     rows = read_scores_csv(path)
     assert rows[0].tolist() == [ids[0], ids[1], ids[1], ids[2]]
     assert join_scores(rows, fs.manifest).tolist() == mse.tolist()
+
+
+def test_scores_csv_matches_row_by_row_writer(tmp_path):
+    """write_scores_csv writes the bytes a csv.writer writes row by row,
+    quoting an id with a comma and a quote, scores as their reprs."""
+    ids = ['cam 1, "door"', "b", "c"]
+    fs = FeatureSet(np.zeros((5, 2), dtype=np.float32),
+                    [VideoRecord(ids[0], 32, 0, 2), VideoRecord(ids[1], 0, 2, 0),
+                     VideoRecord(ids[2], 45, 2, 3)])
+    mse = np.array([1e-300, 0.1, 2.5, 1 / 3, 7.0])
+    l_th = np.array([0.05, 0.05, 2.0, 2.0, 2.0])
+    scores = DatasetScores(mse, mse > l_th, np.array([0, 0, 1, 1, 1]), l_th, [])
+    got = tmp_path / "scores.csv"
+    write_scores_csv(got, fs, scores)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["video_id", "segment_index", "mse", "flagged", "batch_id", "l_th"])
+        for rec in fs.manifest:
+            for i in range(rec.segment_count):
+                g = rec.segment_offset + i
+                writer.writerow([rec.video_id, i, repr(float(mse[g])), int(mse[g] > l_th[g]),
+                                 int(scores.batch_ids[g]), repr(float(l_th[g]))])
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"cam 1, ""door""",0,1e-300,0,0,0.05\r\n' in got.read_bytes()
 
 
 def test_scores_csv_unread_fields_are_zero_width():

@@ -19,7 +19,6 @@ from vadiff import (
     init_params,
     inverse_lr,
     loss_weight,
-    make_batches,
     param_count,
     sample_train_sigma,
     scalings,
@@ -606,7 +605,9 @@ def ref_fit(x, ts, p, cfg, noise_cfg, rng):
     m, v = [np.zeros_like(t) for t in ts[1:]], [np.zeros_like(t) for t in ts[1:]]
     step = 0
     for _ in range(cfg.epochs):
-        for idx in make_batches(x.shape[0], cfg.batch_size, shuffle=True, rng=shuffle_rng):
+        order = shuffle_rng.permutation(x.shape[0])
+        for lo in range(0, x.shape[0], cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
             sigma = sample_train_sigma(noise_rng, noise_cfg, idx.size)
             _, grads = ref_dsm_loss(ts, p, x[idx], sigma, noise_rng)
             lr = cfg.base_lr / (1.0 + step / 20000.0)
