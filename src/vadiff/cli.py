@@ -214,7 +214,8 @@ def cmd_synth(args) -> int:
     try:
         fs = synth_generate(cfg)
     except (MemoryError, ValueError) as e:  # numpy refused an array too big to hold or address
-        raise ValueError(f"--n-normal {args.n_normal} at --dim {args.dim}: {e}") from None
+        raise ValueError(f"--n-normal {args.n_normal} at --dim {args.dim} and "
+                         f"--segment-len {args.segment_len}: {e}") from None
     save_features(args.features, args.manifest, fs)
     print(
         f"wrote {fs.features.shape[0]} segments of dim {fs.features.shape[1]} "

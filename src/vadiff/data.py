@@ -15,13 +15,11 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import tokenize
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import map_file, replacing
+from .files import map_file, read_npy_header, replacing
 from .network import Preconditioner
 from .rng import Rng
 
@@ -228,27 +226,11 @@ def load_features(features_path, manifest_path) -> FeatureSet:
     C-order <f4 rows of dim >= 1 that the file holds.
     """
     buf = map_file(features_path)
-    if not buf:
-        raise DataError("feature file is empty")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            version = np.lib.format.read_magic(buf)
-            if version != (1, 0):
-                raise ValueError(f"its version is {version[0]}.{version[1]}")
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(buf)
-    # not a Python literal: numpy's fallback parse for Python 2 headers warned or failed
-    except (UserWarning, SyntaxError, tokenize.TokenError):
-        header = buf[10 : buf.tell()].decode("latin1")  # after magic, version and length
-        raise DataError(f"feature file is not a version 1.0 .npy file: "
-                        f"its header {header.strip()!r:.200} is not a Python literal") from None
-    # numpy's own checks of the header raise ValueError, or TypeError for some mangled ones
-    except (ValueError, TypeError) as e:
-        raise DataError(f"feature file is not a version 1.0 .npy file: {e}") from None
+    shape, fortran, dtype, at = read_npy_header(buf, DataError, "feature file")
     if dtype != "<f4" or fortran or len(shape) != 2 or shape[0] < 0 or shape[1] < 1:
         raise DataError(f"feature file holds a {'Fortran' if fortran else 'C'}-order {dtype} "
                         f"array of shape {shape}, not C-order float32 rows (segments, dim >= 1)")
-    (count, dim), at = shape, buf.tell()
+    count, dim = shape
     if len(buf) < at + 4 * dim * count:
         raise DataError(f"truncated feature file: expected {count} rows of {dim}, "
                         f"got {(len(buf) - at) // 4} values")

@@ -15,14 +15,13 @@ the data; the checkpoint stores it with the weights and the training noise.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import aligned, map_file, replacing
+from .files import map_file, read_npy_header, replacing
 from .rng import Rng
-from .sampling import ScheduleConfig, TrainNoiseConfig, noise_bounds
+from .sampling import TrainNoiseConfig
 
 _TWO_PI = 2.0 * np.pi
 
@@ -317,33 +316,33 @@ def as_denoiser(params: DenoiserParams, p: Preconditioner):
     return lambda x, sigma: denoise(params, p, x, sigma, work=work)
 
 
-# --- checkpoint serialization (magic "VADW") --------------------------------
-
-_MAGIC = b"VADW"
-_VERSION = 4
-
+# --- checkpoint serialization (a .npy record) --------------------------------
 
 class CheckpointError(ValueError):
     pass
 
 
-def _read_struct(buf, at, fmt):
-    """(the values of fmt unpacked from buf at offset `at`, the offset after them)."""
-    end = at + struct.calcsize(fmt)
-    if end > len(buf):
-        raise CheckpointError("truncated checkpoint")
-    return struct.unpack_from(fmt, buf, at), end
+def _checkpoint_dtype(cfg: NetworkConfig, has_center: bool) -> np.dtype:
+    """A checkpoint's record: the center (if any), the raw and the EMA weights,
+    then the config, sigma_data and noise.  The first tensor starts on numpy's
+    64-byte header boundary.  numpy holds a record's size in a C int, so a
+    weight set holds at most about 2**28 values."""
+    n = param_count(cfg)
+    if 8 * n + 4 * cfg.input_dim >= 2**31 - 2**10:  # 2**10: room for the config fields
+        raise ValueError(f"{cfg} has {n} weights, too many for one checkpoint record")
+    return np.lib.format.descr_to_dtype([("center", "<f4", (cfg.input_dim,))] * has_center + [
+        ("raw", "<f4", (n,)), ("ema", "<f4", (n,)), ("input_dim", "<i8"),
+        ("encoder_widths", "<i8", (len(cfg.encoder_widths),)),
+        ("decoder_widths", "<i8", (len(cfg.decoder_widths),)), ("embed_dim", "<i8"),
+        ("sigma_data", "<f8"), ("p_mean", "<f8"), ("p_std", "<f8")])
 
 
 def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Preconditioner,
                     noise: TrainNoiseConfig) -> None:
-    """Versioned binary checkpoint: a header holding the network config,
-    sigma_data, whether a center follows, and the training noise (p_mean,
-    p_std), zero-padded to a multiple of 64 bytes; then the center (if
-    any), the raw tensors and the EMA tensors as one bare little-endian
-    float32 payload in _tensor_shapes order.  The file replaces `path`
-    whole (files.replacing), so a live map of an old checkpoint keeps its
-    bytes.
+    """A version 1.0 .npy file of one _checkpoint_dtype record: each tensor
+    written as float32 from its own array, with no record copy of the
+    weights, then the config, sigma_data and noise.  The file replaces
+    `path` whole (files.replacing): a live map of an old one keeps its bytes.
     """
     cfg = params.config
     if ema.config != cfg:
@@ -351,65 +350,54 @@ def save_checkpoint(path, params: DenoiserParams, ema: DenoiserParams, p: Precon
     if p.center is not None and p.center.shape != (cfg.input_dim,):
         raise ValueError(f"tensor center has shape {p.center.shape}, "
                          f"config implies {(cfg.input_dim,)}")
-    payload = [params.flat, ema.flat] if p.center is None else [p.center, params.flat, ema.flat]
-    header = (_MAGIC + struct.pack("<HI", _VERSION, cfg.input_dim)
-              + b"".join(struct.pack(f"<B{len(widths)}I", len(widths), *widths)
-                         for widths in (cfg.encoder_widths, cfg.decoder_widths))
-              + struct.pack("<IdBdd", cfg.embed_dim, float(p.sigma_data), p.center is not None,
-                            float(noise.p_mean), float(noise.p_std)))
+    descr = _checkpoint_dtype(cfg, p.center is not None).descr
+    meta = np.array((cfg.input_dim, cfg.encoder_widths, cfg.decoder_widths, cfg.embed_dim,
+                     p.sigma_data, noise.p_mean, noise.p_std), descr[-7:])  # the last 7 fields
     with replacing(path) as fh:
-        fh.write(header.ljust(aligned(len(header)), b"\0"))
-        for t in payload:
+        np.lib.format.write_array_header_1_0(fh, {"descr": descr, "fortran_order": False,
+                                                  "shape": ()})
+        for t in [p.center] * (p.center is not None) + [params.flat, ema.flat]:
             fh.write(np.ascontiguousarray(t, dtype="<f4"))
+        fh.write(meta)
 
 
 def load_checkpoint(path):
     """Returns (params, ema, preconditioner, training noise).
 
-    Every header field, and the payload size against the header, is
-    checked before any array is made.  The center, the raw weights and
-    the EMA weights are then read-only float32 views of one map of the
-    file, not copies: a caller holds no weight set on its heap, and the
-    views stay valid however the path is later rewritten by
-    save_checkpoint.
+    Before any weight array is made, the header must declare one record of
+    _checkpoint_dtype's fields, base dtypes and ranks, which the file holds
+    exactly, and its config, sigma_data and noise must be valid and imply
+    that dtype.  The center, the raw weights and the EMA weights are
+    read-only float32 views of one map of the file, not copies: a caller
+    holds no weight set on its heap, and the views stay valid however the
+    path is later rewritten by save_checkpoint.
     """
     buf = map_file(path)
-    magic = buf[: len(_MAGIC)]
-    if magic != _MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    (version,), at = _read_struct(buf, len(_MAGIC), "<H")
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (input_dim, n_enc), at = _read_struct(buf, at, "<IB")
-    enc, at = _read_struct(buf, at, f"<{n_enc}I")
-    (n_dec,), at = _read_struct(buf, at, "<B")
-    dec, at = _read_struct(buf, at, f"<{n_dec}I")
-    (embed_dim, sigma_data, has_center, p_mean, p_std), at = _read_struct(buf, at, "<IdBdd")
+    shape, fortran, dtype, at = read_npy_header(buf, CheckpointError, "checkpoint")
+    # a record's field names, base dtypes and ranks, whatever its config
+    ref = _checkpoint_dtype(NetworkConfig(1), (dtype.names or ("",))[0] == "center")
+    if shape != () or fortran or dtype.names != ref.names or any(
+            (dtype[n].base, dtype[n].ndim) != (ref[n].base, ref[n].ndim) for n in ref.names):
+        raise CheckpointError(f"checkpoint holds a {'Fortran' if fortran else 'C'}-order "
+                              f"{dtype} array of shape {shape}, not a checkpoint record")
+    if len(buf) != at + dtype.itemsize:
+        raise CheckpointError(f"checkpoint holds {len(buf) - at} bytes after its header, "
+                              f"its record takes {dtype.itemsize}")
+    record = np.frombuffer(buf, dtype, 1, at)
+    f = {name: record[name][0] for name in ref.names}  # views of the map, not of a copy
     try:
-        cfg = NetworkConfig(input_dim, enc, dec, embed_dim)
-        Preconditioner(sigma_data)
-        noise = TrainNoiseConfig(p_mean, p_std)
-        ScheduleConfig(*noise_bounds(noise))  # the default schedule must exist
+        cfg = NetworkConfig(int(f["input_dim"]), tuple(f["encoder_widths"].tolist()),
+                            tuple(f["decoder_widths"].tolist()), int(f["embed_dim"]))
+        p = Preconditioner(float(f["sigma_data"]), f.get("center"))
+        noise = TrainNoiseConfig(float(f["p_mean"]), float(f["p_std"]))
+        want = _checkpoint_dtype(cfg, "center" in f)
     except ValueError as e:
         raise CheckpointError(f"bad checkpoint header: {e}") from None
-    if has_center > 1:
-        raise CheckpointError(f"bad center flag {has_center} in checkpoint")
-    at = aligned(at)  # the payload starts after the header's zero padding
-    if at > len(buf):
-        raise CheckpointError("truncated checkpoint")
-    n_center = input_dim if has_center else 0
-    count = param_count(cfg)
-    want = n_center + 2 * count
-    left = len(buf) - at
-    if left != 4 * want:
-        raise CheckpointError(
-            f"checkpoint payload holds {left} bytes ({left // 4} float32 values), "
-            f"config implies {want} values"
-        )
-    payload = np.frombuffer(buf, "<f4", want, at)
-    center, raw, ema = np.split(payload, [n_center, n_center + count])
-    p = Preconditioner(sigma_data, center if has_center else None)
-    return DenoiserParams(cfg, raw), DenoiserParams(cfg, ema), p, noise
+    for name in ref.names:
+        if dtype[name] != want[name]:
+            raise CheckpointError(f"checkpoint field {name} is {dtype[name]}, "
+                                  f"its config implies {want[name]}")
+    return DenoiserParams(cfg, f["raw"]), DenoiserParams(cfg, f["ema"]), p, noise
 
 
 def _flat_views(cfg: NetworkConfig, flat, first=0) -> list[np.ndarray]:

@@ -22,7 +22,8 @@ Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class TrainNoiseConfig:
-    """Log-normal over training noise levels: ln sigma ~ N(p_mean, p_std^2)."""
+    """Log-normal over training noise levels: ln sigma ~ N(p_mean, p_std^2).
+    Its noise_bounds must make a schedule, the default that score uses."""
 
     p_mean: float = -1.2
     p_std: float = 1.2
@@ -30,6 +31,11 @@ class TrainNoiseConfig:
     def __post_init__(self):
         if not np.isfinite(self.p_mean) or not np.isfinite(self.p_std) or self.p_std <= 0:
             raise ValueError(f"need finite p_mean and p_std > 0, got ({self.p_mean}, {self.p_std})")
+        try:
+            ScheduleConfig(*noise_bounds(self))
+        except ValueError as e:
+            raise ValueError(f"p_mean {self.p_mean} and p_std {self.p_std} give no schedule: "
+                             f"{e}") from None
 
 
 def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
@@ -65,6 +71,11 @@ class ScheduleConfig:
             raise ValueError("sigma_max must be finite")
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        if not np.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
+        with np.errstate(over="ignore"):  # karras_schedule's largest power
+            if not np.isfinite(np.float64(self.sigma_max) ** (1.0 / self.rho)):
+                raise ValueError(f"rho {self.rho} is too small: sigma_max ** (1 / rho) overflows")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.steps > MAX_STEPS:

@@ -303,7 +303,9 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     loss stops being finite.  The check follows that step's backward, which
     has already folded the step's gradient into Adam's moments, so m and v
     may hold it; the raw weights, the EMA and the step count are still those
-    of the step before.
+    of the step before.  No loss checks the last step's update, so fit
+    raises FloatingPointError too if, after it, a raw or EMA weight is not
+    finite.
 
     fit holds four weight sets (the raw weights, the EMA, and Adam's m
     and v, all flat) and no gradient vector: the backward hands each
@@ -342,4 +344,9 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
         history.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
+    # a float64 sum of float32 values is finite exactly when they all are,
+    # and takes no weight-sized temporary
+    for name, weights in (("raw", params), ("EMA", state.ema)):
+        if not math.isfinite(weights.flat.sum(dtype=np.float64)):
+            raise FloatingPointError(f"non-finite {name} weights after step {state.step}")
     return state.ema, history

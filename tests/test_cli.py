@@ -104,6 +104,21 @@ def test_train_smoke_writes_checkpoint_and_log(tmp_path):
     assert float(first[2]) == 2e-4  # default initial learning rate echoed
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_non_finite_weights_exit_3_no_checkpoint(tmp_path, capsys):
+    """At --lr 1e308 the one step's loss is finite, but its update leaves
+    non-finite weights, which no later loss sees: train exits 3 and writes
+    no checkpoint."""
+    f, m = make_data(tmp_path)
+    ck = tmp_path / "model.bin"
+    capsys.readouterr()
+    code = run("train", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+               "--epochs", "1", "--lr", "1e308")
+    assert (code, capsys.readouterr().err.splitlines()[-1]) == (
+        3, "numeric failure: non-finite raw weights after step 1")
+    assert not ck.exists()
+
+
 def test_train_missing_features_exit_2_no_partial_checkpoint(tmp_path):
     _, m = make_data(tmp_path)
     ck = tmp_path / "never.bin"
@@ -119,7 +134,10 @@ def test_train_missing_features_exit_2_no_partial_checkpoint(tmp_path):
     (["train", "--checkpoint", "c.bin", "--epochs", "0"], "--epochs"),
     (["train", "--checkpoint", "c.bin", "--lr", "nan"], "--lr"),
     (["score", "--checkpoint", "absent.bin", "--out", "s.csv", "--start-t", "99"], "--start-t"),
-], ids=["train-epochs", "train-lr-nan", "score-start-t"])
+    # its noise gives no default schedule, which score would need
+    (["train", "--checkpoint", "c.bin", "--p-std", "1e308"],
+     "--p-mean -1.2 and --p-std 1e+308 give no schedule"),
+], ids=["train-epochs", "train-lr-nan", "score-start-t", "train-p-std-huge"])
 def test_bad_flag_is_usage_error_before_inputs_are_read(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
@@ -253,7 +271,11 @@ def test_score_schedule_flags_are_checked_before_features_are_read(tmp_path, cap
     # --steps and --rho need no checkpoint, so they are checked before it is read
     for bad, message in ((["--steps", "1"], "--steps must be >= 2, got 1"),
                          (["--rho", "0"], "--rho must be positive, got 0.0"),
-                         (["--rho", "-1", "--steps", "5"], "--rho must be positive, got -1.0")):
+                         (["--rho", "-1", "--steps", "5"], "--rho must be positive, got -1.0"),
+                         (["--rho", "nan"], "--rho must be finite, got nan"),
+                         (["--rho", "inf"], "--rho must be finite, got inf"),
+                         (["--rho", "0.001"], "--rho 0.001 is too small: "
+                                              "--sigma-max ** (1 / --rho) overflows")):
         code = run("score", "--features", str(tmp_path / "absent.vadf"),
                    "--manifest", str(tmp_path / "absent.json"),
                    "--checkpoint", str(tmp_path / "absent.bin"),
@@ -369,8 +391,12 @@ _HOLDS = "feature file holds a "
     (lambda raw: raw.replace(b"6), }", b"6),  "),
      _NOT_NPY + "its header \"{'descr': '<f4', 'fortran_order': False, 'shape': (144, 6),\" "
      "is not a Python literal"),
+    # one flipped header byte each: a backslash makes an invalid escape, which
+    # the Python parser warns of, and '<f4' becomes numpy's deprecated '<a4'
+    (lambda raw: raw.replace(b"'descr'", b"'\\escr'"), _NOT_NPY + "Cannot parse header: "),
+    (lambda raw: raw.replace(b"'<f4'", b"'<a4'"), _NOT_NPY + "Data type alias 'a' was deprecated"),
 ], ids=["version-1", "version-3", "bad-magic", "empty", "header-cut", "padding-cut",
-        "one-value-short", "python-2-long", "no-closing-brace"])
+        "one-value-short", "python-2-long", "no-closing-brace", "escape-warning", "dtype-warning"])
 def test_score_malformed_feature_file_is_data_error(tmp_path, capsys, corrupt, fragment):
     """Each exits 2 with one line on stderr naming the fault: no traceback,
     no warning."""
@@ -901,52 +927,87 @@ def test_eval_huge_declared_segment_count_is_data_error(tmp_path, capsys, peak_h
 # --- corrupted checkpoints -------------------------------------------------------------
 
 def _small_checkpoint(path):
-    """A centered checkpoint for dim-6 features: 6 center values, then 2 x 474 tensor values."""
+    """A centered checkpoint for dim-6 features: a .npy record of 6 center
+    values, 2 x 474 tensor values, then the config, sigma_data and the noise."""
     params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
     save_checkpoint(path, params, params.copy(), Preconditioner(1.0, np.zeros(6)),
                     TrainNoiseConfig())
     return path.read_bytes()
 
 
-def _payload_message(found, dim=6, enc=(8,)):
-    implied = dim + 2 * param_count(NetworkConfig(dim, enc, (8,), 8))
-    return (f"checkpoint payload holds {4 * found} bytes ({found} float32 values), "
-            f"config implies {implied} values")
+def _edit(raw, **fields):
+    """The checkpoint bytes `raw` with the record's `fields` set, as np.save
+    writes the edited record: the same header and layout."""
+    record = np.load(io.BytesIO(raw))
+    for name, value in fields.items():
+        record[name] = value
+    out = io.BytesIO()
+    np.save(out, record)
+    return out.getvalue()
+
+
+def _record_as(raw, name, kind):
+    """The checkpoint bytes `raw` with field `name` stored as dtype `kind`."""
+    record = np.load(io.BytesIO(raw))
+    descr = [(n, kind if n == name else record.dtype[n]) for n in record.dtype.names]
+    out = io.BytesIO()
+    np.save(out, record.astype(descr))
+    return out.getvalue()
 
 
 _HUGE = 0x7FFFFFFF
-# in _small_checkpoint's header p_mean and p_std follow magic, version, input_dim,
-# one encoder and one decoder width, embed_dim, sigma_data and the center flag
-_P_MEAN_AT = 33
-
-
-def _set_noise(raw, p_mean, p_std):
-    return raw[:_P_MEAN_AT] + struct.pack("<dd", p_mean, p_std) + raw[_P_MEAN_AT + 16:]
+_CK_NOT_NPY = "checkpoint is not a version 1.0 .npy file: "
+# the first bytes of a checkpoint in the older VADW format (version 4, input_dim 6)
+_VADW = b"VADW" + struct.pack("<HI", 4, 6)
+_TOO_BIG = "too many for one checkpoint record"
+_NOT_RECORD = "checkpoint holds a C-order [('center', '<f4', (6,)), "
 
 
 @pytest.mark.parametrize("corrupt, fragment", [
-    (lambda raw: raw[:-4], _payload_message(953)),
-    (lambda raw: raw + bytes(4), _payload_message(955)),
-    (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported checkpoint version 1"),
-    (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], "unsupported checkpoint version 2"),
-    (lambda raw: raw[:4] + struct.pack("<H", 3) + raw[6:], "unsupported checkpoint version 3"),
-    (lambda raw: _set_noise(raw, float("nan"), 1.2),
+    (lambda raw: raw[:-4], "checkpoint holds 3868 bytes after its header, its record takes 3872"),
+    (lambda raw: raw + bytes(4),
+     "checkpoint holds 3876 bytes after its header, its record takes 3872"),
+    (lambda raw: raw[:6] + bytes([1, 1]) + raw[8:], _CK_NOT_NPY + "its version is 1.1"),
+    (lambda raw: raw[:6] + bytes([2, 0]) + raw[8:], _CK_NOT_NPY + "its version is 2.0"),
+    (lambda raw: raw[:6] + bytes([3, 0]) + raw[8:], _CK_NOT_NPY + "its version is 3.0"),
+    (lambda raw: _VADW.ljust(64, b"\0") + raw[64:],
+     _CK_NOT_NPY + "the magic string is not correct; expected b'\\x93NUMPY', "
+     "got b'VADW\\x04\\x00'"),
+    (lambda raw: _edit(raw, p_mean=float("nan")),
      "bad checkpoint header: need finite p_mean and p_std > 0, got (nan, 1.2)"),
-    (lambda raw: _set_noise(raw, -1.2, 0.0),
+    (lambda raw: _edit(raw, p_std=0.0),
      "bad checkpoint header: need finite p_mean and p_std > 0, got (-1.2, 0.0)"),
-    (lambda raw: _set_noise(raw, -1.2, -1.0),
+    (lambda raw: _edit(raw, p_std=-1.0),
      "bad checkpoint header: need finite p_mean and p_std > 0, got (-1.2, -1.0)"),
     # finite, but e^(p_mean -+ 5 p_std) gives no schedule
-    (lambda raw: _set_noise(raw, 1e300, 1.2),
-     "bad checkpoint header: need 0 < sigma_min < sigma_max, got (inf, inf)"),
-    # input_dim sits after magic and version, the first encoder width after the layer count
-    (lambda raw: raw[:6] + struct.pack("<I", _HUGE) + raw[10:], _payload_message(954, dim=_HUGE)),
-    (lambda raw: raw[:11] + struct.pack("<I", _HUGE) + raw[15:],
-     _payload_message(954, enc=(_HUGE,))),
-    # the 49-byte header's zero padding to byte 64, cut short
-    (lambda raw: raw[:60], "truncated checkpoint"),
-], ids=["one-value-short", "one-value-long", "version-1", "version-2", "version-3", "p-mean-nan",
-        "p-std-0", "p-std-negative", "p-mean-huge", "huge-input-dim", "huge-width", "padding-cut"])
+    (lambda raw: _edit(raw, p_mean=1e300),
+     "bad checkpoint header: p_mean 1e+300 and p_std 1.2 give no schedule: "
+     "need 0 < sigma_min < sigma_max, got (inf, inf)"),
+    (lambda raw: _edit(raw, p_std=1e308),
+     "bad checkpoint header: p_mean -1.2 and p_std 1e+308 give no schedule: "
+     "need 0 < sigma_min < sigma_max, got (0.0, inf)"),
+    (lambda raw: _edit(raw, input_dim=_HUGE), f"bad checkpoint header: NetworkConfig("
+     f"input_dim={_HUGE}, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8) has "
+     f"{param_count(NetworkConfig(_HUGE, (8,), (8,), 8))} weights, " + _TOO_BIG),
+    (lambda raw: _edit(raw, encoder_widths=[_HUGE]), f"bad checkpoint header: NetworkConfig("
+     f"input_dim=6, encoder_widths=({_HUGE},), decoder_widths=(8,), embed_dim=8) has "
+     f"{param_count(NetworkConfig(6, (_HUGE,), (8,), 8))} weights, " + _TOO_BIG),
+    (lambda raw: _edit(raw, input_dim=7),
+     "checkpoint field center is ('<f4', (6,)), its config implies ('<f4', (7,))"),
+    (lambda raw: _edit(raw, embed_dim=4),
+     "checkpoint field raw is ('<f4', (474,)), its config implies ('<f4', (344,))"),
+    (lambda raw: _record_as(raw, "p_mean", "<f4"), "('sigma_data', '<f8'), ('p_mean', '<f4'), "),
+    (lambda raw: _record_as(raw, "raw", (">f4", (474,))), _NOT_RECORD + "('raw', '>f4', (474,))"),
+    (lambda raw: _record_as(raw, "input_dim", ("<i8", (1,))),
+     "('ema', '<f4', (474,)), ('input_dim', '<i8', (1,)), "),
+    (lambda raw: raw.replace(b"'raw'", b"'wei'", 1), _NOT_RECORD + "('wei', '<f4', (474,)), "),
+    # the 310-byte header's space padding to byte 320, cut short
+    (lambda raw: raw[:316], "EOF: reading array header, expected 310 bytes got 306"),
+    (lambda raw: b"", "checkpoint is empty"),
+], ids=["one-value-short", "one-value-long", "version-1", "version-2", "version-3", "vadw",
+        "p-mean-nan", "p-std-0", "p-std-negative", "p-mean-huge", "p-std-huge", "huge-input-dim",
+        "huge-width", "input-dim-mismatch", "embed-dim-mismatch", "meta-dtype", "tensor-dtype",
+        "meta-shape", "field-names", "padding-cut", "empty"])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
     f, m = make_data(tmp_path)
     ck = tmp_path / "model.bin"
@@ -998,8 +1059,11 @@ def test_score_flipped_checkpoint_byte_never_escapes(score_inputs, data):
     raw = bytearray(score_inputs[0])
     at = data.draw(st.integers(0, len(raw) - 1), label="offset")
     raw[at] ^= data.draw(st.integers(1, 255), label="mask")
-    code, err = _score_bytes(score_inputs[1], bytes(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _score_bytes(score_inputs[1], bytes(raw))
     assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
     # a flipped weight can overflow the reconstruction: the numeric exit
     assert code in (0, 2) or (code == 3 and "non-finite" in err), err
 
@@ -1242,7 +1306,22 @@ def test_synth_huge_n_normal_names_the_flag(tmp_path, capsys, n_normal):
                "--n-normal", str(n_normal), "--dim", "64")
     err = capsys.readouterr().err
     assert code == 1
-    assert f"--n-normal {n_normal} at --dim 64: " in err
+    assert f"--n-normal {n_normal} at --dim 64 and --segment-len 16: " in err
+    assert "Traceback" not in err
+    assert not f.exists() and not m.exists()
+
+
+def test_synth_huge_segment_len_names_the_flag(tmp_path, capsys):
+    """40 segments of 2**40 frames make label arrays of many TiB, which the
+    allocator refuses at once: synth exits 1 naming --segment-len with the
+    other sizes, and no file is written."""
+    capsys.readouterr()
+    f, m = tmp_path / "f.npy", tmp_path / "m.json"
+    code = run("synth", "--features", str(f), "--manifest", str(m),
+               "--n-normal", "40", "--dim", "4", "--segment-len", str(2**40))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"--n-normal 40 at --dim 4 and --segment-len {2**40}: Unable to allocate" in err
     assert "Traceback" not in err
     assert not f.exists() and not m.exists()
 

@@ -1,4 +1,4 @@
-import struct
+import io
 
 import numpy as np
 import pytest
@@ -604,16 +604,47 @@ def test_weight_tensors_are_views_into_one_flat_vector():
 
 
 def test_checkpoint_layout_is_header_then_flat_float32_payload(tmp_path):
-    """Version 4: the 57-byte header, zero padding to byte 64, then the payload."""
+    """A version 1.0 .npy header of one record, padded to byte 320 (a
+    multiple of 64), then the center, the raw and the EMA tensors as flat
+    float32, then input_dim, the widths and embed_dim as int64, and
+    sigma_data, p_mean and p_std as float64."""
     params = tiny_params(dtype=np.float32)
     ema = tiny_params(seed=77, dtype=np.float32)
     center = np.arange(6, dtype=np.float32)
     path = tmp_path / "model.bin"
     save_checkpoint(path, params, ema, Preconditioner(1.25, center), TrainNoiseConfig(0.5, 0.8))
-    header = (b"VADW" + struct.pack("<HI", 4, 6) + struct.pack("<B2I", 2, 8, 4)
-              + struct.pack("<B2I", 2, 4, 8) + struct.pack("<IdBdd", 8, 1.25, 1, 0.5, 0.8))
-    assert len(header) == 57
+    raw = path.read_bytes()
+    fh = io.BytesIO(raw)
+    assert np.lib.format.read_magic(fh) == (1, 0)
+    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    n = param_count(params.config)
+    assert (shape, fortran, fh.tell()) == ((), False, 320)
+    assert dtype.descr == [
+        ("center", "<f4", (6,)), ("raw", "<f4", (n,)), ("ema", "<f4", (n,)),
+        ("input_dim", "<i8"), ("encoder_widths", "<i8", (2,)), ("decoder_widths", "<i8", (2,)),
+        ("embed_dim", "<i8"), ("sigma_data", "<f8"), ("p_mean", "<f8"), ("p_std", "<f8")]
     payload = np.concatenate([center] + [t.ravel() for t in params.tensors() + ema.tensors()])
-    assert path.read_bytes() == header + bytes(7) + payload.astype("<f4").tobytes()
-    assert len(payload) == 6 + 2 * param_count(params.config)
+    meta = (np.array([6, 8, 4, 4, 8, 8], "<i8").tobytes()
+            + np.array([1.25, 0.5, 0.8], "<f8").tobytes())
+    assert raw[320:] == payload.astype("<f4").tobytes() + meta
+    assert len(payload) == 6 + 2 * n
 
+
+def test_np_load_reads_the_checkpoint_record(tmp_path):
+    """np.load maps a checkpoint as one record whose fields are the saved
+    config, sigma_data, training noise and tensors."""
+    params = tiny_params(dtype=np.float32)
+    ema = tiny_params(seed=77, dtype=np.float32)
+    center = Rng(5).standard_normal(6).astype(np.float32)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, params, ema, Preconditioner(1.25, center), TrainNoiseConfig(0.5, 0.8))
+    record = np.load(path, mmap_mode="r")
+    assert isinstance(record, np.memmap) and record.shape == ()
+    cfg = params.config
+    assert record["input_dim"] == cfg.input_dim and record["embed_dim"] == cfg.embed_dim
+    assert tuple(record["encoder_widths"]) == cfg.encoder_widths
+    assert tuple(record["decoder_widths"]) == cfg.decoder_widths
+    assert (record["sigma_data"], record["p_mean"], record["p_std"]) == (1.25, 0.5, 0.8)
+    assert np.array_equal(record["center"], center)
+    assert np.array_equal(record["raw"], params.flat)
+    assert np.array_equal(record["ema"], ema.flat)
