@@ -363,7 +363,10 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         _resolve(args, _load_config(args.config))
-        return _DISPATCH[args.command](args)
+        # each stage checks its own results for inf and nan, so numpy's
+        # warnings would only say again, less plainly, what the exit says
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _DISPATCH[args.command](args)
     except (DataError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

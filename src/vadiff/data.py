@@ -314,8 +314,9 @@ class SynthConfig:
                              f"got ({self.dim}, {self.segment_len})")
         if _VIDEO_SEGS * self.segment_len >= 2**63:  # a video's frame count must fit int64
             raise ValueError(f"segment_len must be < 2**63 / {_VIDEO_SEGS}, got {self.segment_len}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not 0 <= self.shift / math.sqrt(self.dim) <= float(np.finfo(np.float32).max):
+            raise ValueError(f"shift must be >= 0 with shift / sqrt(dim) finite in float32, "
+                             f"got {self.shift}")
 
 
 def synth_generate(cfg: SynthConfig) -> FeatureSet:

@@ -80,6 +80,10 @@ class ScheduleConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sigma fails too
+            falls = (np.diff(karras_schedule(self)[:-1]) < 0).all()
+        if not falls:  # LMS would divide by the gap between two equal sigmas
+            raise ValueError(f"rho {self.rho} gives a grid whose sigmas do not strictly decrease")
 
 
 def karras_schedule(cfg: ScheduleConfig) -> np.ndarray:

@@ -63,6 +63,15 @@ def batch_threshold(losses: np.ndarray, k: float) -> tuple[float, float, float]:
     return mu, sigma, mu + k * sigma
 
 
+# The most rows one sampling chain integrates at once, so that scoring's
+# heap does not grow with the batch size.  A batch of m rows runs as
+# ceil(m / _BLOCK) blocks (np.array_split: sizes one row apart, the larger
+# first), so above _BLOCK rows no block is below _BLOCK / 2: rows enough
+# to keep GEMM efficient, and for OpenBLAS to give each row the bits it
+# gets in one pass over the whole batch.
+_BLOCK = 512
+
+
 @dataclass
 class DatasetScores:
     mse: np.ndarray        # (n_segments,) continuous scores
@@ -76,16 +85,18 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
                   cfg: ScoringConfig, fs: FeatureSet, rng: Rng) -> DatasetScores:
     """Score every segment, in batches of consecutive rows in manifest order.
 
-    Each batch is a view of fs.features, or a copy centred by p.center, if
-    set, the same way fit centres its batches.  The corruption is additive,
-    x + eps * sigmas[t] with standard normal eps and t = cfg.start_index,
-    so t close to the end of the grid perturbs only slightly; LMS
-    integration from sigmas[t] back to 0 reconstructs it.
+    Each batch is reconstructed in blocks of at most _BLOCK rows, each a
+    view of fs.features, or a copy centred by p.center, if set, the same
+    way fit centres its batches; only the threshold reads the whole batch.
+    The corruption is additive, x + eps * sigmas[t] with standard normal
+    eps and t = cfg.start_index, so t close to the end of the grid perturbs
+    only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
     joins the batch before it.  Each batch draws its noise from an
     independent stream split off `rng`, so batch results do not depend on
-    scoring order.
+    scoring order; its blocks draw from that stream in turn, which gives
+    each row the noise of one draw for the whole batch.
     """
     t = cfg.start_index
     if not 0 <= t < len(sigmas) - 1:
@@ -99,17 +110,19 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     batch_ids = np.empty(n, dtype=np.int64)
     l_th = np.empty(n, dtype=np.float64)
     batch_stats = []
-    denoiser = as_denoiser(params, p)  # its activation buffers serve every batch
+    denoiser = as_denoiser(params, p)  # its activation buffers serve every block
     for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        batch = x[lo:hi] if p.center is None else x[lo:hi] - p.center
-        eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
-        recon = lms_sample(denoiser, batch.astype(np.float64) + eps * sigmas[t],
-                           sigmas, start_index=t)
-        losses = mse_per_instance(batch, recon)
+        noise, blocks = rng.split(f"batch{b}"), -(-(hi - lo) // _BLOCK)
+        for rows, out in zip(np.array_split(x[lo:hi], blocks),
+                             np.array_split(mse[lo:hi], blocks)):
+            block = rows if p.center is None else rows - p.center
+            eps = noise.standard_normal(block.shape, dtype=np.float64)
+            out[:] = mse_per_instance(block, lms_sample(  # no reconstruction outlives its block
+                denoiser, block.astype(np.float64) + eps * sigmas[t], sigmas, start_index=t))
+        losses = mse[lo:hi]
         if not np.isfinite(losses).all():
             raise FloatingPointError("non-finite reconstruction loss")
         mu_p, sigma_p, l_th[lo:hi] = batch_threshold(losses, cfg.k)
-        mse[lo:hi] = losses
         batch_ids[lo:hi] = b
         batch_stats.append((mu_p, sigma_p))
     return DatasetScores(mse, mse > l_th, batch_ids, l_th, batch_stats)

@@ -104,7 +104,6 @@ def test_train_smoke_writes_checkpoint_and_log(tmp_path):
     assert float(first[2]) == 2e-4  # default initial learning rate echoed
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_train_non_finite_weights_exit_3_no_checkpoint(tmp_path, capsys):
     """At --lr 1e308 the one step's loss is finite, but its update leaves
     non-finite weights, which no later loss sees: train exits 3 and writes
@@ -1376,3 +1375,104 @@ def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys
     assert "Traceback" not in err
     assert "trained" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["1e300", "1e17"])
+def test_score_rho_with_repeated_sigmas_exits_1(tmp_path, capsys, rho):
+    """At these --rho values every sigma between the pinned ends rounds to
+    1.0, so the grid does not strictly decrease and LMS would divide by 0:
+    score exits 1 naming --rho, with one line on stderr and no warning."""
+    f, m = make_data(tmp_path)
+    ck = train_tiny(tmp_path, f, m)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                   "--out", str(out), "--start-t", "0", "--rho", rho)
+    assert not caught, [str(w.message) for w in caught]
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: --rho {float(rho)} gives a grid whose sigmas do not strictly decrease\n")
+    assert not out.exists()
+
+
+def test_schedule_config_needs_strictly_decreasing_sigmas():
+    ScheduleConfig(rho=1e15)
+    for rho in (1e16, 1e17, 1e300):
+        with pytest.raises(ValueError, match="do not strictly decrease"):
+            ScheduleConfig(rho=rho)
+
+
+@pytest.mark.parametrize("shift", ["nan", "inf", "1e200"])
+def test_synth_shift_past_float32_exits_1(tmp_path, capsys, shift):
+    """A shift that is not finite, or whose anomalous rows overflow float32,
+    would write inf or nan features: synth exits 1 naming --shift, with one
+    line on stderr and no warning, and writes no file."""
+    f, m = tmp_path / "f.npy", tmp_path / "m.json"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("synth", "--features", str(f), "--manifest", str(m), "--n-normal", "40",
+                   "--dim", "4", "--shift", shift)
+    assert not caught, [str(w.message) for w in caught]
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: --shift must be >= 0 with --shift / sqrt(--dim) finite in float32, "
+           f"got {float(shift)}\n")
+    assert not f.exists() and not m.exists()
+
+
+def test_synth_largest_float32_shift_writes_finite_features(tmp_path):
+    f, m = make_data(tmp_path, dim=4, shift=2 * 3.4e38)  # an offset of 3.4e38 per dimension
+    assert np.isfinite(load_features(f, m).features).all()
+
+
+def test_train_numeric_failure_prints_one_line(tmp_path, capsys):
+    """The overflow that ends training in its first step raises no numpy
+    warning: stderr holds the numeric failure alone, and no checkpoint is
+    written."""
+    f, m = make_data(tmp_path)
+    ck = tmp_path / "model.bin"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                   "--epochs", "3", "--batch-size", "64", "--lr", "1e30")
+    assert not caught, [str(w.message) for w in caught]
+    assert (code, capsys.readouterr().err) == (
+        3, "numeric failure: non-finite loss nan at epoch 0, step 1\n")
+    assert not ck.exists()
+
+
+def test_score_overflowing_reconstruction_exits_3_in_one_line(tmp_path, capsys):
+    """Output weights of 3e38 overflow the network's float32 output: with
+    numpy's warnings off, score_dataset's own check still exits 3."""
+    f, m = make_data(tmp_path)
+    ck = tmp_path / "model.bin"
+    params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
+    params.out_w[...] = 3e38
+    save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                   "--out", str(out))
+    assert not caught, [str(w.message) for w in caught]
+    assert (code, capsys.readouterr().err) == (
+        3, "numeric failure: non-finite reconstruction loss\n")
+    assert not out.exists()
+
+
+def test_eval_nan_score_exits_3_in_one_line(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"version": 1, "segment_len": 16, "videos": [
+        {"video_id": v, "frame_count": 16, "segment_offset": i, "segment_count": 1,
+         "labels": [i] * 16} for i, v in enumerate("ab")]}))
+    scores = tmp_path / "s.csv"
+    scores.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n"
+                      "a,0,0.25,0,0,1.0\nb,0,nan,0,0,1.0\n")
+    capsys.readouterr()
+    code = run("eval", "--scores", str(scores), "--manifest", str(m),
+               "--out", str(tmp_path / "r.json"))
+    assert (code, capsys.readouterr().err) == (
+        3, "numeric failure: video 'b', segment 0: non-finite score nan\n")

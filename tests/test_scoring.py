@@ -361,6 +361,90 @@ def test_dataset_centres_each_batch_as_pre_centred_rows():
     assert a.batch_stats == b.batch_stats and len(a.batch_stats) == 3
 
 
+# --- row blocks ------------------------------------------------------------------
+
+def default_model(dim=64, seed=40):
+    """The default widths in float32, as a checkpoint holds them, with a
+    nonzero head, so that every hidden row reaches the output."""
+    params = init_params(NetworkConfig(input_dim=dim), Rng(seed))
+    params.out_w[...] = Rng(seed + 1).standard_normal(params.out_w.shape) * 0.01
+    return params
+
+
+def whole_batch_scores(params, p, sigmas, cfg, fs, rng):
+    """(mse, flags, l_th) with each batch integrated in one lms_sample call,
+    as score_dataset did before it split batches into row blocks."""
+    t, x = cfg.start_index, fs.features
+    bounds = [*range(0, len(x) - 1, cfg.batch_size), len(x)]
+    mse, l_th = np.empty(len(x)), np.empty(len(x))
+    denoiser = as_denoiser(params, p)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        batch = x[lo:hi] if p.center is None else x[lo:hi] - p.center
+        eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
+        recon = lms_sample(denoiser, batch.astype(np.float64) + eps * sigmas[t], sigmas,
+                           start_index=t)
+        mse[lo:hi] = mse_per_instance(batch, recon)
+        l_th[lo:hi] = batch_threshold(mse[lo:hi], cfg.k)[2]
+    return mse, mse > l_th, l_th
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("batch_size", [512, 700, 1100])
+def test_dataset_row_blocks_give_the_whole_batch_bits(batch_size, center):
+    """Blocks of 1 (512), 2 (350 + 350 and 351 + 350 at 700; 501 + 500 at
+    1100's tail of 1001) and 3 (367 + 367 + 366 at 1100) rows each score
+    every row as one integration of its whole batch does."""
+    params = default_model()
+    sigmas = karras_schedule(ScheduleConfig(steps=5))  # 4 NFE from index 0, up to order 4
+    feats = (Rng(42).standard_normal((2101, 64)) + 0.5).astype(np.float32)
+    fs = FeatureSet(feats, [VideoRecord("v", 2101 * 16, 0, 2101)])
+    p = Preconditioner(1.0, feats.mean(axis=0) if center else None)
+    cfg = ScoringConfig(start_index=0, batch_size=batch_size)
+    got = score_dataset(params, p, sigmas, cfg, fs, Rng(43))
+    mse, flags, l_th = whole_batch_scores(params, p, sigmas, cfg, fs, Rng(43))
+    assert np.array_equal(got.mse, mse)
+    assert np.array_equal(got.flags, flags)
+    assert np.array_equal(got.l_th, l_th)
+
+
+@pytest.mark.parametrize("m", [2, 511, 512, 513, 1001, 1024, 1025, 1100, 1537, 4096, 8191])
+def test_dataset_row_blocks_split_a_batch_evenly_larger_first(m, monkeypatch):
+    sizes = []
+
+    def recording(denoiser, x, sigmas, start_index):
+        sizes.append(x.shape[0])
+        return x
+
+    monkeypatch.setattr(scoring, "lms_sample", recording)
+    fs = one_batch(np.zeros((m, 2), dtype=np.float32))
+    params, p = small_model(dim=2)
+    score_dataset(params, p, short_schedule(), ScoringConfig(start_index=0, batch_size=m), fs,
+                  Rng(0))
+    assert sum(sizes) == m and len(sizes) == -(-m // 512)
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert sizes[0] <= 512 and (m <= 512 or sizes[-1] >= 256)
+    if m == 1001:
+        assert sizes == [501, 500]
+
+
+def test_dataset_heap_does_not_grow_with_the_batch(peak_heap):
+    """Scoring 4096 rows in one batch peaks at the heap of scoring 512
+    rows plus the per-row outputs (mse, l_th, batch ids, flags): the
+    sampler's state and the network's buffers stay sized by one block."""
+    params = default_model()
+    sigmas = karras_schedule(ScheduleConfig())
+    cfg = ScoringConfig(start_index=len(sigmas) - 2)  # one NFE
+    peaks = []
+    for m in (4096, 512):
+        fs = one_batch(Rng(44).standard_normal((m, 64)).astype(np.float32))
+        scores, peak = peak_heap(lambda: score_dataset(params, Preconditioner(1.0), sigmas, cfg,
+                                                       fs, Rng(45)))
+        assert len(scores.batch_stats) == 1
+        peaks.append(peak)
+    outputs = (4096 - 512) * (3 * 8 + 1)
+    assert peaks[0] - peaks[1] <= outputs + 2**16, peaks
+
+
 # --- CSV round trip --------------------------------------------------------------
 
 def test_scores_csv_round_trip(tmp_path):
