@@ -295,16 +295,22 @@ def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
     """Effective denoiser D(x; sigma) for inference, in x's float dtype.
 
     sigma is a scalar or per-row (n,) array; columns are feature dims.
-    The network itself runs in the weights' dtype, in place in the
-    buffers `work` keeps (see forward_raw).
+    c_in * x, c_skip * x and c_out * F are each formed in x's float dtype
+    (float64 for any other x), so the float64 scalings do not promote a
+    float32 x.  The network itself runs in the weights' dtype, in place
+    in the buffers `work` keeps (see forward_raw).
     """
     x = np.asarray(x)
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
     if np.ndim(sigma) == 1:
         c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
-    f = forward_raw(params, (c_in * x).astype(params.dtype), c_noise, work=work)
     dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    return (c_skip * x + c_out * f).astype(dt, copy=False)
+    f = forward_raw(params, np.multiply(x, c_in, dtype=dt).astype(params.dtype, copy=False),
+                    c_noise, work=work)
+    out = np.multiply(f, c_out, dtype=dt)
+    del f  # before the skip term's temporary is made: one block array fewer at the peak
+    out += np.multiply(x, c_skip, dtype=dt)  # the bits of c_skip * x + c_out * f
+    return out
 
 
 def as_denoiser(params: DenoiserParams, p: Preconditioner):

@@ -136,7 +136,9 @@ def lms_sample(denoiser: Denoiser, x: np.ndarray, sigmas: np.ndarray,
     unchanged.  Each step's derivative is (x - D(x; sigma)) / sigma, i.e.
     -sigma times the score, so every sigma stepped from must be > 0.
     Derivative history grows from 1 up to `order` entries, so the first
-    step is exactly an Euler step.
+    step is exactly an Euler step.  The state and the history stay in x's
+    dtype, given a denoiser that keeps it: every sigma and coefficient
+    enters as a Python float, which does not promote a float32 array.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     n_steps = len(sigmas) - 1

@@ -44,13 +44,15 @@ class ScoringConfig:
 
 
 def mse_per_instance(fea: np.ndarray, fea_hat: np.ndarray) -> np.ndarray:
-    """Mean squared error per row, reduced in float64."""
+    """Mean squared error per row, formed and reduced in float64 in one
+    temporary of the inputs' shape."""
     fea = np.asarray(fea)
     fea_hat = np.asarray(fea_hat)
     if fea.shape != fea_hat.shape:
         raise ValueError(f"shape mismatch: {fea.shape} vs {fea_hat.shape}")
-    diff = fea.astype(np.float64) - fea_hat.astype(np.float64)
-    return np.mean(diff * diff, axis=1)
+    diff = np.subtract(fea, fea_hat, dtype=np.float64)
+    diff *= diff
+    return np.mean(diff, axis=1)
 
 
 def batch_threshold(losses: np.ndarray, k: float) -> tuple[float, float, float]:
@@ -91,6 +93,10 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     The corruption is additive, x + eps * sigmas[t] with standard normal
     eps and t = cfg.start_index, so t close to the end of the grid perturbs
     only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
+    eps is drawn and the start formed in float64, then cast once to the
+    weights' dtype, in which the ODE state and the denoiser's skip path
+    run; a start that overflows that dtype raises FloatingPointError
+    naming the level.  The losses and thresholds are reduced in float64.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
     joins the batch before it.  Each batch draws its noise from an
@@ -116,9 +122,17 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
         for rows, out in zip(np.array_split(x[lo:hi], blocks),
                              np.array_split(mse[lo:hi], blocks)):
             block = rows if p.center is None else rows - p.center
-            eps = noise.standard_normal(block.shape, dtype=np.float64)
+            start = noise.standard_normal(block.shape, dtype=np.float64)
+            start *= sigmas[t]
+            start += block  # the bits of block.astype(float64) + eps * sigmas[t]
+            with np.errstate(over="ignore"):  # a start beyond the dtype's range is inf
+                start = start.astype(params.dtype, copy=False)
+            if not np.isfinite(start).all():
+                raise FloatingPointError(
+                    f"the noised start at sigmas[{t}] = {sigmas[t]:g} overflows "
+                    f"{params.dtype}: lower --sigma-max or raise --start-t")
             out[:] = mse_per_instance(block, lms_sample(  # no reconstruction outlives its block
-                denoiser, block.astype(np.float64) + eps * sigmas[t], sigmas, start_index=t))
+                denoiser, start, sigmas, start_index=t))
         losses = mse[lo:hi]
         if not np.isfinite(losses).all():
             raise FloatingPointError("non-finite reconstruction loss")

@@ -1463,6 +1463,31 @@ def test_score_overflowing_reconstruction_exits_3_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma_max, code, err", [
+    ("1e39", 3, "numeric failure: the noised start at sigmas[0] = 1e+39 overflows float32: "
+                "lower --sigma-max or raise --start-t\n"),
+    ("1e37", 0, ""),
+], ids=["1e39", "1e37"])
+def test_score_start_level_beyond_float32_exits_3_naming_it(tmp_path, capsys, sigma_max, code,
+                                                             err):
+    """The noised start is held in the weights' float32: a start level of
+    1e39 overflows it, and the exit names the level and its two flags
+    without a numpy warning; 1e37 still scores."""
+    f, m = make_data(tmp_path)
+    ck = tmp_path / "model.bin"
+    params = init_params(NetworkConfig(6, (8,), (8,), 8), Rng(0))
+    save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run("score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
+                  "--out", str(out), "--start-t", "0", "--sigma-max", sigma_max)
+    assert not caught, [str(w.message) for w in caught]
+    assert (got, capsys.readouterr().err) == (code, err)
+    assert out.exists() == (code == 0)
+
+
 def test_eval_nan_score_exits_3_in_one_line(tmp_path, capsys):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"version": 1, "segment_len": 16, "videos": [

@@ -314,6 +314,41 @@ def test_denoise_runs_network_in_weight_dtype_keeps_input_dtype():
     assert got32.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_denoise_float64_input_gives_the_float64_expression_bits(dtype, per_row):
+    """On float64 x every scaling is the float64 product of the plain
+    expression c_skip * x + c_out * F(c_in * x), whatever the weights' dtype."""
+    params = tiny_params(dtype=dtype)
+    p = Preconditioner(0.8)
+    x = Rng(21).standard_normal((9, 6))
+    sigma = np.geomspace(0.05, 40.0, 9) if per_row else 1.7
+    c_skip, c_out, c_in, c_noise = scalings(p, sigma)
+    if per_row:
+        c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
+    want = c_skip * x + c_out * forward_raw(params, (c_in * x).astype(dtype), c_noise)
+    got = denoise(params, p, x, sigma)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_denoise_float32_input_scales_in_float32(per_row):
+    """On float32 x each scaling is cast to float32 before its product, so
+    no product, and not the skip path, is formed in float64."""
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(0.8)
+    x = Rng(22).standard_normal((9, 6)).astype(np.float32)
+    sigma = np.geomspace(0.05, 40.0, 9) if per_row else 1.7
+    c_skip, c_out, c_in, c_noise = (np.asarray(c, np.float32) for c in scalings(p, sigma))
+    if per_row:
+        c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
+    want = c_skip * x + c_out * forward_raw(params, c_in * x, scalings(p, sigma)[3])
+    got = denoise(params, p, x, sigma)
+    assert got.dtype == want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 def test_denoise_feeds_forward_weight_dtype_and_one_noise_level(monkeypatch):
     seen = []
 

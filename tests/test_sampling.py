@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -257,11 +259,14 @@ def test_lms_rejects_out_of_range_start():
 # --- partial corruption + reconstruction, through score_dataset -------------------
 
 def reconstruction_mse(monkeypatch, den, x, sig, t, seed):
-    """Per-row MSE of score_dataset on `x` as one batch, with `den` as the network."""
+    """Per-row MSE of score_dataset on `x` as one batch, with `den` as the
+    network and the ODE state in float64: of the weights, score_dataset
+    then reads only their dtype."""
     monkeypatch.setattr(scoring, "as_denoiser", lambda params, p: den)
     fs = FeatureSet(x, [VideoRecord("v", len(x) * 16, 0, len(x))])
     cfg = ScoringConfig(start_index=t, batch_size=len(x))
-    return score_dataset(None, Preconditioner(1.0), sig, cfg, fs, Rng(seed)).mse
+    weights = SimpleNamespace(dtype=np.dtype(np.float64))
+    return score_dataset(weights, Preconditioner(1.0), sig, cfg, fs, Rng(seed)).mse
 
 
 def test_partial_corruption_rms_at_last_index(monkeypatch):

@@ -63,6 +63,26 @@ def test_mse_matches_loop_oracle():
         assert abs(got[i] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float32, np.float64)], ids=["f32", "f64", "mixed"])
+def test_mse_gives_the_bits_of_the_float64_expression(dtypes):
+    a = Rng(50).standard_normal((37, 300)).astype(dtypes[0])
+    b = Rng(51).standard_normal((37, 300)).astype(dtypes[1])
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    assert mse_per_instance(a, b).tobytes() == np.mean(diff * diff, axis=1).tobytes()
+
+
+def test_mse_peak_heap_is_one_float64_array(peak_heap):
+    """The difference is formed in float64 straight from the float32 rows
+    and squared in place: one float64 array of the inputs' shape, where
+    casting each input first made four."""
+    a = Rng(52).standard_normal((512, 1024)).astype(np.float32)
+    b = Rng(53).standard_normal((512, 1024)).astype(np.float32)
+    _, peak = peak_heap(lambda: mse_per_instance(a, b))
+    one = 8 * a.size
+    assert one <= peak <= 1.1 * one, peak / one
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse_per_instance(np.ones((2, 3)), np.ones((2, 4)))
@@ -220,6 +240,29 @@ def test_score_batch_float32_weights_keep_float64_losses():
     assert np.abs(got.mse - want.mse).max() <= 1e-5 * want.mse.max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_score_batch_ode_state_runs_in_the_weights_dtype(dtype, monkeypatch):
+    """Every NFE sees the sampler's state in the weights' dtype."""
+    cfg = NetworkConfig(input_dim=4, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
+    params = init_params(cfg, Rng(2)).astype(dtype)
+    seen = []
+
+    def spying(params, p):
+        den = as_denoiser(params, p)
+
+        def spy(x, sigma):
+            seen.append(x.dtype)
+            return den(x, sigma)
+        return spy
+
+    monkeypatch.setattr(scoring, "as_denoiser", spying)
+    sig = short_schedule()
+    batch = Rng(14).standard_normal((16, 4)).astype(np.float32)
+    score_one_batch(params, Preconditioner(1.0), sig, ScoringConfig(start_index=0), batch,
+                    Rng(15))
+    assert seen == [np.dtype(dtype)] * (len(sig) - 1)
+
+
 def test_score_batch_start_index_validated():
     params, p = small_model()
     sig = short_schedule()
@@ -233,6 +276,13 @@ def test_score_batch_start_index_validated():
 
 def one_video_set(n=12, dim=4, seed=13):
     return one_batch(Rng(seed).standard_normal((n, dim)).astype(np.float32))
+
+
+def noised_start(x, noise, sigma, dtype):
+    """x + eps * sigma, eps drawn from `noise` in float64 and the sum formed
+    in float64, then cast to the weights' dtype, as score_dataset forms it."""
+    eps = noise.standard_normal(x.shape, dtype=np.float64)
+    return (x.astype(np.float64) + eps * sigma).astype(dtype)
 
 
 def test_dataset_batches_follow_manifest_order():
@@ -265,9 +315,9 @@ def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
     assert scores.batch_ids.tolist() == [0] * 8 + [1] * 8 + [2] * 7
     for b, lo in enumerate(range(0, 23, 8)):
         x = feats[lo : lo + 8]
-        eps = Rng(24).split(f"batch{b}").standard_normal(x.shape, dtype=np.float64)
         recon = lms_sample(lambda v, s: denoise(params, p, v, s),
-                           x.astype(np.float64) + eps * sig[0], sig, start_index=0)
+                           noised_start(x, Rng(24).split(f"batch{b}"), sig[0], params.dtype),
+                           sig, start_index=0)
         assert np.array_equal(scores.mse[lo : lo + 8], mse_per_instance(x, recon))
 
 
@@ -380,9 +430,8 @@ def whole_batch_scores(params, p, sigmas, cfg, fs, rng):
     denoiser = as_denoiser(params, p)
     for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         batch = x[lo:hi] if p.center is None else x[lo:hi] - p.center
-        eps = rng.split(f"batch{b}").standard_normal(batch.shape, dtype=np.float64)
-        recon = lms_sample(denoiser, batch.astype(np.float64) + eps * sigmas[t], sigmas,
-                           start_index=t)
+        recon = lms_sample(denoiser, noised_start(batch, rng.split(f"batch{b}"), sigmas[t],
+                                                  params.dtype), sigmas, start_index=t)
         mse[lo:hi] = mse_per_instance(batch, recon)
         l_th[lo:hi] = batch_threshold(mse[lo:hi], cfg.k)[2]
     return mse, mse > l_th, l_th
@@ -443,6 +492,36 @@ def test_dataset_heap_does_not_grow_with_the_batch(peak_heap):
         peaks.append(peak)
     outputs = (4096 - 512) * (3 * 8 + 1)
     assert peaks[0] - peaks[1] <= outputs + 2**16, peaks
+
+
+def test_dataset_float32_state_scores_within_1e6_of_the_float64_state():
+    """At start_index 0 with the default widths, each loss of the float32
+    ODE state is within 1e-6 relative of the loss of a float64 state, the
+    float32 network fed float64 x."""
+    params, p = default_model(), Preconditioner(1.0)
+    sigmas = karras_schedule(ScheduleConfig())  # 10 NFE from index 0
+    feats = (Rng(46).standard_normal((300, 64)) + 0.5).astype(np.float32)
+    got = score_one_batch(params, p, sigmas, ScoringConfig(start_index=0), feats, Rng(47)).mse
+    recon = lms_sample(as_denoiser(params, p),
+                       noised_start(feats, Rng(47).split("batch0"), sigmas[0], np.float64), sigmas)
+    want = mse_per_instance(feats, recon)
+    assert np.abs(got / want - 1.0).max() <= 1e-6
+
+
+def test_dataset_float32_state_takes_at_most_0_6_of_the_float64_heap(peak_heap):
+    """With 1024 dims and one 16-unit layer each way the sampler's state,
+    not the network, fills the heap: float32 weights keep it in float32."""
+    cfg = NetworkConfig(input_dim=1024, encoder_widths=(16,), decoder_widths=(16,))
+    params = init_params(cfg, Rng(48))
+    params.out_w[...] = Rng(49).standard_normal(params.out_w.shape) * 0.01
+    fs = one_batch(Rng(50).standard_normal((512, 1024)).astype(np.float32))
+    sigmas = karras_schedule(ScheduleConfig())
+    peaks = {}
+    for dtype in (np.float32, np.float64):
+        weights = params.astype(dtype)
+        _, peaks[dtype] = peak_heap(lambda: score_dataset(
+            weights, Preconditioner(1.0), sigmas, ScoringConfig(start_index=0), fs, Rng(51)))
+    assert peaks[np.float32] <= 0.6 * peaks[np.float64], peaks
 
 
 # --- CSV round trip --------------------------------------------------------------
