@@ -291,7 +291,7 @@ def forward_raw(params, x_scaled, c_noise, *, work=None):
 
 
 def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
-            work=None) -> np.ndarray:
+            work=None, base=None) -> np.ndarray:
     """Effective denoiser D(x; sigma) for inference, in x's float dtype.
 
     sigma is a scalar or per-row (n,) array; columns are feature dims.
@@ -299,27 +299,44 @@ def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
     (float64 for any other x), so the float64 scalings do not promote a
     float32 x.  The network itself runs in the weights' dtype, in place
     in the buffers `work` keeps (see forward_raw).
+
+    With `base`, an array x broadcasts against, x is a displacement from
+    base and the result is D(base + x; sigma) - base, formed as
+    c_skip * x - (1 - c_skip) * base + c_out * F(c_in * (base + x)): no
+    term is the difference of two values of base's scale, so however
+    small x is beside base, the result keeps x's relative precision.
     """
     x = np.asarray(x)
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
+    # 1 - c_skip, as sigma^2 / (sigma^2 + sigma_data^2) without the cancellation
+    c_rest = c_skip * np.square(np.asarray(sigma, dtype=np.float64) / p.sigma_data)
     if np.ndim(sigma) == 1:
-        c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
+        c_skip, c_out, c_in, c_rest = (c[:, None] for c in (c_skip, c_out, c_in, c_rest))
     dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    f = forward_raw(params, np.multiply(x, c_in, dtype=dt).astype(params.dtype, copy=False),
-                    c_noise, work=work)
+    if base is None:
+        x_in = np.multiply(x, c_in, dtype=dt)
+    else:
+        x_in = np.add(base, x, dtype=dt)
+        np.multiply(x_in, c_in, out=x_in, dtype=dt)
+    x_in = x_in.astype(params.dtype, copy=False)
+    f = forward_raw(params, x_in, c_noise, work=work)
+    del x_in
     out = np.multiply(f, c_out, dtype=dt)
     del f  # before the skip term's temporary is made: one block array fewer at the peak
     out += np.multiply(x, c_skip, dtype=dt)  # the bits of c_skip * x + c_out * f
+    if base is not None:
+        out -= np.multiply(base, c_rest, dtype=dt)
     return out
 
 
 def as_denoiser(params: DenoiserParams, p: Preconditioner):
     """The effective denoiser as a plain (x, sigma) -> x_hat callable,
-    the form the ODE sampler consumes.  Its calls share one set of
-    activation buffers, so a sampling chain allocates them once.
+    the form the ODE sampler consumes, which also takes denoise's `base`.
+    Its calls share one set of activation buffers, so a sampling chain
+    allocates them once.
     """
     work = []
-    return lambda x, sigma: denoise(params, p, x, sigma, work=work)
+    return lambda x, sigma, base=None: denoise(params, p, x, sigma, work=work, base=base)
 
 
 # --- checkpoint serialization (a .npy record) --------------------------------

@@ -15,17 +15,16 @@ def test_layers_tool_writes_its_record_at_tiny_sizes(tmp_path):
     record = json.loads(out.read_text())
     assert set(record) == {"environment", "config", "layers", "scale"}
     assert set(record["environment"]) >= {"python", "numpy", "blas", "cpus"}
-    assert [(r["layer"], r["state"], r["dim"]) for r in record["layers"]] == [
-        ("nfe", "float32", 4), ("nfe", "float64", 4), ("nfe", "float32", 6),
-        ("nfe", "float64", 6), ("lms_sample", "float32", 4), ("lms_sample", "float64", 4)]
+    assert [(r["layer"], r["dim"]) for r in record["layers"]] == [
+        ("nfe", 4), ("nfe", 6), ("lms_sample", 4)]
     for r in record["layers"]:
-        assert set(r) == {"layer", "state", "rows", "dim", "median_s", "quartiles_s", "reps"}
+        assert set(r) == {"layer", "rows", "dim", "median_s", "quartiles_s", "reps"}
         assert r["rows"] == 8 and r["reps"] == 1 and r["median_s"] > 0
     scale = record["scale"]
     assert set(scale) == {"rows", "dim", "wall_s", "wall_quartiles_s", "reps", "heap_peak_mib",
                           "rss_setup_mib", "rss_peak_mib"}
     assert (scale["rows"], scale["dim"]) == (16, 4)
     assert 0 < scale["heap_peak_mib"] and 0 < scale["rss_setup_mib"] <= scale["rss_peak_mib"]
-    assert printed.splitlines()[0].split() == ["layer", "state", "rows", "dim", "median", "s",
-                                               "q1", "s", "q3", "s"]
+    assert printed.splitlines()[0].split() == ["layer", "rows", "dim", "median", "s", "q1", "s",
+                                               "q3", "s"]
     assert printed.splitlines()[-1].startswith("scale: one 16 x 4 batch at start_index 0")

@@ -333,6 +333,37 @@ def test_denoise_float64_input_gives_the_float64_expression_bits(dtype, per_row)
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_denoise_about_a_base_keeps_a_small_displacement_precise(per_row):
+    """With base, a float32 displacement 1e-3 beside rows of scale 6 gives
+    D(base + x) - base within 1e-6 of its float64 value, the network fed
+    the same float32 input: without base, a float32 x = base + displacement
+    carries float32's spacing at 6, far beyond that."""
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(0.8)
+    base = (Rng(23).standard_normal((9, 6)) + 6.0).astype(np.float32)
+    x = (Rng(24).standard_normal((9, 6)) * 1e-3).astype(np.float32)
+    sigma = np.geomspace(7e-4, 2e-3, 9) if per_row else 7e-4
+    c_skip, c_out, c_in, c_noise = scalings(p, sigma)
+    if per_row:
+        c_skip, c_out, c_in = c_skip[:, None], c_out[:, None], c_in[:, None]
+    f = forward_raw(params, c_in.astype(np.float32) * (base + x), c_noise).astype(np.float64)
+    want = c_skip * (base + x.astype(np.float64)) + c_out * f - base
+    got = denoise(params, p, x, sigma, base=base)
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    plain = denoise(params, p, base + x, sigma) - base.astype(np.float64)
+    assert np.abs(plain - want).max() > 1e-4 * np.abs(want).max()
+
+
+def test_denoise_about_a_zero_base_gives_the_plain_bits():
+    params = tiny_params(dtype=np.float32)
+    p = Preconditioner(0.8)
+    x = Rng(25).standard_normal((9, 6)).astype(np.float32)
+    got = denoise(params, p, x, 0.3, base=np.zeros(6, np.float32))
+    assert got.tobytes() == denoise(params, p, x, 0.3).tobytes()
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
 def test_denoise_float32_input_scales_in_float32(per_row):
     """On float32 x each scaling is cast to float32 before its product, so
     no product, and not the skip path, is formed in float64."""

@@ -6,8 +6,8 @@
 vadiff is imported from src/ beside this directory.  Every network is the
 default widths in float32, as a checkpoint holds them, drawn from a fixed
 seed, with a nonzero output head so that every hidden unit reaches the
-output.  Each layer is timed on an ODE state of each dtype, float32 and
-float64 (score_dataset holds the state in the weights' dtype):
+output.  Each layer runs as score_dataset runs it: on a float32 ODE state
+that is the displacement from float32 rows, about those rows:
 
 - nfe: one denoiser evaluation, as_denoiser with its buffers already
   sized, on --rows x DIM at sigma 1, for each DIM of --dims
@@ -60,7 +60,6 @@ from vadiff import (  # noqa: E402
 
 SEED = 0
 MIB = 2**20
-STATES = (np.float32, np.float64)
 
 
 def network(dim: int):
@@ -70,24 +69,24 @@ def network(dim: int):
 
 
 def layer_probes(rows: int, dims: list[int], lms_dim: int):
-    """(name, state dtype, dim, fn) for each timed layer; each fn is run
-    once here, so that the denoisers' buffers are sized before timing."""
+    """(name, dim, fn) for each timed layer; each fn is run once here, so
+    that the denoisers' buffers are sized before timing."""
     p = Preconditioner(1.0)
     sigmas = karras_schedule(ScheduleConfig())
-    dens = {dim: as_denoiser(network(dim), p) for dim in dict.fromkeys(dims + [lms_dim])}
+    dens = {}
+    for dim in dict.fromkeys(dims + [lms_dim]):
+        base = Rng(SEED + 5).standard_normal((rows, dim), dtype=np.float32)
+        dens[dim] = partial(as_denoiser(network(dim), p), base=base)
 
-    def state(dim, dtype):
-        return Rng(SEED + 2).standard_normal((rows, dim)).astype(dtype)
+    def state(dim):
+        return Rng(SEED + 2).standard_normal((rows, dim), dtype=np.float32)
 
-    probes = [("nfe", dtype, dim, partial(dens[dim], state(dim, dtype), 1.0))
-              for dim in dims for dtype in STATES]
-    probes += [("lms_sample", dtype, lms_dim,
-                partial(lms_sample, dens[lms_dim], state(lms_dim, dtype) * float(sigmas[0]),
-                        sigmas))
-               for dtype in STATES]
-    for name, dtype, _, fn in probes:
-        if fn().dtype != dtype:
-            raise RuntimeError(f"{name} on a {np.dtype(dtype).name} state left that dtype")
+    probes = [("nfe", dim, partial(dens[dim], state(dim), 1.0)) for dim in dims]
+    probes.append(("lms_sample", lms_dim, partial(lms_sample, dens[lms_dim],
+                                                  state(lms_dim) * float(sigmas[0]), sigmas)))
+    for name, _, fn in probes:
+        if fn().dtype != np.float32:
+            raise RuntimeError(f"{name} on a float32 state left that dtype")
     return probes
 
 
@@ -99,9 +98,9 @@ def time_layers(rows: int, dims: list[int], lms_dim: int, reps: int) -> list[dic
             t0 = time.perf_counter()
             fn()
             ts.append(time.perf_counter() - t0)
-    return [{"layer": name, "state": np.dtype(dtype).name, "rows": rows, "dim": dim,
-             "median_s": statistics.median(ts), "quartiles_s": quartiles(ts), "reps": reps}
-            for (name, dtype, dim, _), ts in zip(probes, times)]
+    return [{"layer": name, "rows": rows, "dim": dim, "median_s": statistics.median(ts),
+             "quartiles_s": quartiles(ts), "reps": reps}
+            for (name, dim, _), ts in zip(probes, times)]
 
 
 def quartiles(ts: list[float]) -> list[float]:
@@ -166,12 +165,12 @@ def environment() -> dict:
 
 
 def table(record: dict) -> str:
-    lines = [f"{'layer':12s} {'state':8s} {'rows':>6s} {'dim':>5s} {'median s':>10s} "
-             f"{'q1 s':>10s} {'q3 s':>10s}"]
+    lines = [f"{'layer':12s} {'rows':>6s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
+             f"{'q3 s':>10s}"]
     for r in record["layers"]:
         q1, _, q3 = r["quartiles_s"]
-        lines.append(f"{r['layer']:12s} {r['state']:8s} {r['rows']:6d} {r['dim']:5d} "
-                     f"{r['median_s']:10.4f} {q1:10.4f} {q3:10.4f}")
+        lines.append(f"{r['layer']:12s} {r['rows']:6d} {r['dim']:5d} {r['median_s']:10.4f} "
+                     f"{q1:10.4f} {q3:10.4f}")
     s = record["scale"]
     lines.append(f"scale: one {s['rows']} x {s['dim']} batch at start_index 0: "
                  f"{s['wall_s']:.3f} s, heap peak {s['heap_peak_mib']:.1f} MiB, RSS "
