@@ -59,7 +59,6 @@ from .scoring import (
     DatasetScores,
     ScoringConfig,
     batch_threshold,
-    mse_per_instance,
     read_scores_csv,
     score_dataset,
     write_scores_csv,

@@ -294,7 +294,7 @@ def cmd_eval(args) -> int:
         "manifest": args.manifest,
     })
     if args.frames_csv:
-        write_frames_csv(args.frames_csv, report)
+        write_frames_csv(args.frames_csv, scores, manifest, segment_len)
     print(json.dumps(doc, indent=1))
     return EXIT_OK
 

@@ -23,13 +23,10 @@ from .data import DataError, VideoRecord, validate_manifest
 
 @dataclass
 class EvalReport:
+    """The frame-level AUC and the frame counts it was taken over."""
     auc: float
     frame_count: int
     positive_count: int
-    # what write_frames_csv expands on demand
-    manifest: list[VideoRecord]
-    scores: np.ndarray  # (n_segments,) in manifest order
-    widths: np.ndarray  # frames each segment covers
 
 
 def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
@@ -198,9 +195,6 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
         auc=_tied_auc(scores, pos, width - pos),
         frame_count=n_frames,
         positive_count=n_pos,
-        manifest=manifest,
-        scores=scores,
-        widths=width,
     )
 
 
@@ -219,17 +213,18 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
     return doc
 
 
-def write_frames_csv(path, report: EvalReport) -> None:
-    """Optional per-frame dump for external plotting, expanded one video at
-    a time, so it holds no more than one video's frames."""
+def write_frames_csv(path, scores: np.ndarray, manifest: list[VideoRecord],
+                     segment_len: int) -> None:
+    """Optional per-frame dump for external plotting: each segment's score
+    (`scores` in manifest order, as evaluate checked them) for every frame
+    it covers, expanded one video at a time, so it holds no more than one
+    video's frames."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_index", "score", "label"])
-        first = 0  # the video's first segment
-        for rec in report.manifest:
-            end = first + rec.segment_count
-            scores = np.repeat(report.scores[first:end], report.widths[first:end]).tolist()
+        for rec in manifest:
+            seg = slice(rec.segment_offset, rec.segment_offset + rec.segment_count)
+            frames = np.repeat(scores[seg], segment_len)[:rec.frame_count].tolist()
             labels = np.asarray(rec.labels, dtype=np.int8).tolist()
-            writer.writerows(zip(repeat(rec.video_id), range(len(labels)), map(repr, scores),
+            writer.writerows(zip(repeat(rec.video_id), range(len(labels)), map(repr, frames),
                                  labels))
-            first = end

@@ -44,18 +44,6 @@ class ScoringConfig:
             raise ValueError(f"k must be finite, got {self.k}")
 
 
-def mse_per_instance(fea: np.ndarray, fea_hat: np.ndarray) -> np.ndarray:
-    """Mean squared error per row, formed and reduced in float64 in one
-    temporary of the inputs' shape."""
-    fea = np.asarray(fea)
-    fea_hat = np.asarray(fea_hat)
-    if fea.shape != fea_hat.shape:
-        raise ValueError(f"shape mismatch: {fea.shape} vs {fea_hat.shape}")
-    diff = np.subtract(fea, fea_hat, dtype=np.float64)
-    diff *= diff
-    return np.mean(diff, axis=1)
-
-
 def batch_threshold(losses: np.ndarray, k: float) -> tuple[float, float, float]:
     """(mu_p, sigma_p, l_th) with population (divide-by-N) deviation."""
     losses = np.asarray(losses, dtype=np.float64)
@@ -76,19 +64,15 @@ _BLOCK = 512
 
 
 def _noised_start(noise: Rng, block: np.ndarray, sigmas: np.ndarray, t: int, dtype):
-    """eps * sigmas[t] with eps standard normal, drawn and scaled in float64.
-    With dtype None it is the noised block itself, block + eps * sigmas[t]
-    in float64; otherwise it stays the displacement from block, cast once to
-    dtype, and one beyond dtype's range raises FloatingPointError naming the
-    level."""
+    """The displacement eps * sigmas[t] from block, eps standard normal,
+    drawn and scaled in float64 and cast once to dtype (a float64 start is
+    not copied); one beyond dtype's range raises FloatingPointError naming
+    the level."""
     start = noise.standard_normal(block.shape, dtype=np.float64)
     start *= sigmas[t]
-    if dtype is None:
-        start += block  # the bits of block.astype(float64) + eps * sigmas[t]
-        return start
     try:
         with np.errstate(over="raise"):
-            return start.astype(dtype)
+            return start.astype(dtype, copy=False)
     except FloatingPointError:
         raise FloatingPointError(
             f"the noised start at sigmas[{t}] = {sigmas[t]:g} overflows {np.dtype(dtype)}: "
@@ -114,16 +98,16 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     The corruption is additive, x + eps * sigmas[t] with standard normal
     eps and t = cfg.start_index, so t close to the end of the grid perturbs
     only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
-    eps * sigmas[t] is drawn and formed in float64.  The ODE state and the
-    denoiser's skip path run in the weights' dtype.  A float64 state is the
-    noised block itself.  A narrower state, float32 from a checkpoint, is
-    the displacement from the clean block, eps * sigmas[t] cast once to
-    that dtype, and the denoiser is taken about the block (network.denoise's
-    `base`): a float32 noised block would round the block by about 6e-8 of
-    its scale, which at a late start is the scale of the reconstruction
-    error itself, while the displacement ends as that error, at float32's
-    relative precision.  A start that overflows the dtype raises
-    FloatingPointError naming the level.  The losses and thresholds are
+    eps * sigmas[t] is drawn and formed in float64, then cast once to the
+    weights' dtype.  The ODE state is that displacement from the clean
+    block, and the denoiser is taken about the block (network.denoise's
+    `base`), so the state and the skip path run in the weights' dtype and
+    the state ends as the reconstruction error itself, whose mean square,
+    reduced in float64, is the loss.  A float32 noised block would round
+    the block by about 6e-8 of its scale, which at a late start is the
+    scale of the reconstruction error itself; the displacement keeps the
+    error at float32's relative precision.  A start that overflows the
+    dtype raises FloatingPointError naming the level.  The thresholds are
     reduced in float64.
     A final short batch still gets its own mu_p / sigma_p, unless it holds
     a single row: a threshold needs at least two losses, so a one-row tail
@@ -145,22 +129,18 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     l_th = np.empty(n, dtype=np.float64)
     batch_stats = []
     denoiser = as_denoiser(params, p)  # its activation buffers serve every block
-    shifted = params.dtype != np.float64
     for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         noise, blocks = rng.split(f"batch{b}"), -(-(hi - lo) // _BLOCK)
         for rows, out in zip(np.array_split(x[lo:hi], blocks),
                              np.array_split(mse[lo:hi], blocks)):
             block = rows if p.center is None else rows - p.center
-            # no start, reconstruction or error outlives its block
-            if shifted:  # the state is the displacement from block: it ends as the error
-                err = lms_sample(partial(denoiser, base=block),
-                                 _noised_start(noise, block, sigmas, t, params.dtype), sigmas,
-                                 start_index=t)
-                out[:] = np.mean(np.square(err, dtype=np.float64), axis=1)
-                del err
-            else:
-                out[:] = mse_per_instance(block, lms_sample(
-                    denoiser, _noised_start(noise, block, sigmas, t, None), sigmas, start_index=t))
+            # the state is the displacement from block: it ends as the error,
+            # and no start or error outlives its block
+            err = lms_sample(partial(denoiser, base=block),
+                             _noised_start(noise, block, sigmas, t, params.dtype), sigmas,
+                             start_index=t)
+            out[:] = np.mean(np.square(err, dtype=np.float64), axis=1)
+            del err
         losses = mse[lo:hi]
         if not np.isfinite(losses).all():
             raise FloatingPointError("non-finite reconstruction loss")

@@ -22,7 +22,7 @@ from vadiff import (
 def frame_rows(tmp_path, scores, manifest, segment_len):
     """(score, label) of each frame row write_frames_csv dumps."""
     path = tmp_path / "frames.csv"
-    write_frames_csv(path, evaluate(np.array(scores), manifest, segment_len))
+    write_frames_csv(path, np.array(scores), manifest, segment_len)
     return [(float(row[2]), int(row[3]))
             for row in (line.split(",") for line in path.read_text().splitlines()[1:])]
 
@@ -300,9 +300,8 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_frames_csv_layout(tmp_path):
-    report = evaluate(SCORES, labeled_manifest(), 16)
     path = tmp_path / "frames.csv"
-    write_frames_csv(path, report)
+    write_frames_csv(path, SCORES, labeled_manifest(), 16)
     lines = path.read_text().splitlines()
     assert lines[0] == "video_id,frame_index,score,label"
     assert len(lines) == 1 + 52
@@ -312,7 +311,7 @@ def test_frames_csv_layout(tmp_path):
 
 def test_frames_csv_bytes(tmp_path):
     path = tmp_path / "frames.csv"
-    write_frames_csv(path, evaluate(SCORES, labeled_manifest(), 16))
+    write_frames_csv(path, SCORES, labeled_manifest(), 16)
     rows = ([f"a,{i},0.2,0" for i in range(16)] + [f"a,{i},0.8,1" for i in range(16, 32)]
             + [f"b,{i},0.5,0" for i in range(16)] + [f"b,{i},0.1,0" for i in range(16, 20)])
     want = "".join(f"{row}\r\n" for row in ["video_id,frame_index,score,label"] + rows)
@@ -330,7 +329,7 @@ def test_frames_csv_peak_heap_is_one_video(tmp_path, peak_heap):
         manifest.append(VideoRecord(f"v{i}", frames, first // 16, frames // 16,
                                     labels=labels[first : first + frames].astype(np.int8)))
         first += frames
-    report = evaluate(Rng(51).standard_normal(first // 16), manifest, 16)
+    scores = Rng(51).standard_normal(first // 16)
     path = tmp_path / "frames.csv"
-    _, peak = peak_heap(lambda: write_frames_csv(path, report))
+    _, peak = peak_heap(lambda: write_frames_csv(path, scores, manifest, 16))
     assert peak < 64 * max(sizes) + 2**19, peak / 2**20

@@ -261,8 +261,10 @@ def test_lms_rejects_out_of_range_start():
 def reconstruction_mse(monkeypatch, den, x, sig, t, seed):
     """Per-row MSE of score_dataset on `x` as one batch, with `den` as the
     network and the ODE state in float64: of the weights, score_dataset
-    then reads only their dtype."""
-    monkeypatch.setattr(scoring, "as_denoiser", lambda params, p: den)
+    then reads only their dtype.  score_dataset integrates the displacement
+    y from the block, so `den` is taken about it, as D(base + y) - base."""
+    monkeypatch.setattr(scoring, "as_denoiser",
+                        lambda params, p: lambda y, s, base: den(base + y, s) - base)
     fs = FeatureSet(x, [VideoRecord("v", len(x) * 16, 0, len(x))])
     cfg = ScoringConfig(start_index=t, batch_size=len(x))
     weights = SimpleNamespace(dtype=np.dtype(np.float64))

@@ -22,7 +22,6 @@ from vadiff import (
     join_scores,
     karras_schedule,
     lms_sample,
-    mse_per_instance,
     noise_bounds,
     read_scores_csv,
     score_dataset,
@@ -40,54 +39,6 @@ def small_model(dim=4, seed=2):
 
 def short_schedule():
     return karras_schedule(ScheduleConfig(sigma_min=0.05, sigma_max=5.0, rho=7.0, steps=5))
-
-
-# --- per-instance loss ---------------------------------------------------------
-
-def test_mse_identity_is_zero():
-    x = Rng(0).standard_normal((5, 3))
-    assert np.array_equal(mse_per_instance(x, x.copy()), np.zeros(5))
-
-
-def test_mse_single_row_example():
-    got = mse_per_instance(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
-    assert got.shape == (1,)
-    assert got[0] == 1.0
-
-
-def test_mse_matches_loop_oracle():
-    rng = Rng(1)
-    a = rng.standard_normal((7, 5))
-    b = rng.standard_normal((7, 5))
-    got = mse_per_instance(a, b)
-    for i in range(7):
-        want = sum((a[i, j] - b[i, j]) ** 2 for j in range(5)) / 5
-        assert abs(got[i] - want) <= 1e-12
-
-
-@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
-                                    (np.float32, np.float64)], ids=["f32", "f64", "mixed"])
-def test_mse_gives_the_bits_of_the_float64_expression(dtypes):
-    a = Rng(50).standard_normal((37, 300)).astype(dtypes[0])
-    b = Rng(51).standard_normal((37, 300)).astype(dtypes[1])
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    assert mse_per_instance(a, b).tobytes() == np.mean(diff * diff, axis=1).tobytes()
-
-
-def test_mse_peak_heap_is_one_float64_array(peak_heap):
-    """The difference is formed in float64 straight from the float32 rows
-    and squared in place: one float64 array of the inputs' shape, where
-    casting each input first made four."""
-    a = Rng(52).standard_normal((512, 1024)).astype(np.float32)
-    b = Rng(53).standard_normal((512, 1024)).astype(np.float32)
-    _, peak = peak_heap(lambda: mse_per_instance(a, b))
-    one = 8 * a.size
-    assert one <= peak <= 1.1 * one, peak / one
-
-
-def test_mse_shape_mismatch():
-    with pytest.raises(ValueError):
-        mse_per_instance(np.ones((2, 3)), np.ones((2, 4)))
 
 
 # --- batch threshold -----------------------------------------------------------
@@ -244,8 +195,8 @@ def test_score_batch_float32_weights_keep_float64_losses():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_score_batch_ode_state_runs_in_the_weights_dtype(dtype, monkeypatch):
-    """Every NFE sees the sampler's state in the weights' dtype: for float32
-    weights the displacement from the block, about the block itself."""
+    """Every NFE sees the sampler's state in the weights' dtype, for either
+    dtype the displacement from the block, about the block itself."""
     cfg = NetworkConfig(input_dim=4, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
     params = init_params(cfg, Rng(2)).astype(dtype)
     seen = []
@@ -263,7 +214,7 @@ def test_score_batch_ode_state_runs_in_the_weights_dtype(dtype, monkeypatch):
     batch = Rng(14).standard_normal((16, 4)).astype(np.float32)
     score_one_batch(params, Preconditioner(1.0), sig, ScoringConfig(start_index=0), batch,
                     Rng(15))
-    assert seen == [(np.dtype(dtype), dtype == np.float32)] * (len(sig) - 1)
+    assert seen == [(np.dtype(dtype), True)] * (len(sig) - 1)
 
 
 def test_score_batch_start_index_validated():
@@ -282,15 +233,10 @@ def one_video_set(n=12, dim=4, seed=13):
 
 
 def reference_losses(denoiser, x, noise, sigmas, t, dtype):
-    """Per-row losses of the rows x as score_dataset forms them, eps drawn
-    from `noise` in float64: for float64 weights the noised rows
-    x + eps * sigmas[t] integrated and compared with x; otherwise the
-    displacement eps * sigmas[t], cast to the weights' dtype and integrated
-    about x, whose mean square is the loss."""
+    """Per-row losses of the rows x as score_dataset forms them: eps drawn
+    from `noise` in float64, the displacement eps * sigmas[t] cast to the
+    weights' dtype and integrated about x, whose mean square is the loss."""
     shift = noise.standard_normal(x.shape, dtype=np.float64) * sigmas[t]
-    if dtype == np.float64:
-        return mse_per_instance(x, lms_sample(denoiser, x.astype(np.float64) + shift, sigmas,
-                                              start_index=t))
     err = lms_sample(lambda v, s: denoiser(v, s, base=x), shift.astype(dtype), sigmas,
                      start_index=t)
     return np.mean(err.astype(np.float64) ** 2, axis=1)
@@ -365,18 +311,19 @@ def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
 
 
 def test_dataset_batches_are_views_of_the_features(monkeypatch):
-    """Without a center, each batch reaches the loss as a slice of the
-    features, not a copy; the one-row tail joins the batch before it."""
+    """Without a center, each batch reaches the denoiser as its base, a
+    slice of the features, not a copy; the one-row tail joins the batch
+    before it."""
     params, p = small_model()
     feats = Rng(27).standard_normal((9, 4)).astype(np.float32)
     fs = FeatureSet(feats, [VideoRecord("v", 9 * 16, 0, 9)])
     batches = []
 
-    def recording(fea, fea_hat):
-        batches.append(fea)
-        return mse_per_instance(fea, fea_hat)
+    def recording(denoiser, x, sigmas, start_index):
+        batches.append(denoiser.keywords["base"])
+        return lms_sample(denoiser, x, sigmas, start_index=start_index)
 
-    monkeypatch.setattr(scoring, "mse_per_instance", recording)
+    monkeypatch.setattr(scoring, "lms_sample", recording)
     score_dataset(params, p, short_schedule(), ScoringConfig(start_index=1, batch_size=4),
                   fs, Rng(28))
     assert [b.shape[0] for b in batches] == [4, 5]
@@ -519,8 +466,29 @@ def test_dataset_float32_state_scores_within_1e6_of_the_float64_state(t):
     got = score_one_batch(params, p, sigmas, ScoringConfig(start_index=t), feats, Rng(47)).mse
     eps = Rng(47).split("batch0").standard_normal(feats.shape, dtype=np.float64)
     recon = lms_sample(as_denoiser(params, p), feats + eps * sigmas[t], sigmas, start_index=t)
-    want = mse_per_instance(feats, recon)
+    want = np.mean((recon - feats) ** 2, axis=1)
     assert np.abs(got / want - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centred"])
+@pytest.mark.parametrize("t", [0, 5, 9], ids=["start0", "start5", "last-start"])
+def test_dataset_float64_weights_score_the_noised_block_within_1e12(t, center):
+    """Float64 weights integrate the displacement from the block like any
+    other dtype.  Their losses stay within 1e-12 relative of integrating
+    the float64 noised block x + eps * sigmas[t] and taking the float64
+    mean square of its reconstruction's difference from x, with the same
+    flags."""
+    params = default_model().astype(np.float64)
+    sigmas = karras_schedule(ScheduleConfig(*noise_bounds(TrainNoiseConfig())))
+    feats = (Rng(52).standard_normal((840, 64)) + 0.5).astype(np.float32)
+    p = Preconditioner(1.0, feats.mean(axis=0) if center else None)
+    got = score_one_batch(params, p, sigmas, ScoringConfig(start_index=t), feats, Rng(53))
+    x = feats if p.center is None else feats - p.center
+    eps = Rng(53).split("batch0").standard_normal(x.shape, dtype=np.float64)
+    recon = lms_sample(as_denoiser(params, p), x + eps * sigmas[t], sigmas, start_index=t)
+    want = np.mean((recon - x) ** 2, axis=1)
+    assert np.abs(got.mse / want - 1.0).max() <= 1e-12
+    assert np.array_equal(got.flags, want > batch_threshold(want, 1.0)[2])
 
 
 def test_dataset_float32_state_takes_at_most_0_6_of_the_float64_heap(peak_heap):

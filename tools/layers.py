@@ -1,18 +1,21 @@
-"""Time vadiff's scoring layers in-process; print a table and write JSON.
+"""Time vadiff's scoring and evaluation layers; print a table and write JSON.
 
     python tools/layers.py [--rows 8192] [--dims 64 2048] [--lms-dim 64]
-                           [--scale 8192 2048] [--reps 5] [--out layers.json]
+                           [--auc-scores 1000000] [--scale 8192 2048] [--reps 5]
+                           [--out layers.json]
 
 vadiff is imported from src/ beside this directory.  Every network is the
 default widths in float32, as a checkpoint holds them, drawn from a fixed
 seed, with a nonzero output head so that every hidden unit reaches the
-output.  Each layer runs as score_dataset runs it: on a float32 ODE state
-that is the displacement from float32 rows, about those rows:
+output.  Each network layer runs as score_dataset runs it: on a float32
+ODE state that is the displacement from float32 rows, about those rows:
 
 - nfe: one denoiser evaluation, as_denoiser with its buffers already
   sized, on --rows x DIM at sigma 1, for each DIM of --dims
 - lms_sample: one lms_sample call from index 0 of the default 10-step
   schedule (10 NFE) on --rows x --lms-dim
+- roc_auc: one roc_auc call on --auc-scores standard normal scores, each
+  labelled positive with probability 0.1
 
 The layers take turns within each of --reps rounds, so that a slow spell
 of a shared host falls on all of them alike; the table gives the median
@@ -55,6 +58,7 @@ from vadiff import (  # noqa: E402
     init_params,
     karras_schedule,
     lms_sample,
+    roc_auc,
     score_dataset,
 )
 
@@ -68,9 +72,9 @@ def network(dim: int):
     return params
 
 
-def layer_probes(rows: int, dims: list[int], lms_dim: int):
-    """(name, dim, fn) for each timed layer; each fn is run once here, so
-    that the denoisers' buffers are sized before timing."""
+def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
+    """(name, rows, dim, fn) for each timed layer; each fn is run once
+    here, so that the denoisers' buffers are sized before timing."""
     p = Preconditioner(1.0)
     sigmas = karras_schedule(ScheduleConfig())
     dens = {}
@@ -81,26 +85,32 @@ def layer_probes(rows: int, dims: list[int], lms_dim: int):
     def state(dim):
         return Rng(SEED + 2).standard_normal((rows, dim), dtype=np.float32)
 
-    probes = [("nfe", dim, partial(dens[dim], state(dim), 1.0)) for dim in dims]
-    probes.append(("lms_sample", lms_dim, partial(lms_sample, dens[lms_dim],
-                                                  state(lms_dim) * float(sigmas[0]), sigmas)))
-    for name, _, fn in probes:
+    probes = [("nfe", rows, dim, partial(dens[dim], state(dim), 1.0)) for dim in dims]
+    probes.append(("lms_sample", rows, lms_dim, partial(lms_sample, dens[lms_dim],
+                                                        state(lms_dim) * float(sigmas[0]),
+                                                        sigmas)))
+    for name, _, _, fn in probes:
         if fn().dtype != np.float32:
             raise RuntimeError(f"{name} on a float32 state left that dtype")
+    scores = Rng(SEED + 6).standard_normal(auc_scores)
+    labels = (Rng(SEED + 7).uniform(0.0, 1.0, auc_scores) < 0.1).astype(np.int8)
+    labels[:2] = 0, 1  # both classes, at any size
+    probes.append(("roc_auc", auc_scores, 1, partial(roc_auc, scores, labels)))
     return probes
 
 
-def time_layers(rows: int, dims: list[int], lms_dim: int, reps: int) -> list[dict]:
-    probes = layer_probes(rows, dims, lms_dim)
+def time_layers(rows: int, dims: list[int], lms_dim: int, auc_scores: int,
+                reps: int) -> list[dict]:
+    probes = layer_probes(rows, dims, lms_dim, auc_scores)
     times = [[] for _ in probes]
     for _ in range(reps):
         for (*_, fn), ts in zip(probes, times):
             t0 = time.perf_counter()
             fn()
             ts.append(time.perf_counter() - t0)
-    return [{"layer": name, "rows": rows, "dim": dim, "median_s": statistics.median(ts),
+    return [{"layer": name, "rows": n, "dim": dim, "median_s": statistics.median(ts),
              "quartiles_s": quartiles(ts), "reps": reps}
-            for (name, dim, _), ts in zip(probes, times)]
+            for (name, n, dim, _), ts in zip(probes, times)]
 
 
 def quartiles(ts: list[float]) -> list[float]:
@@ -165,11 +175,11 @@ def environment() -> dict:
 
 
 def table(record: dict) -> str:
-    lines = [f"{'layer':12s} {'rows':>6s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
+    lines = [f"{'layer':12s} {'rows':>8s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
              f"{'q3 s':>10s}"]
     for r in record["layers"]:
         q1, _, q3 = r["quartiles_s"]
-        lines.append(f"{r['layer']:12s} {r['rows']:6d} {r['dim']:5d} {r['median_s']:10.4f} "
+        lines.append(f"{r['layer']:12s} {r['rows']:8d} {r['dim']:5d} {r['median_s']:10.4f} "
                      f"{q1:10.4f} {q3:10.4f}")
     s = record["scale"]
     lines.append(f"scale: one {s['rows']} x {s['dim']} batch at start_index 0: "
@@ -184,6 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dims", type=int, nargs="+", default=[64, 2048],
                         help="feature dims of the nfe layer")
     parser.add_argument("--lms-dim", type=int, default=64, help="feature dim of lms_sample")
+    parser.add_argument("--auc-scores", type=int, default=10**6, help="scores roc_auc ranks")
     parser.add_argument("--scale", type=int, nargs=2, default=[8192, 2048],
                         metavar=("ROWS", "DIM"), help="the scale probe's batch")
     parser.add_argument("--reps", type=int, default=5, help="timed runs of each layer")
@@ -195,12 +206,16 @@ def main(argv=None) -> int:
         return 0
     if min(args.rows, args.lms_dim, args.reps, *args.dims, *args.scale) < 1:
         parser.error("every size and --reps must be positive")
+    if args.auc_scores < 2:
+        parser.error("roc_auc needs at least 2 scores, one of each class")
     if args.scale[0] < 2:
         parser.error("the scale probe's batch needs at least 2 rows, for its threshold")
     record = {"environment": environment(),
               "config": {"rows": args.rows, "dims": args.dims, "lms_dim": args.lms_dim,
-                         "scale": args.scale, "reps": args.reps, "seed": SEED},
-              "layers": time_layers(args.rows, args.dims, args.lms_dim, args.reps),
+                         "auc_scores": args.auc_scores, "scale": args.scale, "reps": args.reps,
+                         "seed": SEED},
+              "layers": time_layers(args.rows, args.dims, args.lms_dim, args.auc_scores,
+                                    args.reps),
               "scale": scale_probe(*args.scale, args.reps)}
     print(table(record))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
