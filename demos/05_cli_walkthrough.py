@@ -1,8 +1,11 @@
 """Drive the command line end to end and look at every artifact.
 
-The five subcommands mirror the library pipeline:
+The four subcommands mirror the library pipeline:
 
-    synth -> train -> score -> eval        (sweep grids over the last two)
+    synth -> train -> score -> eval
+
+Demo 06, the parameter study, runs a grid over the training noise, the
+start index and k through the library.
 
 Each stage reads and writes plain files: a NumPy .npy feature file, a JSON
 manifest, a binary checkpoint, CSVs, and a JSON report, so any stage can

@@ -1,9 +1,11 @@
-"""Command-line entry point: synth | train | score | eval | sweep.
+"""Command-line entry point: synth | train | score | eval.
 
 Every tunable flag is one row of `FLAGS`, which builds each subparser, the
 --config key set and the defaults.  `main` resolves each value once, as
 flag > --config JSON file > built-in default, into plain typed attributes
-of `args` that the cmd_* functions read.  Exit codes: 0 success, 1 usage
+of `args` that the cmd_* functions read.  The parameter study, a grid over
+training noise, start index and k, is a library script:
+demos/06_parameter_study.py.  Exit codes: 0 success, 1 usage
 error, 2 data error (unreadable or inconsistent files), 3 numeric failure
 (non-finite loss or score).
 """
@@ -32,7 +34,7 @@ from .data import (
 from .evaluation import evaluate, join_scores, write_frames_csv, write_report_json
 from .network import CheckpointError, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .rng import Rng
-from .sampling import MAX_STEPS, ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
+from .sampling import ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
 from .scoring import ScoringConfig, read_scores_csv, score_dataset, write_scores_csv
 from .training import TrainConfig, fit
 
@@ -63,16 +65,11 @@ FLAGS = {
     "sigma_max": (float, None, "largest schedule sigma (default: from the training noise)"),
     "rho": (float, ScheduleConfig.rho, "schedule exponent"),
     "steps": (int, ScheduleConfig.steps, "schedule length"),
-    "start_t": (int, None, "corruption level as a schedule index (default: steps-1; sweep: all)"),
+    "start_t": (int, None, "corruption level as a schedule index (default: steps-1)"),
     "k": (float, ScoringConfig.k, "threshold sensitivity"),
     "raw_weights": (bool, False, "use the raw weights instead of the EMA"),
 }
 
-_FIT = ("batch_size", "epochs", "lr", "ema_decay", "center")
-_SCHEDULE = ("sigma_min", "sigma_max", "rho", "steps")
-# sweep's grid flags take one or more values: name -> default grid (None: every index)
-_GRID = {"p_mean": [FLAGS["p_mean"][1]], "p_std": [FLAGS["p_std"][1]], "start_t": None,
-         "k": [0.1, 0.3, 0.5, 0.7, 1.0]}
 _FLAG_OF = {**{name: "--" + name.replace("_", "-") for name in FLAGS}, "base_lr": "--lr"}
 _INPUTS = {"features": "input feature file", "manifest": "input manifest JSON"}
 
@@ -85,25 +82,16 @@ COMMANDS = {
     "train": ("train a denoiser on a feature file",
               {**_INPUTS, "checkpoint": "output checkpoint path",
                "out": "optional training log CSV (default: <checkpoint>.log.csv)"},
-              ("p_mean", "p_std") + _FIT),
+              ("p_mean", "p_std", "batch_size", "epochs", "lr", "ema_decay", "center")),
     "score": ("score segments with a trained checkpoint",
               {**_INPUTS, "checkpoint": "trained checkpoint", "out": "output score CSV"},
-              _SCHEDULE + ("start_t", "k", "batch_size", "raw_weights")),
+              ("sigma_min", "sigma_max", "rho", "steps", "start_t", "k", "batch_size",
+               "raw_weights")),
     "eval": ("frame-level ROC-AUC from a score CSV",
              {"scores": "score CSV from the score command", "manifest": "labelled manifest JSON",
               "out": "output report JSON", "frames_csv": "optional per-frame score dump"},
              ()),
-    "sweep": ("grid over noise, start index, and k",
-              {**_INPUTS, "out": "output results CSV"},
-              tuple(_GRID) + _SCHEDULE + _FIT),
 }
-
-
-def _default(command, name):
-    """(default, is_grid) of a tunable flag in one command."""
-    if command == "sweep" and name in _GRID:
-        return _GRID[name], True
-    return FLAGS[name][1], False
 
 
 def _load_config(path):
@@ -122,29 +110,25 @@ def _load_config(path):
     return doc
 
 
-def _typed(name, value, grid=False):
-    """A --config value as its flag's type; null only if unset by default, lists only in a grid."""
+def _typed(name, value):
+    """A --config value as its flag's type; null only if unset by default."""
     kind, default, _ = FLAGS[name]
     if value is None and default is None:
         return None
-    if grid and isinstance(value, list) and value:
-        return [_typed(name, v) for v in value]
     if isinstance(value, (int, float)) and isinstance(value, bool) == (kind is bool):
         with contextlib.suppress(OverflowError):
             if kind is not int or isinstance(value, int) or value.is_integer():
-                return [kind(value)] if grid else kind(value)
-    expected = kind.__name__ + (" or a nonempty list of them" if grid else "")
-    raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
+                return kind(value)
+    raise ValueError(f"config key {name!r} must be {kind.__name__}, got {json.dumps(value)}")
 
 
 def _resolve(args, config):
     """Set each tunable of the command on `args`: flag, else --config, else default."""
     for name in ("seed", *COMMANDS[args.command][2]):
-        default, grid = _default(args.command, name)
         value = getattr(args, name)
         if value is None and name in config:
-            value = _typed(name, config[name], grid)
-        setattr(args, name, default if value is None else value)
+            value = _typed(name, config[name])
+        setattr(args, name, FLAGS[name][1] if value is None else value)
 
 
 def _config(cls, args, **given):
@@ -156,29 +140,6 @@ def _config(cls, args, **given):
     except ValueError as e:
         flags = {name: _FLAG_OF[name] for name in fields & _FLAG_OF.keys()}
         raise ValueError(re.sub(r"\w+", lambda w: flags.get(w[0], w[0]), str(e))) from None
-
-
-def _build_schedule(args, noise):
-    """Karras grid from the schedule flags; unset sigma bounds follow `noise`."""
-    lo, hi = noise_bounds(noise)
-    return karras_schedule(_config(
-        ScheduleConfig, args,
-        sigma_min=lo if args.sigma_min is None else args.sigma_min,
-        sigma_max=hi if args.sigma_max is None else args.sigma_max,
-    ))
-
-
-def _start_indices(args, given):
-    """The start indices `given`, each once in the order given, checked
-    against --steps.  --steps is bounded first, so that no value of it
-    lists a grid or makes a schedule."""
-    if args.steps > MAX_STEPS:
-        raise ValueError(f"--steps must be <= {MAX_STEPS}, got {args.steps}")
-    ts = list(dict.fromkeys(given))
-    if not ts or any(not 0 <= t < args.steps for t in ts):
-        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
-                         f"got {ts}")
-    return ts
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -197,12 +158,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             sp.add_argument("--" + name.replace("_", "-"), help=text,
                             required=not text.startswith("optional"))
         for name in ("seed", *tunables):
-            kind, _, text = FLAGS[name]
-            default, grid = _default(command, name)
+            kind, default, text = FLAGS[name]
             if default is not None:
-                text += f" (default: {' '.join(map(str, default)) if grid else default})"
-            how = ({"action": "store_true"} if kind is bool
-                   else {"type": kind, "nargs": "+" if grid else None})
+                text += f" (default: {default})"
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
             sp.add_argument("--" + name.replace("_", "-"), default=None, help=text, **how)
     return parser
 
@@ -224,16 +183,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_model(fs, args, train_cfg, noise, progress=None):
-    """Estimate the preconditioner, init and fit at training noise `noise`:
-    (params, ema, preconditioner, history)."""
-    p = estimate_sigma_data(fs, center=args.center)
-    rng = Rng(args.seed)
-    params = init_params(NetworkConfig(input_dim=fs.features.shape[1]), rng)
-    ema, history = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
-    return params, ema, p, history
-
-
 def cmd_train(args) -> int:
     # configs are checked before any input is read
     train_cfg = _config(TrainConfig, args, base_lr=args.lr)
@@ -247,7 +196,10 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    params, ema, p, log = _train_model(fs, args, train_cfg, noise, progress)
+    p = estimate_sigma_data(fs, center=args.center)
+    rng = Rng(args.seed)
+    params = init_params(NetworkConfig(input_dim=fs.features.shape[1]), rng)
+    ema, log = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
     save_checkpoint(args.checkpoint, params, ema, p, noise)
     log_path = args.out or args.checkpoint + ".log.csv"
     with open(log_path, "w", newline="") as fh:
@@ -263,13 +215,21 @@ def cmd_score(args) -> int:
     # the scoring config, --steps and --rho (at ScheduleConfig's own sigma bounds) are
     # checked before any input is read; the sigma bounds, whose defaults come from the
     # checkpoint's training noise, before the features
-    (start_t,) = _start_indices(args, [args.steps - 1 if args.start_t is None else args.start_t])
+    start_t = args.steps - 1 if args.start_t is None else args.start_t
+    if not 0 <= start_t < args.steps:
+        raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
+                         f"got {start_t}")
     cfg = _config(ScoringConfig, args, start_index=start_t)
     _config(ScheduleConfig, args, sigma_min=ScheduleConfig.sigma_min,
             sigma_max=ScheduleConfig.sigma_max)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
-    sigmas = _build_schedule(args, noise)
+    lo, hi = noise_bounds(noise)  # the default sigma bounds
+    sigmas = karras_schedule(_config(
+        ScheduleConfig, args,
+        sigma_min=lo if args.sigma_min is None else args.sigma_min,
+        sigma_max=hi if args.sigma_max is None else args.sigma_max,
+    ))
     fs = load_features(args.features, args.manifest)
     if fs.features.shape[1] != weights.config.input_dim:
         raise DataError(
@@ -299,55 +259,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    # each grid value once, in the order first given
-    t_list = _start_indices(args, range(args.steps) if args.start_t is None else args.start_t)
-    p_means, p_stds, ks = (list(dict.fromkeys(v)) for v in (args.p_mean, args.p_std, args.k))
-
-    # every noise pair, its schedule, the fit config and one scoring config per
-    # (t, k) cell are checked before any input is read
-    noises = [_config(TrainNoiseConfig, args, p_mean=m, p_std=s) for m in p_means for s in p_stds]
-    grid = [(noise, _build_schedule(args, noise)) for noise in noises]
-    train_cfg = _config(TrainConfig, args, base_lr=args.lr)
-    scoring = [[_config(ScoringConfig, args, start_index=t, k=k) for k in ks] for t in t_list]
-    fs = load_features(args.features, args.manifest)
-    # and the labels before any training, by evaluate's own rules
-    evaluate(np.zeros(len(fs.features)), fs.manifest, fs.segment_len)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-
-        def emit(*row):  # row by row, so a long sweep can be followed
-            writer.writerow(row)
-            fh.flush()
-
-        emit("p_mean", "p_std", "t", "k", "auc", "flagged_frac")
-        for noise, sigmas in grid:
-            _, ema, p, _ = _train_model(fs, args, train_cfg, noise)
-            print(f"trained p_mean={noise.p_mean} p_std={noise.p_std}", file=sys.stderr)
-            cells = {}  # t -> (auc, flagged fraction per k)
-            for t, cfgs in zip(t_list, scoring):
-                scores = score_dataset(ema, p, sigmas, cfgs[0], fs, Rng(args.seed))
-                auc = evaluate(scores.mse, fs.manifest, fs.segment_len).auc
-                # the flags at each k from the batch stats, l_th formed as batch_threshold does
-                mu_p, sigma_p = np.array(scores.batch_stats).T
-                fracs = [float(np.mean(scores.mse > (mu_p + k * sigma_p)[scores.batch_ids]))
-                         for k in ks]
-                cells[t] = auc, fracs
-                for k, frac in zip(ks, fracs):
-                    emit(noise.p_mean, noise.p_std, t, k, repr(auc), repr(frac))
-            auc, fracs = cells[max(t_list, key=lambda t: cells[t][0])]
-            for k, frac in zip(ks, fracs):
-                emit(noise.p_mean, noise.p_std, "best", k, repr(auc), repr(frac))
-    print(f"sweep results written to {args.out}")
-    return EXIT_OK
-
-
 _DISPATCH = {
     "synth": cmd_synth,
     "train": cmd_train,
     "score": cmd_score,
     "eval": cmd_eval,
-    "sweep": cmd_sweep,
 }
 
 

@@ -50,8 +50,8 @@ def noise_bounds(cfg: TrainNoiseConfig) -> tuple[float, float]:
 
 
 # The longest schedule, ten times DDPM's 1000-step chain.  Checked before
-# any allocation: the grid holds steps + 1 values, and sweep by default
-# scores one cell per index.
+# any allocation, since the grid holds steps + 1 values: so a command that
+# builds its ScheduleConfig first names --steps before it makes anything.
 MAX_STEPS = 10_000
 
 

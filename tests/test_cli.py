@@ -22,6 +22,7 @@ from vadiff import (
     Rng,
     ScheduleConfig,
     SynthConfig,
+    TrainConfig,
     TrainNoiseConfig,
     init_params,
     load_features,
@@ -185,16 +186,6 @@ def test_flag_beats_config_beats_default(tmp_path):
     lines = (tmp_path / "model.bin.log.csv").read_text().splitlines()
     assert len(lines) == 2  # the flag's one epoch, not the config's three
     assert float(lines[1].split(",")[2]) == 2e-4  # no flag or key: the built-in lr
-
-    # sweep's k grid from config: a list is the grid, a scalar a one-value grid
-    for k, grid in (([0.5, 1.0], ["0.5", "1.0"]), (0.5, ["0.5"])):
-        cfg.write_text(json.dumps({"k": k, "start_t": 4, "epochs": 1, "batch_size": 64}))
-        out = tmp_path / "grid.csv"
-        code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
-                   "--config", str(cfg))
-        assert code == 0
-        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-        assert [r[3] for r in rows if r[2] == "4"] == grid
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -1096,9 +1087,6 @@ _SURFACE = {
     "score": {"--features", "--manifest", "--checkpoint", "--out", "--sigma-min", "--sigma-max",
               "--rho", "--steps", "--start-t", "--k", "--batch-size", "--raw-weights"},
     "eval": {"--scores", "--manifest", "--out", "--frames-csv"},
-    "sweep": {"--features", "--manifest", "--out", "--p-mean", "--p-std", "--start-t", "--k",
-              "--sigma-min", "--sigma-max", "--rho", "--steps", "--batch-size", "--epochs",
-              "--lr", "--ema-decay", "--center"},
 }
 
 
@@ -1120,12 +1108,11 @@ def test_subcommand_option_strings_are_pinned(command, capsys):
 # Python 3.11's argparse lays them out; a deliberate change to a flag, its help
 # or a default updates these
 _HELP_SHA256 = {
-    (): "78edc9d4f5aa95b75e7296200cca22a72c7973e0bcb204835976172913da7bac",
+    (): "3c0fdc7adbd2ef3fffce53bd96f4eab88cbadecf7205b9f5a7a0c92e2f652a46",
     ("synth",): "3bf27092946761f1e66967d071d71efba72a552516f26e74738f70b73b77a1c9",
     ("train",): "b22033894f833549a25dfee080120bc1f0652513b176160e27bac601e6b12f97",
-    ("score",): "ae7262fc413dc95e97eeac6406013375dc676a1277eb3286c735db9689f60a92",
+    ("score",): "00cf01380f16f4379578028128429befff900e72cb5d1fba564b6b915de97a11",
     ("eval",): "c6858acdb40ecc01b77835a53e2a1f72634da75a771e586347777c0da2653cd7",
-    ("sweep",): "7e9d3441ec4258903e6ae4f9ef619100e0fcc0afbc99cbb8a7b3ccc293350d16",
 }
 
 
@@ -1138,17 +1125,21 @@ def test_help_text_is_pinned(argv, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[argv], out
 
 
-# --- sweep ----------------------------------------------------------------------
+# --- the parameter study (demos/06_parameter_study.py) ---------------------------
+
+def study(*args, **kwargs):
+    spec = importlib.util.spec_from_file_location(
+        "parameter_study", Path(__file__).resolve().parents[1] / "demos" / "06_parameter_study.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.study(*args, **kwargs)
+
 
 def test_sweep_single_cell_matches_manual_chain(tmp_path):
     f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
     grid = tmp_path / "grid.csv"
-    code = run(
-        "sweep", "--features", str(f), "--manifest", str(m), "--out", str(grid),
-        "--seed", "0", "--epochs", "2", "--batch-size", "64",
-        "--p-mean", "-1.2", "--p-std", "1.2", "--start-t", "4", "--k", "1.0",
-    )
-    assert code == 0
+    study(load_features(f, m), grid, p_means=(-1.2,), p_stds=(1.2,), start_ts=(4,), ks=(1.0,),
+          train=TrainConfig(epochs=2, batch_size=64), seed=0)
     rows = [r.split(",") for r in grid.read_text().splitlines()]
     assert rows[0] == ["p_mean", "p_std", "t", "k", "auc", "flagged_frac"]
     # one grid cell plus its best-of row
@@ -1161,9 +1152,9 @@ def test_sweep_single_cell_matches_manual_chain(tmp_path):
     assert run("eval", "--scores", str(scores), "--manifest", str(m),
                "--out", str(report)) == 0
     manual_auc = json.loads(report.read_text())["auc"]
-    sweep_auc = float(rows[1][4])
-    assert sweep_auc == manual_auc
-    # sweep derives its flags from the batch stats, the score CSV from l_th
+    study_auc = float(rows[1][4])
+    assert study_auc == manual_auc
+    # the study derives its flags from the batch stats, the score CSV from l_th
     flagged = [int(r.split(",")[3]) for r in scores.read_text().splitlines()[1:]]
     assert float(rows[1][5]) == float(np.mean(flagged))
 
@@ -1171,13 +1162,8 @@ def test_sweep_single_cell_matches_manual_chain(tmp_path):
 def test_sweep_row_count_and_k_invariance(tmp_path):
     f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
     grid = tmp_path / "grid.csv"
-    code = run(
-        "sweep", "--features", str(f), "--manifest", str(m), "--out", str(grid),
-        "--seed", "0", "--epochs", "1", "--batch-size", "64",
-        "--p-mean", "-1.2", "--p-std", "1.2",
-        "--start-t", "2", "7", "--k", "0.1", "0.5", "1.0",
-    )
-    assert code == 0
+    study(load_features(f, m), grid, p_means=(-1.2,), p_stds=(1.2,), start_ts=(2, 7),
+          ks=(0.1, 0.5, 1.0), train=TrainConfig(epochs=1, batch_size=64), seed=0)
     rows = [r.split(",") for r in grid.read_text().splitlines()][1:]
     cells = [r for r in rows if r[2] != "best"]
     best = [r for r in rows if r[2] == "best"]
@@ -1192,43 +1178,6 @@ def test_sweep_row_count_and_k_invariance(tmp_path):
     for t in ("2", "7"):
         fracs = [float(r[5]) for r in cells if r[2] == t]
         assert fracs[0] >= fracs[1] >= fracs[2]
-
-
-def test_sweep_scores_each_repeated_grid_value_once(tmp_path):
-    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
-
-    def sweep(name, *grid):
-        out = tmp_path / name
-        assert run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
-                   "--seed", "0", "--epochs", "1", "--batch-size", "64", *grid) == 0
-        return out.read_bytes()
-
-    repeated = sweep("repeated.csv", "--start-t", "9", "9", "--k", "1.0", "1.0")
-    rows = [r.split(",")[2:4] for r in repeated.decode().splitlines()]
-    assert rows == [["t", "k"], ["9", "1.0"], ["best", "1.0"]]
-    assert repeated == sweep("single.csv", "--start-t", "9", "--k", "1.0")
-
-
-@pytest.mark.parametrize("bad, fragment", [
-    (["--steps", "1"], "--steps must be >= 2, got 1"),
-    (["--sigma-min", "5", "--sigma-max", "1"], "need 0 < --sigma-min < --sigma-max"),
-    (["--p-std", "1.2", "0"], "--p-std > 0"),
-    (["--k", "1.0", "nan"], "--k must be finite, got nan"),
-    (["--k", "1.0", "0.5", "inf"], "--k must be finite, got inf"),
-    (["--batch-size", "1"], "--batch-size must be >= 2, got 1"),
-], ids=["steps", "sigma-bounds", "p-std", "k-nan", "k-inf", "batch-size"])
-def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, bad, fragment):
-    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
-    out = tmp_path / "grid.csv"
-    capsys.readouterr()
-    code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
-               "--epochs", "1", "--batch-size", "64", "--start-t", "0", *bad)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert fragment in err
-    assert "Traceback" not in err
-    assert "trained" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1257,28 +1206,15 @@ def test_config_errors_name_the_flag(tmp_path, capsys, argv, message):
     assert not any(tmp_path.glob("new*")) and not (tmp_path / "s.csv").exists()
 
 
-def test_sweep_zero_steps_names_the_steps(tmp_path, capsys):
-    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
-    capsys.readouterr()
-    code = run("sweep", "--features", str(f), "--manifest", str(m),
-               "--out", str(tmp_path / "grid.csv"), "--steps", "0")
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "--steps 0" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["score", "sweep"])
+@pytest.mark.parametrize("command", ["score"])
 @pytest.mark.parametrize("steps", [2**40, 2**62, MAX_STEPS + 1], ids=["2**40", "2**62", "max+1"])
 def test_huge_steps_names_the_flag_before_any_allocation(tmp_path, capsys, peak_heap,
                                                          command, steps):
-    """--steps is bounded before a schedule, a start-index grid or an input
-    exists: sweep's default grid, one cell per index, is never listed.  The
-    inputs are absent, so reading one would exit 2."""
+    """--steps is bounded, by ScheduleConfig, before a schedule or an input
+    exists.  The inputs are absent, so reading one would exit 2."""
     capsys.readouterr()
-    paths = {"--features": "absent.vadf", "--manifest": "absent.json", "--out": "out.csv"}
-    if command == "score":
-        paths["--checkpoint"] = "absent.ckpt"
+    paths = {"--features": "absent.vadf", "--manifest": "absent.json", "--out": "out.csv",
+             "--checkpoint": "absent.ckpt"}
     argv = [a for flag, name in paths.items() for a in (flag, str(tmp_path / name))]
     code, peak = peak_heap(lambda: run(command, *argv, "--steps", str(steps)))
     err = capsys.readouterr().err
@@ -1358,23 +1294,6 @@ def test_eval_segment_len_outside_int64_is_data_error(tmp_path, capsys, segment_
         assert code == 0 and json.loads((tmp_path / "r.json").read_text())["auc"] == 1.0
     else:
         _assert_data_error(code, capsys, f"error: segment_len {segment_len} is not in [1, 2**63)")
-
-
-def test_sweep_unlabeled_manifest_is_data_error_before_training(tmp_path, capsys):
-    f, m = make_data(tmp_path, n_normal=100, fraction=0.3)
-    doc = json.loads(m.read_text())
-    doc["videos"][1].pop("labels")
-    m.write_text(json.dumps(doc))
-    out = tmp_path / "grid.csv"
-    capsys.readouterr()
-    code = run("sweep", "--features", str(f), "--manifest", str(m), "--out", str(out),
-               "--epochs", "1", "--batch-size", "64", "--start-t", "0")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "has no frame labels" in err
-    assert "Traceback" not in err
-    assert "trained" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("rho", ["1e300", "1e17"])

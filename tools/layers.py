@@ -1,8 +1,8 @@
 """Time vadiff's scoring and evaluation layers; print a table and write JSON.
 
     python tools/layers.py [--rows 8192] [--dims 64 2048] [--lms-dim 64]
-                           [--auc-scores 1000000] [--scale 8192 2048] [--reps 5]
-                           [--out layers.json]
+                           [--auc-scores 1000000] [--io-normal 119000]
+                           [--scale 8192 2048] [--reps 5] [--out layers.json]
 
 vadiff is imported from src/ beside this directory.  Every network is the
 default widths in float32, as a checkpoint holds them, drawn from a fixed
@@ -16,6 +16,11 @@ ODE state that is the displacement from float32 rows, about those rows:
   schedule (10 NFE) on --rows x --lms-dim
 - roc_auc: one roc_auc call on --auc-scores standard normal scores, each
   labelled positive with probability 0.1
+- load_manifest and read_scores_csv: one call each on the manifest and a
+  score CSV of a synth corpus of --io-normal normal segments at dim 8, and
+  5 % as many anomalous ones, as `vadiff synth` makes by default; 119 000
+  is the eval-frames benchmark's size, about 2 M labelled frames.  The
+  score is each row's distance from the origin, the normal cluster's mean
 
 The layers take turns within each of --reps rounds, so that a slow spell
 of a shared host falls on all of them alike; the table gives the median
@@ -36,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from functools import partial
@@ -47,23 +53,32 @@ import numpy as np  # noqa: E402
 
 import vadiff  # noqa: E402
 from vadiff import (  # noqa: E402
+    DatasetScores,
     FeatureSet,
     NetworkConfig,
     Preconditioner,
     Rng,
     ScheduleConfig,
     ScoringConfig,
+    SynthConfig,
     VideoRecord,
     as_denoiser,
+    batch_threshold,
     init_params,
     karras_schedule,
     lms_sample,
+    load_manifest,
+    read_scores_csv,
     roc_auc,
+    save_features,
     score_dataset,
+    synth_generate,
+    write_scores_csv,
 )
 
 SEED = 0
 MIB = 2**20
+IO_DIM = 8
 
 
 def network(dim: int):
@@ -72,9 +87,26 @@ def network(dim: int):
     return params
 
 
+def io_probes(n_normal: int, tmp: Path):
+    """(name, rows, dim, fn) for load_manifest and read_scores_csv on files
+    written into directory `tmp`."""
+    fs = synth_generate(SynthConfig(n_normal=n_normal, n_anomalous=round(0.05 * n_normal),
+                                    dim=IO_DIM, seed=SEED))
+    features, manifest, scores = tmp / "f.npy", tmp / "m.json", tmp / "s.csv"
+    save_features(features, manifest, fs)
+    dist = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+    n = dist.size
+    _, _, l_th = batch_threshold(dist, 1.0)
+    write_scores_csv(scores, fs, DatasetScores(dist, dist > l_th, np.zeros(n, dtype=np.int64),
+                                               np.full(n, l_th), []))
+    return [("load_manifest", n, 1, partial(load_manifest, manifest)),
+            ("read_scores_csv", n, 1, partial(read_scores_csv, scores))]
+
+
 def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
-    """(name, rows, dim, fn) for each timed layer; each fn is run once
-    here, so that the denoisers' buffers are sized before timing."""
+    """(name, rows, dim, fn) for each timed network and AUC layer; each fn
+    is run once here, so that the denoisers' buffers are sized before
+    timing."""
     p = Preconditioner(1.0)
     sigmas = karras_schedule(ScheduleConfig())
     dens = {}
@@ -99,15 +131,16 @@ def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
     return probes
 
 
-def time_layers(rows: int, dims: list[int], lms_dim: int, auc_scores: int,
+def time_layers(rows: int, dims: list[int], lms_dim: int, auc_scores: int, io_normal: int,
                 reps: int) -> list[dict]:
-    probes = layer_probes(rows, dims, lms_dim, auc_scores)
-    times = [[] for _ in probes]
-    for _ in range(reps):
-        for (*_, fn), ts in zip(probes, times):
-            t0 = time.perf_counter()
-            fn()
-            ts.append(time.perf_counter() - t0)
+    with tempfile.TemporaryDirectory() as tmp:
+        probes = layer_probes(rows, dims, lms_dim, auc_scores) + io_probes(io_normal, Path(tmp))
+        times = [[] for _ in probes]
+        for _ in range(reps):
+            for (*_, fn), ts in zip(probes, times):
+                t0 = time.perf_counter()
+                fn()
+                ts.append(time.perf_counter() - t0)
     return [{"layer": name, "rows": n, "dim": dim, "median_s": statistics.median(ts),
              "quartiles_s": quartiles(ts), "reps": reps}
             for (name, n, dim, _), ts in zip(probes, times)]
@@ -175,11 +208,11 @@ def environment() -> dict:
 
 
 def table(record: dict) -> str:
-    lines = [f"{'layer':12s} {'rows':>8s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
+    lines = [f"{'layer':15s} {'rows':>8s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
              f"{'q3 s':>10s}"]
     for r in record["layers"]:
         q1, _, q3 = r["quartiles_s"]
-        lines.append(f"{r['layer']:12s} {r['rows']:8d} {r['dim']:5d} {r['median_s']:10.4f} "
+        lines.append(f"{r['layer']:15s} {r['rows']:8d} {r['dim']:5d} {r['median_s']:10.4f} "
                      f"{q1:10.4f} {q3:10.4f}")
     s = record["scale"]
     lines.append(f"scale: one {s['rows']} x {s['dim']} batch at start_index 0: "
@@ -195,6 +228,8 @@ def main(argv=None) -> int:
                         help="feature dims of the nfe layer")
     parser.add_argument("--lms-dim", type=int, default=64, help="feature dim of lms_sample")
     parser.add_argument("--auc-scores", type=int, default=10**6, help="scores roc_auc ranks")
+    parser.add_argument("--io-normal", type=int, default=119_000,
+                        help="normal segments of the manifest and score CSV read")
     parser.add_argument("--scale", type=int, nargs=2, default=[8192, 2048],
                         metavar=("ROWS", "DIM"), help="the scale probe's batch")
     parser.add_argument("--reps", type=int, default=5, help="timed runs of each layer")
@@ -204,7 +239,7 @@ def main(argv=None) -> int:
     if args.scale_child:
         print(json.dumps(scale_child(*args.scale_child)))
         return 0
-    if min(args.rows, args.lms_dim, args.reps, *args.dims, *args.scale) < 1:
+    if min(args.rows, args.lms_dim, args.reps, args.io_normal, *args.dims, *args.scale) < 1:
         parser.error("every size and --reps must be positive")
     if args.auc_scores < 2:
         parser.error("roc_auc needs at least 2 scores, one of each class")
@@ -212,10 +247,10 @@ def main(argv=None) -> int:
         parser.error("the scale probe's batch needs at least 2 rows, for its threshold")
     record = {"environment": environment(),
               "config": {"rows": args.rows, "dims": args.dims, "lms_dim": args.lms_dim,
-                         "auc_scores": args.auc_scores, "scale": args.scale, "reps": args.reps,
-                         "seed": SEED},
+                         "auc_scores": args.auc_scores, "io_normal": args.io_normal,
+                         "io_dim": IO_DIM, "scale": args.scale, "reps": args.reps, "seed": SEED},
               "layers": time_layers(args.rows, args.dims, args.lms_dim, args.auc_scores,
-                                    args.reps),
+                                    args.io_normal, args.reps),
               "scale": scale_probe(*args.scale, args.reps)}
     print(table(record))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
