@@ -212,16 +212,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # the scoring config, --steps and --rho (at ScheduleConfig's own sigma bounds) are
-    # checked before any input is read; the sigma bounds, whose defaults come from the
-    # checkpoint's training noise, before the features
+    # --steps and --rho (at ScheduleConfig's own sigma bounds), then the start index
+    # they bound and the scoring config, are checked before any input is read; the
+    # sigma bounds, whose defaults come from the checkpoint's training noise, before
+    # the features
+    _config(ScheduleConfig, args, sigma_min=ScheduleConfig.sigma_min,
+            sigma_max=ScheduleConfig.sigma_max)
     start_t = args.steps - 1 if args.start_t is None else args.start_t
     if not 0 <= start_t < args.steps:
         raise ValueError(f"--start-t must lie in [0, {args.steps - 1}] at --steps {args.steps}, "
                          f"got {start_t}")
     cfg = _config(ScoringConfig, args, start_index=start_t)
-    _config(ScheduleConfig, args, sigma_min=ScheduleConfig.sigma_min,
-            sigma_max=ScheduleConfig.sigma_max)
     params, ema, p, noise = load_checkpoint(args.checkpoint)
     weights = params if args.raw_weights else ema
     lo, hi = noise_bounds(noise)  # the default sigma bounds

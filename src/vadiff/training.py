@@ -76,22 +76,29 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     them through the same functions, so gives the same bits.
 
     The backward hands each trainable tensor's gradient, as it forms it,
-    to sink(k, a, b), k the tensor's index in params.trainable(): the
-    gradient is a.T @ b for a weight and b summed over rows for a bias (a
-    is None); a and b are overwritten after the call.  The default sink
-    writes each gradient into its view of one flat gradient vector, in the
-    layout of params.trainable_flat, and grads are those views; with a
-    caller's sink, grads is None.
+    to sink(k, a, b, free), k the tensor's index in params.trainable():
+    the gradient is a.T @ b for a weight and b summed over rows for a bias
+    (a is None); a and b are overwritten after the call.  free is a flat
+    part of the step's scratch, dead at that call, that the sink may
+    overwrite: the whole scratch for the hidden layers' own weights and
+    the head's, its first half (the sigmoid's, the FiLM scale's) for the
+    FiLM weights.  The default sink writes each gradient into its view of
+    one flat gradient vector, in the layout of params.trainable_flat, and
+    grads are those views; with a caller's sink, grads is None.
 
     The list `work` keeps the step's buffers between calls: the gradient
     vector (default sink only; a caller may pass the list holding only
     its own vector), then one rows x 2*sum(widths) buffer holding each
-    layer's pre-activation and output, the next layer's input, and two
-    rows x widest scratch buffers for the sigmoid and the FiLM scale and
-    shift.  The propagated gradient overwrites a cached layer input once
-    that input's weight gradient is handed on.  A call with fewer rows
-    than an earlier one uses the leading part of each buffer.  Without
-    `work`, each call gets fresh buffers.
+    layer's pre-activation and output, the next layer's input, and one
+    scratch buffer of 2 x rows x widest values, whose halves hold the
+    sigmoid and the FiLM scale and shift.  The scratch is floored at 4 x
+    max(widest, _CHUNK) and at 2 x dim values, so that any free part has
+    room for a _CHUNK-value temporary beside at least _CHUNK values and a
+    whole row of the gradient.  The propagated gradient overwrites a
+    cached layer input once that input's weight gradient is handed on.  A
+    call with fewer rows than an earlier one uses the leading part of the
+    activations and the whole scratch.  Without `work`, each call gets
+    fresh buffers.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -103,16 +110,17 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
 
     dt = params.dtype
     widths = params.config.hidden_widths
-    sizes = [2 * n * sum(widths)] + [n * max(widths)] * 2
+    sizes = [2 * n * sum(widths), 2 * max(n * max(widths), 2 * max(*widths, _CHUNK), d)]
     if sink is None:
         sizes.insert(0, params.trainable_flat.size)
     work = _reserve([] if work is None else work, sizes, dt)
-    acts, *scratch = work[len(sizes) - 3 : len(sizes)]
+    acts, scratch = work[len(sizes) - 2 : len(sizes)]
+    half = scratch.size // 2
     grads = None
     if sink is None:
         grads = _flat_views(params.config, work[0], first=1)
 
-        def sink(k, a, b):
+        def sink(k, a, b, free):
             if a is None:
                 b.sum(axis=0, out=grads[k])
             else:
@@ -135,7 +143,7 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     for lay in params.layers:
         shape = (n,) + lay.b.shape
         a = _view(acts, at, shape)
-        s, shift = (_view(buf, 0, shape) for buf in scratch)
+        s, shift = _view(scratch, 0, shape), _view(scratch, half, shape)
         cache.append((h, a))
         h = _hidden_layer(lay, h, emb, a, s, _view(acts, at + a.size, shape), s, shift)
         at += 2 * a.size
@@ -153,27 +161,29 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     g = np.subtract(denoised, x, out=denoised, dtype=dt)
     g *= (2.0 * lam * c_out / (n * d))[:, None].astype(dt)
     k = 6 * len(widths)  # the head's weight
-    sink(k, h, g)
-    sink(k + 1, None, g)
+    sink(k, h, g, scratch)
+    sink(k + 1, None, g, scratch)
     g = np.matmul(g, params.out_w.T, out=h)  # the head input is dead
     for i in reversed(range(len(params.layers))):
         h, a = cache.pop()
         lay, k = params.layers[i], 6 * i
         # out = gamma * silu(a) + beta; g is dL/d(out).  s and u = silu(a)
-        # as the forward formed them; a is dead once they are
-        s, u = _silu(a, *(_view(buf, 0, a.shape) for buf in scratch))
-        g_gamma = np.multiply(g, u, out=a)
-        sink(k + 2, emb, g_gamma)
-        sink(k + 3, None, g_gamma)
-        sink(k + 4, emb, g)
-        sink(k + 5, None, g)
-        g *= _affine(emb, lay.gamma_w, lay.gamma_b, out=a)
-        # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in u's buffer
-        u *= np.subtract(1.0, s, out=a)
-        u += s
-        g *= u
-        sink(k, h, g)
-        sink(k + 1, None, g)
+        # as the forward formed them; a is dead once they are.
+        # silu'(a) = s (1 + a (1 - s)) = s + u (1 - s), built in a's buffer;
+        # then s is dead, and u's buffer takes g u
+        s, u = _silu(a, _view(scratch, 0, a.shape), _view(scratch, half, a.shape))
+        d_silu = np.subtract(1.0, s, out=a)
+        d_silu *= u
+        d_silu += s
+        g_gamma = np.multiply(g, u, out=u)
+        sink(k + 2, emb, g_gamma, scratch[:half])
+        sink(k + 3, None, g_gamma, scratch[:half])
+        sink(k + 4, emb, g, scratch[:half])
+        sink(k + 5, None, g, scratch[:half])
+        g *= _affine(emb, lay.gamma_w, lay.gamma_b, out=s)
+        g *= d_silu
+        sink(k, h, g, scratch)
+        sink(k + 1, None, g, scratch)
         if i:
             g = np.matmul(g, lay.w.T, out=h)  # h is dead once its gradient is handed on
     return reported, grads
@@ -186,9 +196,9 @@ _EPS = 1e-8
 # inverse time decay of the learning rate
 _INV_GAMMA = 20000.0
 _POWER = 1.0
-# elements per piece of the flat Adam+EMA update, and at most per
-# gradient block fit folds into the moments: a piece and its two
-# temporaries stay in a core's L2 through every op on it
+# elements per piece of the flat Adam+EMA update and of fit's moment
+# fold: a piece and its temporaries stay in a core's L2 through every op
+# on it
 _CHUNK = 1 << 16
 
 
@@ -218,37 +228,43 @@ def inverse_lr(state: OptimizerState) -> float:
 
 
 def _fold(g, m, v, t):
-    """Fold g, a piece of the gradient, into the same pieces of Adam's
-    moments m and v, in place; t is scratch of g's size."""
-    # per element, the ops of the whole-tensor expressions, in their order
-    m *= _BETA1
-    m += np.multiply(g, 1.0 - _BETA1, out=t)
-    v *= _BETA2
-    np.multiply(g, g, out=t)
-    t *= 1.0 - _BETA2
-    v += t
+    """Fold g, a contiguous piece of the gradient, into the same pieces of
+    Adam's moments m and v, in place, in pieces of the flat scratch t's
+    size, so that each stays in cache through every op on it."""
+    g, m, v = (z.reshape(-1) for z in (g, m, v))
+    for lo in range(0, g.size, t.size):
+        gp, mp, vp = (z[lo : lo + t.size] for z in (g, m, v))
+        tp = t[: gp.size]
+        # per element, the ops of the whole-tensor expressions, in their order
+        mp *= _BETA1
+        mp += np.multiply(gp, 1.0 - _BETA1, out=tp)
+        vp *= _BETA2
+        np.multiply(gp, gp, out=tp)
+        tp *= 1.0 - _BETA2
+        vp += tp
 
 
 def _moment_sink(state: OptimizerState, cfg):
     """A dsm_loss sink that folds each gradient into state.m and state.v as
-    the backward hands it on.  A weight's gradient is formed in blocks of
-    whole rows, at most _CHUNK elements each (one row where a width exceeds
-    _CHUNK), in one scratch block, and each block is folded at once; a
-    bias's is one block.  So no gradient vector exists."""
+    the backward hands it on.  It forms the gradient in the dead scratch
+    dsm_loss lends with it, before a temporary of _CHUNK values at the
+    scratch's end: whole when it fits there, else in blocks of as many
+    whole rows as fit, and folds each as soon as it is formed, _CHUNK
+    values at a time.  So no gradient vector exists, and the sink
+    allocates no array."""
     ms, vs = (_flat_views(cfg, vec, first=1) for vec in (state.m, state.v))
-    g_buf, t_buf = np.empty((2, max(_CHUNK, *(m.shape[-1] for m in ms))), state.m.dtype)
 
-    def fold(k, a, b):
+    def fold(k, a, b, free):
+        m, v, t = ms[k], vs[k], free[free.size - _CHUNK :]
         if a is None:
-            g = b.sum(axis=0, out=g_buf[: b.shape[1]])
-            _fold(g, ms[k], vs[k], t_buf[: g.size])
+            _fold(b.sum(axis=0, out=free[: m.size]), m, v, t)
             return
-        rows = max(1, _CHUNK // b.shape[1])
-        for r0 in range(0, a.shape[1], rows):
-            m, v = ms[k][r0 : r0 + rows], vs[k][r0 : r0 + rows]
+        rows = (free.size - _CHUNK) // m.shape[1]
+        for r0 in range(0, m.shape[0], rows):
+            mb, vb = m[r0 : r0 + rows], v[r0 : r0 + rows]
             # rows r0: of a.T @ b, with the whole product's bits
-            g = np.matmul(a[:, r0 : r0 + rows].T, b, out=g_buf[: m.size].reshape(m.shape))
-            _fold(g, m, v, t_buf[: m.size].reshape(m.shape))
+            g = np.matmul(a[:, r0 : r0 + rows].T, b, out=_view(free, 0, mb.shape))
+            _fold(g, mb, vb, t)
 
     return fold
 
@@ -308,12 +324,13 @@ def fit(dataset, params: DenoiserParams, p: Preconditioner, cfg: TrainConfig,
     finite.
 
     fit holds four weight sets (the raw weights, the EMA, and Adam's m
-    and v, all flat) and no gradient vector: the backward hands each
-    gradient to _moment_sink, which folds it block by block into m and v,
-    and then one pass over the four flat vectors (_step) takes Adam's
-    parameter step and moves the EMA toward the updated weights.  The
-    step's workspace is laid out on the first step and reused by every
-    later one.
+    and v, all flat) and the step's workspace, and nothing else: no
+    gradient vector.  The backward hands each gradient to _moment_sink,
+    which forms it in the workspace's dead scratch and folds it into m
+    and v, and then one pass over the four flat vectors (_step) takes
+    Adam's parameter step and moves the EMA toward the updated weights.
+    The workspace is laid out on the first step and reused by every later
+    one.
     """
     x = np.asarray(getattr(dataset, "features", dataset))
     if x.ndim != 2 or x.shape[0] < 1:

@@ -225,6 +225,17 @@ def test_score_start_t_out_of_range_is_usage_error(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_score_steps_below_two_names_the_steps_not_the_start_t(tmp_path, capsys, steps):
+    """Without --start-t, the start index is derived from --steps, which is
+    checked first: the error names the flag the user gave."""
+    code = run("score", "--features", str(tmp_path / "absent.npy"),
+               "--manifest", str(tmp_path / "absent.json"),
+               "--checkpoint", str(tmp_path / "absent.ckpt"),
+               "--out", str(tmp_path / "s.csv"), "--steps", steps)
+    assert (code, capsys.readouterr().err) == (1, f"error: --steps must be >= 2, got {steps}\n")
+
+
 def test_score_same_seed_identical_csv(tmp_path):
     f, m = make_data(tmp_path)
     ck = train_tiny(tmp_path, f, m)

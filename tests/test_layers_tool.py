@@ -16,13 +16,15 @@ def test_layers_tool_writes_its_record_at_tiny_sizes(tmp_path):
     record = json.loads(out.read_text())
     assert set(record) == {"environment", "config", "layers", "scale"}
     assert set(record["environment"]) >= {"python", "numpy", "blas", "cpus"}
-    assert [(r["layer"], r["dim"]) for r in record["layers"]] == [
+    training = [(name, dim) for dim in (4, 6) for name in ("dsm_loss_fold", "dsm_loss",
+                                                            "adam_ema")]
+    assert [(r["layer"], r["dim"]) for r in record["layers"]] == training + [
         ("nfe", 4), ("nfe", 6), ("lms_sample", 4), ("roc_auc", 1), ("load_manifest", 1),
         ("read_scores_csv", 1)]
     for r in record["layers"]:
         assert set(r) == {"layer", "rows", "dim", "median_s", "quartiles_s", "reps"}
         assert r["reps"] == 1 and r["median_s"] > 0
-    assert [r["rows"] for r in record["layers"]] == [8, 8, 8, 10, 42, 42]  # 40 + 5 % of 40
+    assert [r["rows"] for r in record["layers"]] == [8] * 9 + [10, 42, 42]  # 40 + 5 % of 40
     scale = record["scale"]
     assert set(scale) == {"rows", "dim", "wall_s", "wall_quartiles_s", "reps", "heap_peak_mib",
                           "rss_setup_mib", "rss_peak_mib"}

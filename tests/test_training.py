@@ -179,16 +179,23 @@ def test_dsm_loss_float32_gradients_match_float64():
 
 def test_dsm_loss_sink_receives_each_gradient_once():
     """With a sink, the backward hands every trainable tensor's gradient on
-    once, as (a, b) forming the default path's bits, and makes no vector."""
+    once, as (a, b) forming the default path's bits, and makes no vector.
+    The scratch it lends holds a _CHUNK-value temporary beside at least
+    _CHUNK values and a gradient row, and is dead: NaN written over it
+    changes no gradient and not the loss."""
     params = tiny_params(dtype=np.float32)
     params.out_w[...] = Rng(37).standard_normal(params.out_w.shape) * 0.3
     x = Rng(38).standard_normal((9, 6)).astype(np.float32)
     sigma = sample_train_sigma(Rng(39), TrainNoiseConfig(), 9)
     formed = {}
 
-    def sink(k, a, b):
+    def sink(k, a, b, free):
         assert k not in formed
+        assert free.dtype == b.dtype
+        assert free.size >= training._CHUNK + max(training._CHUNK, b.shape[1])
+        assert not np.shares_memory(free, b) and (a is None or not np.shares_memory(free, a))
         formed[k] = b.sum(axis=0) if a is None else a.T @ b
+        free[...] = np.nan
 
     loss, none = dsm_loss(params, Preconditioner(0.7), x, sigma, Rng(40), sink=sink)
     want_loss, want = dsm_loss(params, Preconditioner(0.7), x, sigma, Rng(40))
@@ -660,17 +667,80 @@ def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, ba
 
 
 @pytest.mark.parametrize("cfg, rows, batch, chunk", [
-    (TINY, 40, 16, 3),  # blocks of one row, and biases wider than a chunk
-    (TINY, 40, 16, 7),  # one below the widest layer (8)
-    (DEFAULT_64, 100, 48, 255),  # one row of every hidden width, three of the head's
-    (DEFAULT_64, 100, 48, 1023),  # one below the widest layer (1024)
+    (TINY, 40, 16, 3),  # every gradient whole in the scratch
+    (TINY, 40, 16, 7),
+    (DEFAULT_64, 100, 48, 255),  # every hidden weight in row blocks
+    (DEFAULT_64, 100, 48, 1023),
 ], ids=["tiny-3", "tiny-7", "default-dim64-255", "default-dim64-1023"])
 def test_fit_matches_reference_across_chunk_boundaries(monkeypatch, cfg, rows, batch, chunk):
-    """fit forms each weight gradient in row blocks of at most _CHUNK elements
-    and folds each into Adam's moments: any block size gives the bits of
-    the whole-tensor reference."""
+    """fit forms each weight gradient in the step's dead scratch, whole where
+    it fits and else in row blocks sized to that scratch, and folds each
+    into Adam's moments.  A small _CHUNK leaves the scratch at 2 x rows x
+    widest, which holds the tiny network's gradients whole and blocks the
+    default one's hidden weights: either way gives the bits of the
+    whole-tensor reference."""
     monkeypatch.setattr(training, "_CHUNK", chunk)
     assert_fit_matches_reference(monkeypatch, cfg, rows, batch)
+
+
+WIDE = NetworkConfig(input_dim=6, encoder_widths=(16, 8), decoder_widths=(8, 16), embed_dim=8)
+
+
+@pytest.mark.parametrize("chunk, batches, blocked", [
+    (training._CHUNK, [9], False),  # the floor holds every gradient beside its temporary
+    (1, [3], True),  # 2 x 3 x 16 values of scratch, below a 16 x 8 weight
+    (1, [20, 3], False),  # 3 rows in the scratch that 20 laid out
+], ids=["whole", "blocked", "short-after-long"])
+def test_moment_sink_folds_the_default_gradients_bit_for_bit(monkeypatch, chunk, batches,
+                                                            blocked):
+    """fit's sink leaves Adam's m and v with the bits of folding the default
+    sink's flat gradient vector, however its scratch makes it block."""
+    monkeypatch.setattr(training, "_CHUNK", chunk)
+    params = init_params(WIDE, Rng(50), dtype=np.float32)
+    params.out_w[...] = Rng(51).standard_normal(params.out_w.shape) * 0.3
+    p = Preconditioner(0.7)
+    state = OptimizerState.init(params, TrainConfig())
+    state.m[...] = Rng(52).standard_normal(state.m.size) * 1e-3
+    state.v[...] = Rng(53).uniform(0.0, 1e-6, state.v.size)
+    m, v = state.m.copy(), state.v.copy()
+    fold, work = training._moment_sink(state, WIDE), []
+    for i, n in enumerate(batches):
+        x = Rng(54 + i).standard_normal((n, 6)).astype(np.float32)
+        sigma = sample_train_sigma(Rng(56 + i), TrainNoiseConfig(), n)
+        loss, _ = dsm_loss(params, p, x, sigma, Rng(58 + i), work=work, sink=fold)
+        want_loss, grads = dsm_loss(params, p, x, sigma, Rng(58 + i))
+        flat = np.concatenate([g.ravel() for g in grads])
+        training._fold(flat, m, v, np.empty_like(flat))
+        assert loss == want_loss
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v), n
+    largest = max(t.size for t in params.trainable())
+    assert (work[-1].size < largest) == blocked
+    assert blocked or work[-1].size // 2 - training._CHUNK >= largest
+
+
+def test_moment_sink_allocates_no_array():
+    """fit's sink forms and folds every gradient in the scratch it is lent:
+    no call grows the heap by more than a few array views, where the
+    gradient of a weight is at least 128 KiB."""
+    params = init_params(DEFAULT_64, Rng(60))
+    state = OptimizerState.init(params, TrainConfig())
+    fold, work, grown = training._moment_sink(state, DEFAULT_64), [], []
+    x = Rng(61).standard_normal((48, 64)).astype(np.float32)
+    sigma = sample_train_sigma(Rng(62), TrainNoiseConfig(), 48)
+    dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(63), work=work, sink=fold)
+
+    def traced(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fold(*args)
+        grown.append(tracemalloc.get_traced_memory()[1] - held)
+
+    tracemalloc.start()
+    try:
+        dsm_loss(params, Preconditioner(1.0), x, sigma, Rng(64), work=work, sink=traced)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == len(params.trainable()) and max(grown) < 4096, max(grown)
 
 
 def test_fit_non_finite_loss_leaves_weights_and_ema_of_the_step_before(monkeypatch):

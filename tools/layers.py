@@ -1,4 +1,4 @@
-"""Time vadiff's scoring and evaluation layers; print a table and write JSON.
+"""Time vadiff's training, scoring and evaluation layers; print a table and write JSON.
 
     python tools/layers.py [--rows 8192] [--dims 64 2048] [--lms-dim 64]
                            [--auc-scores 1000000] [--io-normal 119000]
@@ -7,8 +7,18 @@
 vadiff is imported from src/ beside this directory.  Every network is the
 default widths in float32, as a checkpoint holds them, drawn from a fixed
 seed, with a nonzero output head so that every hidden unit reaches the
-output.  Each network layer runs as score_dataset runs it: on a float32
-ODE state that is the displacement from float32 rows, about those rows:
+output.  Each training layer runs as fit runs it, in a workspace laid
+out before timing, on --rows x DIM float32 rows, for each DIM of --dims:
+
+- dsm_loss_fold: one step's loss and backward, dsm_loss with fit's sink,
+  which folds each gradient into Adam's moments
+- dsm_loss: the same step with dsm_loss's default sink, which writes one
+  flat gradient vector, in dsm_loss_fold's workspace
+- adam_ema: one training._step, Adam's parameter step and the EMA, on the
+  moments dsm_loss_fold left
+
+Each network layer runs as score_dataset runs it: on a float32 ODE state
+that is the displacement from float32 rows, about those rows:
 
 - nfe: one denoiser evaluation, as_denoiser with its buffers already
   sized, on --rows x DIM at sigma 1, for each DIM of --dims
@@ -56,25 +66,31 @@ from vadiff import (  # noqa: E402
     DatasetScores,
     FeatureSet,
     NetworkConfig,
+    OptimizerState,
     Preconditioner,
     Rng,
     ScheduleConfig,
     ScoringConfig,
     SynthConfig,
+    TrainConfig,
+    TrainNoiseConfig,
     VideoRecord,
     as_denoiser,
     batch_threshold,
+    dsm_loss,
     init_params,
     karras_schedule,
     lms_sample,
     load_manifest,
     read_scores_csv,
     roc_auc,
+    sample_train_sigma,
     save_features,
     score_dataset,
     synth_generate,
     write_scores_csv,
 )
+from vadiff.training import _moment_sink, _step  # noqa: E402
 
 SEED = 0
 MIB = 2**20
@@ -103,10 +119,29 @@ def io_probes(n_normal: int, tmp: Path):
             ("read_scores_csv", n, 1, partial(read_scores_csv, scores))]
 
 
+def training_probes(rows: int, dim: int):
+    """(name, rows, dim, fn) for one training step's layers on rows x dim,
+    each run once here, so that the workspace is laid out before timing;
+    the two dsm_loss rows share it."""
+    params, p = network(dim), Preconditioner(1.0)
+    x = Rng(SEED + 8).standard_normal((rows, dim), dtype=np.float32)
+    sigma = sample_train_sigma(Rng(SEED + 9), TrainNoiseConfig(), rows)
+    state, work, noise = OptimizerState.init(params, TrainConfig()), [], Rng(SEED + 10)
+    fold = partial(dsm_loss, params, p, x, sigma, noise, work=work,
+                   sink=_moment_sink(state, params.config))
+    fold()
+    grads = [np.empty_like(params.trainable_flat)] + work
+    probes = [("dsm_loss_fold", rows, dim, fold),
+              ("dsm_loss", rows, dim, partial(dsm_loss, params, p, x, sigma, noise, work=grads)),
+              ("adam_ema", rows, dim, partial(_step, state, params))]
+    for _, _, _, fn in probes[1:]:
+        fn()
+    return probes
+
+
 def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
-    """(name, rows, dim, fn) for each timed network and AUC layer; each fn
-    is run once here, so that the denoisers' buffers are sized before
-    timing."""
+    """(name, rows, dim, fn) for each timed training, network and AUC layer;
+    each fn is run once here, so that every buffer is sized before timing."""
     p = Preconditioner(1.0)
     sigmas = karras_schedule(ScheduleConfig())
     dens = {}
@@ -128,7 +163,7 @@ def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
     labels = (Rng(SEED + 7).uniform(0.0, 1.0, auc_scores) < 0.1).astype(np.int8)
     labels[:2] = 0, 1  # both classes, at any size
     probes.append(("roc_auc", auc_scores, 1, partial(roc_auc, scores, labels)))
-    return probes
+    return [probe for dim in dims for probe in training_probes(rows, dim)] + probes
 
 
 def time_layers(rows: int, dims: list[int], lms_dim: int, auc_scores: int, io_normal: int,
