@@ -33,14 +33,14 @@ ckpt, scores_csv, report = work / "model.ckpt", work / "scores.csv", work / "rep
 # 1. synthesize a labeled corpus
 cli("synth", "--features", feats, "--manifest", manifest,
     "--n-normal", 300, "--anomaly-fraction", 0.08, "--dim", 12, "--shift", 6.0, "--seed", 4)
-records = json.loads(manifest.read_text())
+records = json.loads(manifest.read_text(encoding="utf-8"))
 print(f"  -> {len(records['videos'])} videos; first record: {records['videos'][0]['video_id']},"
       f" {records['videos'][0]['frame_count']} frames\n")
 
 # 2. train; the log CSV holds one row per epoch
 cli("train", "--features", feats, "--manifest", manifest, "--checkpoint", ckpt,
     "--epochs", 8, "--batch-size", 64, "--lr", "3e-3", "--ema-decay", 0.95, "--seed", 0)
-log = (work / "model.ckpt.log.csv").read_text().splitlines()
+log = (work / "model.ckpt.log.csv").read_text(encoding="utf-8").splitlines()
 print("  training log: " + log[0])
 print("                " + log[1])
 print("                " + log[-1] + "\n")
@@ -49,13 +49,13 @@ print("                " + log[-1] + "\n")
 cli("score", "--features", feats, "--manifest", manifest, "--checkpoint", ckpt,
     "--out", scores_csv, "--sigma-min", 0.05, "--sigma-max", 5.0, "--steps", 10,
     "--start-t", 0, "--k", 1.0, "--seed", 0)
-rows = scores_csv.read_text().splitlines()
+rows = scores_csv.read_text(encoding="utf-8").splitlines()
 print("  score CSV: " + rows[0])
 print("             " + rows[1] + f"   ... {len(rows) - 1} segments\n")
 
 # 4. evaluate against the manifest labels; the report is printed and saved
 out = cli("eval", "--scores", scores_csv, "--manifest", manifest, "--out", report)
-doc = json.loads(report.read_text())
+doc = json.loads(report.read_text(encoding="utf-8"))
 print(f"  -> frame AUC {doc['auc']:.4f} on {doc['frame_count']} frames"
       f" ({doc['positive_count']} anomalous)")
 print(f"\nartifacts kept in {work}")

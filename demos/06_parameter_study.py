@@ -71,7 +71,7 @@ def study(fs, out, p_means=(TrainNoiseConfig.p_mean,), p_stds=(TrainNoiseConfig.
             rows += [[noise.p_mean, noise.p_std, t, k, auc, frac] for k, frac in zip(ks, fracs)]
         auc, fracs = max(cells, key=lambda cell: cell[0])  # the first of highest AUC
         rows += [[noise.p_mean, noise.p_std, "best", k, auc, frac] for k, frac in zip(ks, fracs)]
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return rows
 

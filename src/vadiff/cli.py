@@ -98,7 +98,7 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"cannot read config file {path}: {e}") from e
@@ -202,7 +202,7 @@ def cmd_train(args) -> int:
     ema, log = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
     save_checkpoint(args.checkpoint, params, ema, p, noise)
     log_path = args.out or args.checkpoint + ".log.csv"
-    with open(log_path, "w", newline="") as fh:
+    with open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "step", "lr", "mean_loss"])
         for entry in log:

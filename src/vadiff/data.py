@@ -122,7 +122,7 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
             entry["labels"] = np.asarray(rec.labels, dtype=np.int8).tolist()
         videos.append(entry)
     doc = {"version": _MANIFEST_VERSION, "segment_len": fs.segment_len, "videos": videos}
-    with replacing(manifest_path, "w") as fh:
+    with replacing(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 

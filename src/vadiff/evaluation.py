@@ -207,7 +207,7 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
     }
     if config_echo:
         doc["config"] = config_echo
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return doc
@@ -219,7 +219,7 @@ def write_frames_csv(path, scores: np.ndarray, manifest: list[VideoRecord],
     (`scores` in manifest order, as evaluate checked them) for every frame
     it covers, expanded one video at a time, so it holds no more than one
     video's frames."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_index", "score", "label"])
         for rec in manifest:

@@ -24,6 +24,10 @@ from .rng import Rng
 from .sampling import TrainNoiseConfig
 
 _TWO_PI = 2.0 * np.pi
+# elements per piece of an elementwise pass (a hidden layer's bias,
+# sigmoid, SiLU and FiLM; training's Adam+EMA update and moment fold): a
+# piece and its temporaries stay in a core's L2 through every op on it
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -255,38 +259,62 @@ def _silu(a, s, u):
     return s, np.multiply(a, s, out=u)
 
 
-def _hidden_layer(lay: Layer, h, emb, a, s, u, scale=None, shift=None):
+def _hidden_layer(lay: Layer, h, emb, a, out, free=None, scale=None, shift=None):
     """One hidden layer, gamma * silu(h @ w + b) + beta with emb's FiLM scale
     gamma and shift beta, formed in the caller's buffers of its output
-    shape: the pre-activation in a, the sigmoid in s, the SiLU and then the
-    returned output in u (which may be a), gamma and beta in scale (which
-    may be s) and shift, or, where None, in new arrays shaped by emb."""
-    a = _affine(h, lay.w, lay.b, out=a)
-    _, u = _silu(a, s, u)
+    shape, and returned in out.
+
+    h @ w lands whole in a, and gamma and beta whole in scale and shift
+    or, where None, in new arrays shaped by emb.  Then the bias, the
+    sigmoid, SiLU and FiLM run over pieces of whole rows, about _CHUNK
+    values each, so that a piece stays in a core's L2 through all five
+    ops: a keeps the pre-activation, and out, which may be a, takes the
+    output.  A piece's sigmoid lands in out's piece or, given the flat
+    buffer `free` (needed when out is a; at least one row), at its head,
+    in pieces no larger than free.  Only the grouping of elementwise ops
+    changes with the piece size, so every piece size gives the same bits.
+    """
+    np.matmul(h, lay.w, out=a)
     gamma = _affine(emb, lay.gamma_w, lay.gamma_b, out=scale)
     beta = _affine(emb, lay.beta_w, lay.beta_b, out=shift)
-    return film(u, gamma, beta, out=u)
+    width = a.shape[-1]
+    rows = max(1, (_CHUNK if free is None else min(_CHUNK, free.size)) // width)
+    a2, out2 = a.reshape(-1, width), out.reshape(-1, width)
+    for lo in range(0, len(a2), rows):
+        ap, up = a2[lo : lo + rows], out2[lo : lo + rows]
+        ap += lay.b
+        _silu(ap, up if free is None else _view(free, 0, ap.shape), up)
+        at = slice(lo, lo + rows) if gamma.ndim > 1 else slice(None)  # per-row FiLM
+        film(up, gamma[at], beta[at], out=up)
+    return out
 
 
 def forward_raw(params, x_scaled, c_noise, *, work=None):
     """Raw network pass F(x_scaled; c_noise) for inference: encoder,
     decoder, output head.
 
-    Each hidden layer runs in place in two buffers of rows x widest layer
-    that take turns, in np.result_type(x_scaled, weights): the affine
-    product lands in one, the sigmoid in the other (its input is dead
-    once multiplied), and SiLU and FiLM overwrite the affine product.  The
-    list `work` keeps the two buffers between calls, grown only when a
-    call needs more.
+    The hidden layers run in one flat buffer, in np.result_type(x_scaled,
+    weights), of rows x the largest of the first width and every adjacent
+    pair's sum (1536 for the default widths), floored at rows + 1 rows of
+    the widest.  Each layer (_hidden_layer) writes its output in place at
+    the end of the buffer opposite its input, so that the affine product
+    never overwrites the input it reads, and each piece's sigmoid lands in
+    the rest of the buffer, over the input, which is dead once multiplied.
+    The list `work` keeps the buffer between calls, grown only when a call
+    needs more.
     """
     emb = fourier_embed(params, c_noise)
     h = np.asarray(x_scaled)
-    size = h.size // h.shape[-1] * max(params.config.hidden_widths)
-    work = _reserve([] if work is None else work, [size, size], np.result_type(h, params.dtype))
+    rows, widths = h.size // h.shape[-1], params.config.hidden_widths
+    size = max(rows * max(widths[0], *map(sum, zip(widths, widths[1:]))),
+               (rows + 1) * max(widths))
+    work = _reserve([] if work is None else work, [size], np.result_type(h, params.dtype))
+    buf = work[0][:size]
     for i, lay in enumerate(params.layers):
         shape = h.shape[:-1] + lay.b.shape
-        a = _view(work[i % 2], 0, shape)
-        h = _hidden_layer(lay, h, emb, a, _view(work[1 - i % 2], 0, shape), a)
+        at = 0 if i % 2 == 0 else size - math.prod(shape)
+        a = _view(buf, at, shape)
+        h = _hidden_layer(lay, h, emb, a, a, buf[a.size :] if at == 0 else buf[:at])
     return _affine(h, params.out_w, params.out_b)
 
 
@@ -298,7 +326,7 @@ def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
     c_in * x, c_skip * x and c_out * F are each formed in x's float dtype
     (float64 for any other x), so the float64 scalings do not promote a
     float32 x.  The network itself runs in the weights' dtype, in place
-    in the buffers `work` keeps (see forward_raw).
+    in the buffer `work` keeps (see forward_raw).
 
     With `base`, an array x broadcasts against, x is a displacement from
     base and the result is D(base + x; sigma) - base, formed as
@@ -332,8 +360,8 @@ def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
 def as_denoiser(params: DenoiserParams, p: Preconditioner):
     """The effective denoiser as a plain (x, sigma) -> x_hat callable,
     the form the ODE sampler consumes, which also takes denoise's `base`.
-    Its calls share one set of activation buffers, so a sampling chain
-    allocates them once.
+    Its calls share forward_raw's one activation buffer, so a sampling
+    chain allocates it once.
     """
     work = []
     return lambda x, sigma, base=None: denoise(params, p, x, sigma, work=work, base=base)

@@ -155,7 +155,7 @@ _CSV_HEADER = ["video_id", "segment_index", "mse", "flagged", "batch_id", "l_th"
 
 def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
     """One row per segment: video_id, index within the video, score, decision."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for rec in fs.manifest:
@@ -179,7 +179,7 @@ def _raise_first_fault(path) -> None:
     Runs only after the fast parse in read_scores_csv failed or gave fewer
     rows than the body has lines, so a valid file never pays for it.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             next(reader)
@@ -235,7 +235,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ends = [at for at in (raw.find(b"\n"), raw.find(b"\r")) if at >= 0]
     end = min(ends, default=len(raw))  # the header's line end
     try:
-        header = next(csv.reader([raw[:end].decode()]))
+        header = next(csv.reader([raw[:end].decode("utf-8")]))
     except UnicodeDecodeError as e:
         raise DataError(f"score CSV is not valid text: {e}") from None
     except csv.Error as e:
@@ -253,7 +253,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # through float warn instead of failing; fail on every release
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(path, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
-                              comments=None, skiprows=1, ndmin=1,
+                              comments=None, skiprows=1, ndmin=1, encoding="utf-8",
                               converters={0: sys.intern})
     except UnicodeDecodeError as e:
         raise DataError(f"score CSV is not valid text: {e}") from None

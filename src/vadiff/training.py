@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (DenoiserParams, Preconditioner, _affine, _flat_views, _hidden_layer,
-                      _reserve, _silu, _view, fourier_embed, scalings)
+from .network import (_CHUNK, DenoiserParams, Preconditioner, _affine, _flat_views,
+                      _hidden_layer, _reserve, _silu, _view, fourier_embed, scalings)
 from .rng import Rng
 from .sampling import TrainNoiseConfig, noise_bounds  # noise_bounds: kept importable from here
 
@@ -71,9 +71,10 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     params.dtype, aligned with params.trainable().  The corruption eps is
     drawn from rng inside, one standard-normal row per instance.  The
     step's forward runs each hidden layer through forward_raw's function,
-    keeping two arrays per layer (its input and its pre-activation); the
-    closed-form backward recomputes sigmoid, SiLU and the FiLM scale from
-    them through the same functions, so gives the same bits.
+    _hidden_layer, keeping two arrays per layer (its input and its
+    pre-activation); the closed-form backward recomputes sigmoid, SiLU and
+    the FiLM scale from them through the same functions, whole, and gets
+    the bits the forward formed piece by piece.
 
     The backward hands each trainable tensor's gradient, as it forms it,
     to sink(k, a, b, free), k the tensor's index in params.trainable():
@@ -90,8 +91,10 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     vector (default sink only; a caller may pass the list holding only
     its own vector), then one rows x 2*sum(widths) buffer holding each
     layer's pre-activation and output, the next layer's input, and one
-    scratch buffer of 2 x rows x widest values, whose halves hold the
-    sigmoid and the FiLM scale and shift.  The scratch is floored at 4 x
+    scratch buffer of 2 x rows x widest values.  In the forward its halves
+    hold the FiLM scale and shift, and each piece's sigmoid forms in the
+    layer's output; in the backward they hold the sigmoid, then the FiLM
+    scale, and the SiLU.  The scratch is floored at 4 x
     max(widest, _CHUNK) and at 2 x dim values, so that any free part has
     room for a _CHUNK-value temporary beside at least _CHUNK values and a
     whole row of the gradient.  The propagated gradient overwrites a
@@ -143,9 +146,9 @@ def dsm_loss(params: DenoiserParams, p: Preconditioner, x: np.ndarray,
     for lay in params.layers:
         shape = (n,) + lay.b.shape
         a = _view(acts, at, shape)
-        s, shift = _view(scratch, 0, shape), _view(scratch, half, shape)
+        scale, shift = _view(scratch, 0, shape), _view(scratch, half, shape)
         cache.append((h, a))
-        h = _hidden_layer(lay, h, emb, a, s, _view(acts, at + a.size, shape), s, shift)
+        h = _hidden_layer(lay, h, emb, a, _view(acts, at + a.size, shape), None, scale, shift)
         at += 2 * a.size
     denoised = _affine(h, params.out_w, params.out_b)
     denoised *= c_out[:, None].astype(dt)
@@ -196,10 +199,6 @@ _EPS = 1e-8
 # inverse time decay of the learning rate
 _INV_GAMMA = 20000.0
 _POWER = 1.0
-# elements per piece of the flat Adam+EMA update and of fit's moment
-# fold: a piece and its temporaries stay in a core's L2 through every op
-# on it
-_CHUNK = 1 << 16
 
 
 @dataclass

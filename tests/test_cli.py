@@ -1,11 +1,15 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
+import os
 import pickle
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -327,6 +331,33 @@ def test_score_one_row_tail_joins_previous_batch(tmp_path, batch_size):
     assert max(batch_ids) == 65 // batch_size - 1
 
 
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """A video id outside ASCII goes through score and eval in fresh
+    processes whose locale encoding is ASCII: the score CSV, the report
+    and the frame dump are written and read as UTF-8, as the manifest is."""
+    f, m = make_data(tmp_path)
+    fs = load_features(f, m)
+    fs.manifest[0] = dataclasses.replace(fs.manifest[0], video_id="vidéo")
+    f, m = tmp_path / "accent.npy", tmp_path / "accent.json"
+    save_features(f, m, fs)
+    ck = train_tiny(tmp_path, f, m)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    scores, report, frames = tmp_path / "s.csv", tmp_path / "r.json", tmp_path / "fr.csv"
+    for argv in (["score", "--features", f, "--manifest", m, "--checkpoint", ck,
+                  "--out", scores],
+                 ["eval", "--scores", scores, "--manifest", m, "--out", report,
+                  "--frames-csv", frames]):
+        done = subprocess.run([sys.executable, "-m", "vadiff", *map(str, argv)], env=env,
+                              capture_output=True, text=True, encoding="utf-8")
+        assert done.returncode == 0, done.stderr
+    assert scores.read_bytes().splitlines()[1].startswith("vidéo,0,".encode())
+    assert frames.read_bytes().splitlines()[1].startswith("vidéo,0,".encode())
+    assert json.loads(report.read_text(encoding="utf-8"))["frame_count"] == sum(
+        r.frame_count for r in fs.manifest)
+
+
 def test_score_one_segment_is_data_error(tmp_path, capsys):
     f, m = tmp_path / "one.vadf", tmp_path / "one.json"
     save_features(f, m, FeatureSet(np.ones((1, 6), dtype=np.float32),
@@ -506,16 +537,17 @@ def test_plain_np_save_output_is_a_feature_file(tmp_path):
 @pytest.mark.parametrize("weights", [[], ["--raw-weights"]], ids=["ema", "raw"])
 def test_score_holds_one_weight_set(tmp_path, peak_heap, weights):
     """Scoring 840 rows of dim 64 with the default network at --start-t 0 (10
-    NFEs) peaks under the two rows x widest activation buffers (6.6 MiB) and
-    6 MiB for the rest: the weights stay in the checkpoint's map, so no
-    weight set (9.3 MiB each) is on the heap."""
+    NFEs), as two blocks of 420 rows, peaks under forward_raw's one 420 x
+    1536 activation buffer (2.46 MiB) and 1 MiB for the rest (3.31 MiB in
+    all, where two 420 x 1024 buffers took 4.13): the weights stay in the
+    checkpoint's map, so no weight set (9.3 MiB each) is on the heap."""
     f, m = make_data(tmp_path, n_normal=800, fraction=0.05, dim=64)
     cfg = NetworkConfig(input_dim=64)
     params = init_params(cfg, Rng(0))
     ck = tmp_path / "model.bin"
     save_checkpoint(ck, params, params.copy(), Preconditioner(1.0), TrainNoiseConfig())
     del params
-    bound = 2 * 4 * 840 * max(cfg.hidden_widths) + 6 * 2**20
+    bound = 4 * 420 * 1536 + 2**20
     code, peak = peak_heap(lambda: run(
         "score", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck),
         "--out", str(tmp_path / "s.csv"), "--start-t", "0", *weights))

@@ -19,12 +19,14 @@ def test_layers_tool_writes_its_record_at_tiny_sizes(tmp_path):
     training = [(name, dim) for dim in (4, 6) for name in ("dsm_loss_fold", "dsm_loss",
                                                             "adam_ema")]
     assert [(r["layer"], r["dim"]) for r in record["layers"]] == training + [
-        ("nfe", 4), ("nfe", 6), ("lms_sample", 4), ("roc_auc", 1), ("load_manifest", 1),
-        ("read_scores_csv", 1)]
+        ("hidden_layer", 1024), ("nfe", 4), ("nfe", 6), ("lms_sample", 4), ("roc_auc", 1),
+        ("load_manifest", 1), ("read_scores_csv", 1), ("load_features", 8),
+        ("load_checkpoint", 8)]
     for r in record["layers"]:
         assert set(r) == {"layer", "rows", "dim", "median_s", "quartiles_s", "reps"}
         assert r["reps"] == 1 and r["median_s"] > 0
-    assert [r["rows"] for r in record["layers"]] == [8] * 9 + [10, 42, 42]  # 40 + 5 % of 40
+    # 42 segments: 40 normal and 5 % as many anomalous
+    assert [r["rows"] for r in record["layers"]] == [8] * 10 + [10, 42, 42, 42, 1]
     scale = record["scale"]
     assert set(scale) == {"rows", "dim", "wall_s", "wall_quartiles_s", "reps", "heap_peak_mib",
                           "rss_setup_mib", "rss_peak_mib"}

@@ -438,7 +438,7 @@ def test_batch_equivariance_under_permutation():
 def test_forward_in_place_equals_cached_path_bitwise(dtype, per_row):
     """A reused `work` gives the bits of a fresh one and of the cached
     path, the reference forward."""
-    # the widths 8, 4, 4, 8 make each layer use a different prefix of the buffers
+    # the widths 8, 4, 4, 8 put each layer's output at the buffer's other end
     params = tiny_params(dtype=dtype)
     x = Rng(19).standard_normal((9, 6)).astype(dtype)
     c_noise = np.linspace(-0.5, 0.8, 9) if per_row else 0.3
@@ -446,14 +446,14 @@ def test_forward_in_place_equals_cached_path_bitwise(dtype, per_row):
     work = []
     assert np.array_equal(forward_raw(params, x, c_noise), cached)
     assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
-    assert len(work) == 2 and all(buf.dtype == dtype for buf in work)
+    assert len(work) == 1 and work[0].dtype == dtype
     assert np.array_equal(forward_raw(params, x, c_noise, work=work), cached)
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
-def test_forward_mixed_dtypes_run_in_two_buffers_of_the_result_dtype(per_row):
-    """A float64 input on float32 weights runs through the same two
-    buffers, in float64, and gives the reference forward's bits."""
+def test_forward_mixed_dtypes_run_in_one_buffer_of_the_result_dtype(per_row):
+    """A float64 input on float32 weights runs through the same one
+    buffer, in float64, and gives the reference forward's bits."""
     params = tiny_params(dtype=np.float32)
     x = Rng(20).standard_normal((9, 6))
     c_noise = np.linspace(-0.5, 0.8, 9) if per_row else 0.3
@@ -462,8 +462,56 @@ def test_forward_mixed_dtypes_run_in_two_buffers_of_the_result_dtype(per_row):
     got = forward_raw(params, x, c_noise, work=work)
     assert got.dtype == want.dtype == np.float64
     assert np.array_equal(got, want)
-    assert len(work) == 2 and all(buf.dtype == np.float64 for buf in work)
+    assert len(work) == 1 and work[0].dtype == np.float64
     assert np.array_equal(forward_raw(params, x, c_noise, work=work), want)
+
+
+ODD = NetworkConfig(input_dim=5, encoder_widths=(7, 3), decoder_widths=(5, 9), embed_dim=8)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 65])
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2,
+                                    (np.float32, np.float64)], ids=["f32", "f64", "mixed"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+def test_forward_pieces_give_the_reference_bits(monkeypatch, rows, dtypes, per_row):
+    """However the piece size cuts the rows, into pieces of one row, of a
+    few rows with a short last one, or of all of them, forward_raw gives
+    the bits of the whole-array reference forward; the odd widths put the
+    pieces at odd flat offsets."""
+    (weights, inputs), want = dtypes, np.result_type(*dtypes)
+    for cfg in (tiny_config(), ODD):
+        params = init_params(cfg, Rng(rows), dtype=weights)
+        params.out_w[...] = Rng(rows + 1).standard_normal(params.out_w.shape) * 0.3
+        x = Rng(rows + 2).standard_normal((rows, cfg.input_dim)).astype(inputs)
+        c_noise = np.linspace(-0.5, 0.8, rows) if per_row else 0.3
+        ref, _, _ = reference_forward(params.tensors(), x, c_noise)
+        for chunk in (1, 20, 27, network._CHUNK):
+            monkeypatch.setattr(network, "_CHUNK", chunk)
+            got = forward_raw(params, x, c_noise)
+            assert got.dtype == want and np.array_equal(got, ref), (cfg, chunk)
+
+
+@pytest.mark.parametrize("rows, size", [(1, 2 * 8), (2, 2 * 12), (9, 9 * 12)])
+def test_forward_work_is_one_buffer_of_the_documented_size(rows, size):
+    """rows x the largest of the first width and every adjacent pair's sum
+    (8, 12, 8, 12 for the widths 8, 4, 4, 8), floored at rows + 1 rows of
+    the widest, so that a one-row piece's sigmoid fits beside any output."""
+    params = tiny_params(dtype=np.float32)
+    work = []
+    forward_raw(params, np.ones((rows, 6), np.float32), 0.3, work=work)
+    assert [(buf.size, buf.dtype) for buf in work] == [(size, np.float32)]
+
+
+def test_forward_peak_heap_is_one_activation_buffer(peak_heap):
+    """At 420 x 64 (one scoring block of score-deep's 840-row batch) with
+    the default widths, forward_raw's heap peaks at its one 420 x 1536
+    buffer, its 420 x 64 output and less than 64 KiB beside them, where two
+    420 x 1024 buffers took 3.42 MiB."""
+    params = init_params(NetworkConfig(input_dim=64), Rng(0))
+    x = Rng(1).standard_normal((420, 64)).astype(np.float32)
+    _, peak = peak_heap(lambda: forward_raw(params, x, 0.3))
+    bound = 4 * 420 * (1536 + 64) + 2**16
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vadiff import training
+from vadiff import network, training
 from vadiff import (
     FeatureSet,
     NetworkConfig,
@@ -668,7 +668,7 @@ def test_fit_matches_list_based_reference_bit_for_bit(monkeypatch, cfg, rows, ba
 
 @pytest.mark.parametrize("cfg, rows, batch, chunk", [
     (TINY, 40, 16, 3),  # every gradient whole in the scratch
-    (TINY, 40, 16, 7),
+    (TINY, 37, 16, 7),  # the 5-row tail reuses the 16-row layout
     (DEFAULT_64, 100, 48, 255),  # every hidden weight in row blocks
     (DEFAULT_64, 100, 48, 1023),
 ], ids=["tiny-3", "tiny-7", "default-dim64-255", "default-dim64-1023"])
@@ -678,7 +678,8 @@ def test_fit_matches_reference_across_chunk_boundaries(monkeypatch, cfg, rows, b
     into Adam's moments.  A small _CHUNK leaves the scratch at 2 x rows x
     widest, which holds the tiny network's gradients whole and blocks the
     default one's hidden weights: either way gives the bits of the
-    whole-tensor reference."""
+    whole-tensor reference.  Each last, short batch (8 rows of 40, 5 of 37,
+    4 of 100) runs in the layout its full batches laid out."""
     monkeypatch.setattr(training, "_CHUNK", chunk)
     assert_fit_matches_reference(monkeypatch, cfg, rows, batch)
 
@@ -797,3 +798,26 @@ def test_dsm_loss_reused_work_gives_the_same_gradients():
     for a, b, c in zip(reused, fresh, ref):
         assert np.array_equal(a, c) and np.array_equal(b, c)
     assert np.shares_memory(reused[0], work[0]) and not np.shares_memory(fresh[0], work[0])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 65])
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 2, (np.float64,) * 2,
+                                    (np.float32, np.float64)], ids=["f32", "f64", "mixed"])
+def test_dsm_loss_pieces_give_the_reference_bits(monkeypatch, rows, dtypes):
+    """However the piece size cuts the rows of each hidden layer's bias,
+    sigmoid, SiLU and FiLM, dsm_loss gives the loss and gradients of the
+    list-based reference, in every bit, with float32 and float64 weights
+    and with float64 rows on float32 weights."""
+    weights, inputs = dtypes
+    params = tiny_params(dtype=weights)
+    params.out_w[...] = Rng(rows).standard_normal(params.out_w.shape) * 0.3
+    p = Preconditioner(0.7)
+    x = Rng(rows + 1).standard_normal((rows, 6)).astype(inputs)
+    sigma = sample_train_sigma(Rng(rows + 2), TrainNoiseConfig(), rows)
+    ref_loss, ref = ref_dsm_loss(params.tensors(), p, x, sigma, Rng(rows + 3))
+    for chunk in (1, 20, 27, network._CHUNK):
+        monkeypatch.setattr(network, "_CHUNK", chunk)
+        loss, grads = dsm_loss(params, p, x, sigma, Rng(rows + 3))
+        assert loss == ref_loss, chunk
+        for k, (a, b) in enumerate(zip(grads, ref)):
+            assert a.dtype == weights and np.array_equal(a, b), (chunk, k)

@@ -20,17 +20,25 @@ out before timing, on --rows x DIM float32 rows, for each DIM of --dims:
 Each network layer runs as score_dataset runs it: on a float32 ODE state
 that is the displacement from float32 rows, about those rows:
 
-- nfe: one denoiser evaluation, as_denoiser with its buffers already
+- hidden_layer: one network._hidden_layer call, the last hidden layer
+  (512 -> 1024) at sigma 1 on --rows rows, in one buffer laid out as
+  forward_raw lays it out: the input at the start, the output at the
+  end, and each piece's sigmoid over the input, which is dead once
+  multiplied (so each call reads the sigmoid the one before left)
+- nfe: one denoiser evaluation, as_denoiser with its buffer already
   sized, on --rows x DIM at sigma 1, for each DIM of --dims
 - lms_sample: one lms_sample call from index 0 of the default 10-step
   schedule (10 NFE) on --rows x --lms-dim
 - roc_auc: one roc_auc call on --auc-scores standard normal scores, each
   labelled positive with probability 0.1
-- load_manifest and read_scores_csv: one call each on the manifest and a
-  score CSV of a synth corpus of --io-normal normal segments at dim 8, and
-  5 % as many anomalous ones, as `vadiff synth` makes by default; 119 000
-  is the eval-frames benchmark's size, about 2 M labelled frames.  The
-  score is each row's distance from the origin, the normal cluster's mean
+- load_manifest, read_scores_csv and load_features: one call each on the
+  manifest, a score CSV and the feature file of a synth corpus of
+  --io-normal normal segments at dim 8, and 5 % as many anomalous ones, as
+  `vadiff synth` makes by default; 119 000 is the eval-frames benchmark's
+  size, about 2 M labelled frames.  The score is each row's distance from
+  the origin, the normal cluster's mean
+- load_checkpoint: one call on a checkpoint of the default network at
+  dim 8 (2.39 M weights, twice: raw and EMA)
 
 The layers take turns within each of --reps rounds, so that a slow spell
 of a shared host falls on all of them alike; the table gives the median
@@ -79,17 +87,22 @@ from vadiff import (  # noqa: E402
     batch_threshold,
     dsm_loss,
     init_params,
+    fourier_embed,
     karras_schedule,
     lms_sample,
+    load_checkpoint,
+    load_features,
     load_manifest,
     read_scores_csv,
     roc_auc,
     sample_train_sigma,
+    save_checkpoint,
     save_features,
     score_dataset,
     synth_generate,
     write_scores_csv,
 )
+from vadiff.network import _hidden_layer  # noqa: E402
 from vadiff.training import _moment_sink, _step  # noqa: E402
 
 SEED = 0
@@ -104,8 +117,8 @@ def network(dim: int):
 
 
 def io_probes(n_normal: int, tmp: Path):
-    """(name, rows, dim, fn) for load_manifest and read_scores_csv on files
-    written into directory `tmp`."""
+    """(name, rows, dim, fn) for load_manifest, read_scores_csv,
+    load_features and load_checkpoint on files written into directory `tmp`."""
     fs = synth_generate(SynthConfig(n_normal=n_normal, n_anomalous=round(0.05 * n_normal),
                                     dim=IO_DIM, seed=SEED))
     features, manifest, scores = tmp / "f.npy", tmp / "m.json", tmp / "s.csv"
@@ -115,8 +128,27 @@ def io_probes(n_normal: int, tmp: Path):
     _, _, l_th = batch_threshold(dist, 1.0)
     write_scores_csv(scores, fs, DatasetScores(dist, dist > l_th, np.zeros(n, dtype=np.int64),
                                                np.full(n, l_th), []))
+    checkpoint, params = tmp / "c.npy", network(IO_DIM)
+    save_checkpoint(checkpoint, params, params, Preconditioner(1.0), TrainNoiseConfig())
     return [("load_manifest", n, 1, partial(load_manifest, manifest)),
-            ("read_scores_csv", n, 1, partial(read_scores_csv, scores))]
+            ("read_scores_csv", n, 1, partial(read_scores_csv, scores)),
+            ("load_features", n, IO_DIM, partial(load_features, features, manifest)),
+            ("load_checkpoint", 1, IO_DIM, partial(load_checkpoint, checkpoint))]
+
+
+def hidden_layer_probe(rows: int):
+    """(name, rows, width, fn) for one _hidden_layer call: the default
+    network's last hidden layer on a rows x 512 input, in a buffer of
+    forward_raw's size for those two widths."""
+    params = network(IO_DIM)
+    lay = params.layers[-1]
+    fan_in, width = lay.w.shape
+    buf = np.empty(max(rows * (fan_in + width), (rows + 1) * width), np.float32)
+    h, out_at = buf[: rows * fan_in].reshape(rows, fan_in), buf.size - rows * width
+    h[...] = Rng(SEED + 11).standard_normal(h.shape, dtype=np.float32)
+    a = buf[out_at:].reshape(rows, width)
+    emb = fourier_embed(params, 0.0)  # c_noise at sigma 1
+    return ("hidden_layer", rows, width, partial(_hidden_layer, lay, h, emb, a, a, buf[:out_at]))
 
 
 def training_probes(rows: int, dim: int):
@@ -152,7 +184,8 @@ def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
     def state(dim):
         return Rng(SEED + 2).standard_normal((rows, dim), dtype=np.float32)
 
-    probes = [("nfe", rows, dim, partial(dens[dim], state(dim), 1.0)) for dim in dims]
+    probes = [hidden_layer_probe(rows)]
+    probes += [("nfe", rows, dim, partial(dens[dim], state(dim), 1.0)) for dim in dims]
     probes.append(("lms_sample", rows, lms_dim, partial(lms_sample, dens[lms_dim],
                                                         state(lms_dim) * float(sigmas[0]),
                                                         sigmas)))
@@ -192,7 +225,7 @@ def _rss_mib() -> float:
     program alone; ru_maxrss, the fallback, also keeps the peak of the
     process that forked it."""
     try:
-        with open("/proc/self/status") as fh:
+        with open("/proc/self/status", encoding="utf-8") as fh:
             return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
     except (OSError, StopIteration):
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
@@ -288,7 +321,7 @@ def main(argv=None) -> int:
                                     args.io_normal, args.reps),
               "scale": scale_probe(*args.scale, args.reps)}
     print(table(record))
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "vadiff"
     total = [0, 0]
     for path in sorted(root.rglob("*.py")):
-        lines, code = count(path.read_text())
+        lines, code = count(path.read_text(encoding="utf-8"))
         total[0] += lines
         total[1] += code
         print(f"{lines:6d} {code:6d}  {path.relative_to(root)}")
