@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,28 +85,15 @@ def scalings(p: Preconditioner, sigma):
     return c_skip, c_out, c_in, c_noise
 
 
-def _named_tensor(i: int, doc: str):
-    """Tensor i of the record's views; assigning to it writes into the view."""
-    def put(self, value):
-        self._tensors[i][...] = value
-    return property(lambda self: self._tensors[i], put, doc=doc)
-
-
-class Layer:
+class Layer(NamedTuple):
     """One hidden layer's six tensors, views into DenoiserParams.flat."""
 
-    __slots__ = ("_tensors",)
-    NAMES = ("w", "b", "gamma_w", "gamma_b", "beta_w", "beta_b")
-
-    def __init__(self, tensors):
-        self._tensors = tensors
-
-    w = _named_tensor(0, "Affine weight (fan_in, width).")
-    b = _named_tensor(1, "Affine bias.")
-    gamma_w = _named_tensor(2, "FiLM scale weight (embed_dim, width).")
-    gamma_b = _named_tensor(3, "FiLM scale bias.")
-    beta_w = _named_tensor(4, "FiLM shift weight (embed_dim, width).")
-    beta_b = _named_tensor(5, "FiLM shift bias.")
+    w: np.ndarray  # affine weight (fan_in, width)
+    b: np.ndarray  # affine bias
+    gamma_w: np.ndarray  # FiLM scale weight (embed_dim, width)
+    gamma_b: np.ndarray  # FiLM scale bias
+    beta_w: np.ndarray  # FiLM shift weight (embed_dim, width)
+    beta_b: np.ndarray  # FiLM shift bias
 
 
 class DenoiserParams:
@@ -115,9 +103,10 @@ class DenoiserParams:
     `flat` lays every tensor out in _tensor_shapes order, the checkpoint
     serialization order: the frequencies (drawn once at initialization and
     never trained), each hidden layer's six tensors, then the output
-    projection.  The named tensors are views into it, so the trainable
-    tensors are one contiguous tail, `trainable_flat`; assigning to a named
-    tensor (`params.out_w = ...`, `params.layers[0].b = ...`) writes into it.
+    projection.  The named tensors are views into it, made once here, so
+    the trainable tensors are one contiguous tail, `trainable_flat`.  A
+    tensor is written through its view (`params.out_w[...] = ...`,
+    `params.layers[0].b[...] = ...`); rebinding one raises AttributeError.
     """
 
     def __init__(self, config: NetworkConfig, flat: np.ndarray):
@@ -126,13 +115,12 @@ class DenoiserParams:
                              f"config implies ({param_count(config)},)")
         self.config = config
         self.flat = flat
-        self._tensors = _flat_views(config, flat)
-        n = len(Layer.NAMES)
-        self.layers = [Layer(self._tensors[i : i + n]) for i in range(1, len(self._tensors) - 2, n)]
+        views = self._tensors = _flat_views(config, flat)
+        self.layers = [Layer(*views[i : i + 6]) for i in range(1, len(views) - 2, 6)]
 
-    freqs = _named_tensor(0, "Fourier frequencies (never trained).")
-    out_w = _named_tensor(-2, "Output projection matrix.")
-    out_b = _named_tensor(-1, "Output projection bias.")
+    freqs = property(lambda self: self._tensors[0], doc="Fourier frequencies (never trained).")
+    out_w = property(lambda self: self._tensors[-2], doc="Output projection matrix.")
+    out_b = property(lambda self: self._tensors[-1], doc="Output projection bias.")
 
     def tensors(self) -> list[np.ndarray]:
         """All tensors in declaration order, fixed frequencies included."""
@@ -157,45 +145,39 @@ class DenoiserParams:
         return DenoiserParams(self.config, self.flat.astype(dtype))
 
 
-def _tensor_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor in declaration order."""
-    out = [("freqs", (cfg.embed_dim // 2,))]
-    prev = cfg.input_dim
-    for i, w in enumerate(cfg.hidden_widths):
-        shapes = ((prev, w), (w,),  # affine
-                  (cfg.embed_dim, w), (w,), (cfg.embed_dim, w), (w,))  # FiLM gamma, beta
-        out.extend((f"layers[{i}].{name}", shape)
-                   for name, shape in zip(Layer.NAMES, shapes))
+def _tensor_shapes(cfg: NetworkConfig) -> list[tuple[int, ...]]:
+    """The shape of every tensor in declaration order: the frequencies,
+    each hidden layer's Layer fields, then the output projection."""
+    out, prev = [(cfg.embed_dim // 2,)], cfg.input_dim
+    for w in cfg.hidden_widths:
+        out += [(prev, w), (w,), (cfg.embed_dim, w), (w,), (cfg.embed_dim, w), (w,)]
         prev = w
-    out.extend([("out_w", (prev, cfg.input_dim)), ("out_b", (cfg.input_dim,))])
-    return out
+    return out + [(prev, cfg.input_dim), (cfg.input_dim,)]
 
 
 def param_count(cfg: NetworkConfig) -> int:
     """Total tensor entry count; a pure function of the configuration."""
-    return sum(math.prod(shape) for _, shape in _tensor_shapes(cfg))
+    return sum(map(math.prod, _tensor_shapes(cfg)))
 
 
 def init_params(cfg: NetworkConfig, rng: Rng, dtype=np.float32) -> DenoiserParams:
     """Fan-in-scaled uniform init; zero output layer; FiLM starts near identity.
 
-    Weights and biases draw in declaration order from the "init" stream,
-    the frequencies from the "fourier" stream.  Zeroing the output
-    projection makes the initial denoiser exactly c_skip(sigma) * x, an
-    identity-like starting point.
+    The frequencies draw from the "fourier" stream.  Each hidden layer
+    draws w, b, gamma_w and beta_w, in that order, from the "init" stream,
+    uniform within 1 / sqrt(fan-in) (a bias shares its matrix's); gamma_b
+    is 1 and every other tensor 0.  Zeroing the output projection makes
+    the initial denoiser exactly c_skip(sigma) * x, an identity-like
+    starting point.
     """
     init_rng = rng.split("init")
-    params = DenoiserParams(cfg, np.empty(param_count(cfg), dtype))
-    for (name, shape), t in zip(_tensor_shapes(cfg), params.tensors()):
-        field = name.rsplit(".", 1)[-1]
-        if field == "freqs":
-            t[...] = rng.split("fourier").standard_normal(shape)
-        elif field in ("w", "b", "gamma_w", "beta_w"):
-            if field != "b":  # a bias shares the fan-in of the matrix before it
-                lim = 1.0 / np.sqrt(shape[0])
-            t[...] = init_rng.uniform(-lim, lim, size=shape)
-        else:
-            t[...] = 1.0 if field == "gamma_b" else 0.0
+    params = DenoiserParams(cfg, np.zeros(param_count(cfg), dtype))
+    params.freqs[...] = rng.split("fourier").standard_normal(params.freqs.shape)
+    for lay in params.layers:
+        lim, film = 1.0 / np.sqrt(len(lay.w)), 1.0 / np.sqrt(cfg.embed_dim)
+        for t, bound in ((lay.w, lim), (lay.b, lim), (lay.gamma_w, film), (lay.beta_w, film)):
+            t[...] = init_rng.uniform(-bound, bound, size=t.shape)
+        lay.gamma_b[...] = 1.0
     return params
 
 
@@ -319,20 +301,19 @@ def forward_raw(params, x_scaled, c_noise, *, work=None):
 
 
 def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
-            work=None, base=None) -> np.ndarray:
-    """Effective denoiser D(x; sigma) for inference, in x's float dtype.
+            work=None, base=0.0) -> np.ndarray:
+    """Effective denoiser D(base + x; sigma) - base for inference, in x's
+    float dtype: with the default base 0, D(x; sigma).
 
     sigma is a scalar or per-row (n,) array; columns are feature dims.
-    c_in * x, c_skip * x and c_out * F are each formed in x's float dtype
-    (float64 for any other x), so the float64 scalings do not promote a
-    float32 x.  The network itself runs in the weights' dtype, in place
-    in the buffer `work` keeps (see forward_raw).
-
-    With `base`, an array x broadcasts against, x is a displacement from
-    base and the result is D(base + x; sigma) - base, formed as
-    c_skip * x - (1 - c_skip) * base + c_out * F(c_in * (base + x)): no
-    term is the difference of two values of base's scale, so however
-    small x is beside base, the result keeps x's relative precision.
+    base is a scalar or an array x broadcasts against, and x is a
+    displacement from it.  The result is formed as c_skip * x - (1 -
+    c_skip) * base + c_out * F(c_in * (base + x)): no term is the
+    difference of two values of base's scale, so however small x is
+    beside base, the result keeps x's relative precision.  Each term is
+    formed in x's float dtype (float64 for any other x), so the float64
+    scalings do not promote a float32 x.  The network itself runs in the
+    weights' dtype, in place in the buffer `work` keeps (see forward_raw).
     """
     x = np.asarray(x)
     c_skip, c_out, c_in, c_noise = scalings(p, sigma)
@@ -341,19 +322,15 @@ def denoise(params: DenoiserParams, p: Preconditioner, x: np.ndarray, sigma, *,
     if np.ndim(sigma) == 1:
         c_skip, c_out, c_in, c_rest = (c[:, None] for c in (c_skip, c_out, c_in, c_rest))
     dt = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    if base is None:
-        x_in = np.multiply(x, c_in, dtype=dt)
-    else:
-        x_in = np.add(base, x, dtype=dt)
-        np.multiply(x_in, c_in, out=x_in, dtype=dt)
+    x_in = np.add(base, x, dtype=dt)
+    np.multiply(x_in, c_in, out=x_in, dtype=dt)
     x_in = x_in.astype(params.dtype, copy=False)
     f = forward_raw(params, x_in, c_noise, work=work)
     del x_in
     out = np.multiply(f, c_out, dtype=dt)
     del f  # before the skip term's temporary is made: one block array fewer at the peak
     out += np.multiply(x, c_skip, dtype=dt)  # the bits of c_skip * x + c_out * f
-    if base is not None:
-        out -= np.multiply(base, c_rest, dtype=dt)
+    out -= np.multiply(base, c_rest, dtype=dt)
     return out
 
 
@@ -364,7 +341,7 @@ def as_denoiser(params: DenoiserParams, p: Preconditioner):
     chain allocates it once.
     """
     work = []
-    return lambda x, sigma, base=None: denoise(params, p, x, sigma, work=work, base=base)
+    return lambda x, sigma, base=0.0: denoise(params, p, x, sigma, work=work, base=base)
 
 
 # --- checkpoint serialization (a .npy record) --------------------------------
@@ -418,7 +395,7 @@ def load_checkpoint(path):
     Before any weight array is made, the header must declare one record of
     _checkpoint_dtype's fields, base dtypes and ranks, which the file holds
     exactly, and its config, sigma_data and noise must be valid and imply
-    that dtype.  The center, the raw weights and the EMA weights are
+    that dtype; the center and both weight sets must be finite.  These are
     read-only float32 views of one map of the file, not copies: a caller
     holds no weight set on its heap, and the views stay valid however the
     path is later rewritten by save_checkpoint.
@@ -448,6 +425,11 @@ def load_checkpoint(path):
         if dtype[name] != want[name]:
             raise CheckpointError(f"checkpoint field {name} is {dtype[name]}, "
                                   f"its config implies {want[name]}")
+    for name in ("center", "raw", "ema"):
+        # NaN or inf shows in the extremes, found with no temporary (a float64
+        # sum buffers its casts); their float64 difference overflows for neither
+        if name in f and not math.isfinite(float(f[name].max()) - float(f[name].min())):
+            raise CheckpointError(f"checkpoint field {name} holds a non-finite value")
     return DenoiserParams(cfg, f["raw"]), DenoiserParams(cfg, f["ema"]), p, noise
 
 
@@ -455,7 +437,7 @@ def _flat_views(cfg: NetworkConfig, flat, first=0) -> list[np.ndarray]:
     """Views into one flat array holding the tensors of _tensor_shapes,
     from index `first` on (1: the trainable ones), in that order."""
     views, at = [], 0
-    for _, shape in _tensor_shapes(cfg)[first:]:
+    for shape in _tensor_shapes(cfg)[first:]:
         views.append(_view(flat, at, shape))
         at += views[-1].size
     return views

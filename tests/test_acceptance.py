@@ -74,8 +74,8 @@ def test_criterion_03_end_to_end_gradient_check():
     params = init_params(cfg, Rng(0), dtype=np.float64)
     # the output layer initializes to zero, which would zero every hidden
     # gradient and make the comparison vacuous; randomize it first
-    params.out_w = Rng(1).standard_normal(params.out_w.shape) * 0.3
-    params.out_b = Rng(2).standard_normal(params.out_b.shape) * 0.1
+    params.out_w[...] = Rng(1).standard_normal(params.out_w.shape) * 0.3
+    params.out_b[...] = Rng(2).standard_normal(params.out_b.shape) * 0.1
     p = Preconditioner(1.0)
     x = Rng(3).standard_normal((4, 16))
     sigma = np.array([0.2, 0.7, 1.5, 4.0])

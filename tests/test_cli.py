@@ -979,6 +979,15 @@ def _edit(raw, **fields):
     return out.getvalue()
 
 
+def _poke(raw, name, value, at=3):
+    """The checkpoint bytes `raw` with value `at` of tensor field `name` set."""
+    record = np.load(io.BytesIO(raw))
+    record[name][at] = value
+    out = io.BytesIO()
+    np.save(out, record)
+    return out.getvalue()
+
+
 def _record_as(raw, name, kind):
     """The checkpoint bytes `raw` with field `name` stored as dtype `kind`."""
     record = np.load(io.BytesIO(raw))
@@ -1037,10 +1046,18 @@ _NOT_RECORD = "checkpoint holds a C-order [('center', '<f4', (6,)), "
     # the 310-byte header's space padding to byte 320, cut short
     (lambda raw: raw[:316], "EOF: reading array header, expected 310 bytes got 306"),
     (lambda raw: b"", "checkpoint is empty"),
+    # the raw set goes unused without --raw-weights, and still exits 2
+    (lambda raw: _poke(raw, "raw", np.nan), "checkpoint field raw holds a non-finite value"),
+    (lambda raw: _poke(raw, "ema", np.inf, at=473),
+     "checkpoint field ema holds a non-finite value"),
+    (lambda raw: _poke(raw, "ema", -np.inf, at=0), "checkpoint field ema holds a non-finite value"),
+    (lambda raw: _poke(raw, "center", np.nan, at=5),
+     "checkpoint field center holds a non-finite value"),
 ], ids=["one-value-short", "one-value-long", "version-1", "version-2", "version-3", "vadw",
         "p-mean-nan", "p-std-0", "p-std-negative", "p-mean-huge", "p-std-huge", "huge-input-dim",
         "huge-width", "input-dim-mismatch", "embed-dim-mismatch", "meta-dtype", "tensor-dtype",
-        "meta-shape", "field-names", "padding-cut", "empty"])
+        "meta-shape", "field-names", "padding-cut", "empty", "raw-nan", "ema-inf",
+        "ema-minus-inf", "center-nan"])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, corrupt, fragment):
     f, m = make_data(tmp_path)
     ck = tmp_path / "model.bin"

@@ -560,6 +560,43 @@ def test_init_is_seed_deterministic():
         assert np.array_equal(ta, tb)
 
 
+def _init_in_name_order(cfg, rng, dtype):
+    """The flat weights of init_params written out by tensor name, in
+    declaration order: `freqs` draws from the "fourier" stream; a layer's
+    `w`, `b`, `gamma_w` and `beta_w` draw from the "init" stream, uniform
+    within 1 / sqrt of the first dimension of the last matrix named (so a
+    bias takes its affine's); `gamma_b` is 1, and `beta_b`, `out_w` and
+    `out_b` are 0."""
+    named, prev = [("freqs", (cfg.embed_dim // 2,))], cfg.input_dim
+    for width in cfg.hidden_widths:
+        named += [("w", (prev, width)), ("b", (width,)), ("gamma_w", (cfg.embed_dim, width)),
+                  ("gamma_b", (width,)), ("beta_w", (cfg.embed_dim, width)), ("beta_b", (width,))]
+        prev = width
+    named += [("out_w", (prev, cfg.input_dim)), ("out_b", (cfg.input_dim,))]
+    init_rng, parts = rng.split("init"), []
+    for name, shape in named:
+        if name == "freqs":
+            t = rng.split("fourier").standard_normal(shape)
+        elif name in ("w", "b", "gamma_w", "beta_w"):
+            if name != "b":
+                lim = 1.0 / np.sqrt(shape[0])
+            t = init_rng.uniform(-lim, lim, size=shape)
+        else:
+            t = np.full(shape, 1.0 if name == "gamma_b" else 0.0)
+        parts.append(np.asarray(t, dtype).ravel())
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("cfg, dtype", [(NetworkConfig(7, (5, 3), (4,), 8), np.float64),
+                                        (NetworkConfig(64), np.float32)],
+                         ids=["odd-widths-float64", "default-float32"])
+def test_init_draws_in_tensor_name_order(cfg, dtype):
+    """init_params' bits are those of the rule written by tensor name."""
+    got = init_params(cfg, Rng(5), dtype=dtype).flat
+    assert got.dtype == dtype
+    assert got.tobytes() == _init_in_name_order(cfg, Rng(5), dtype).tobytes()
+
+
 def test_film_starts_as_identity():
     params = init_params(tiny_config(), Rng(0))
     for lay in params.layers:
@@ -680,7 +717,7 @@ def test_checkpoint_truncation(tmp_path):
 def test_tensor_shapes_match_init_params():
     cfg = tiny_config()
     want = [t.shape for t in init_params(cfg, Rng(0)).tensors()]
-    assert [shape for _, shape in _tensor_shapes(cfg)] == want
+    assert _tensor_shapes(cfg) == want
 
 
 def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
@@ -699,17 +736,22 @@ def test_checkpoint_tensor_shape_checked_against_config(tmp_path):
 
 
 def test_weight_tensors_are_views_into_one_flat_vector():
-    """Every tensor is a view into `flat`, and assigning a named tensor
-    writes into it: no tensor can be rebound to an array outside it."""
+    """Every tensor is a view into `flat`, written through that view: no
+    tensor can be rebound to an array outside it."""
     params = tiny_params(dtype=np.float32, randomize_output=False)
     assert all(np.shares_memory(t, params.flat) for t in params.tensors())
     assert sum(t.size for t in params.tensors()) == params.flat.size
-    params.out_b = np.arange(6)
+    params.out_b[...] = np.arange(6)
     assert np.array_equal(params.flat[-6:], np.arange(6, dtype=np.float32))
-    params.layers[1].b = 7.0
+    params.layers[1].b[...] = 7.0
     assert np.count_nonzero(params.flat == 7.0) == 4
     with pytest.raises(ValueError):
-        params.layers[0].w = np.zeros((6, 9), dtype=np.float32)
+        params.layers[0].w[...] = np.zeros((6, 9), dtype=np.float32)
+    with pytest.raises(AttributeError):
+        params.out_b = np.arange(6)
+    with pytest.raises(AttributeError):
+        params.layers[1].b = np.zeros(4, dtype=np.float32)
+    assert np.array_equal(params.flat[-6:], np.arange(6, dtype=np.float32))
     with pytest.raises(ValueError, match="flat weights"):
         network.DenoiserParams(params.config, params.flat[1:])
     for twin in (params.copy(), params.astype(np.float64)):

@@ -314,7 +314,7 @@ def test_silu_gradient_matches_finite_differences():
     # both tails; every hidden bias gradient passes through the SiLU derivative
     params = tiny_params()
     for i, lay in enumerate(params.layers):
-        lay.w *= 6.0
+        lay.w[...] *= 6.0
         lay.b[:] = Rng(110 + i).standard_normal(lay.b.shape) * 3.0
     params.out_w[...] = Rng(74).standard_normal(params.out_w.shape) * 0.3
     p = Preconditioner(1.0)
