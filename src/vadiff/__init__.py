@@ -27,7 +27,6 @@ from .evaluation import (
     evaluate,
     join_scores,
     roc_auc,
-    write_frames_csv,
     write_report_json,
 )
 from .network import (

@@ -31,7 +31,7 @@ from .data import (
     save_features,
     synth_generate,
 )
-from .evaluation import evaluate, join_scores, write_frames_csv, write_report_json
+from .evaluation import evaluate, join_scores, write_report_json
 from .network import CheckpointError, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .rng import Rng
 from .sampling import ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
@@ -89,7 +89,7 @@ COMMANDS = {
                "raw_weights")),
     "eval": ("frame-level ROC-AUC from a score CSV",
              {"scores": "score CSV from the score command", "manifest": "labelled manifest JSON",
-              "out": "output report JSON", "frames_csv": "optional per-frame score dump"},
+              "out": "output report JSON"},
              ()),
 }
 
@@ -254,8 +254,6 @@ def cmd_eval(args) -> int:
         "scores": args.scores,
         "manifest": args.manifest,
     })
-    if args.frames_csv:
-        write_frames_csv(args.frames_csv, scores, manifest, segment_len)
     print(json.dumps(doc, indent=1))
     return EXIT_OK
 

@@ -116,8 +116,7 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
         np.lib.format.write_array(fh, arr)
     videos = []
     for rec in fs.manifest:
-        entry = {key: getattr(rec, key)
-                 for key in ("video_id", "frame_count", "segment_offset", "segment_count")}
+        entry = {key: getattr(rec, key) for key in _VIDEO_KEYS}
         if rec.labels is not None:
             entry["labels"] = np.asarray(rec.labels, dtype=np.int8).tolist()
         videos.append(entry)
@@ -136,21 +135,20 @@ def _json_type(value) -> str:
 
 
 def _field(entry: dict, key: str, kind: type, where: str):
-    """entry[key], which must be present and of exactly the JSON type `kind`."""
+    """entry[key], which must be present and of exactly the JSON type `kind`;
+    an integer must lie in [0, 2**63), the range of a non-negative int64."""
     if key not in entry:
         raise DataError(f"{where}: missing key {key!r}")
     value = entry[key]
     if type(value) is not kind:
         raise DataError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {_json_type(value)}")
-    return value
-
-
-def _count(entry: dict, key: str, where: str) -> int:
-    """entry[key], a JSON integer in [0, 2**63), the range of a non-negative int64."""
-    value = _field(entry, key, int, where)
-    if not 0 <= value < 2**63:
+    if kind is int and not 0 <= value < 2**63:
         raise DataError(f"{where}: {key} {value} is not in [0, 2**63)")
     return value
+
+
+# a manifest video's keys besides its labels, in the order they are checked
+_VIDEO_KEYS = {"video_id": str, "frame_count": int, "segment_offset": int, "segment_count": int}
 
 
 def _video_record(i: int, entry) -> VideoRecord:
@@ -162,13 +160,8 @@ def _video_record(i: int, entry) -> VideoRecord:
     if labels is not None and type(labels) is not np.ndarray:
         _field(entry, "labels", list, where)
         raise DataError(f"{where}: labels must be an array of 0/1 integers")
-    return VideoRecord(
-        video_id=_field(entry, "video_id", str, where),
-        frame_count=_count(entry, "frame_count", where),
-        segment_offset=_count(entry, "segment_offset", where),
-        segment_count=_count(entry, "segment_count", where),
-        labels=labels,
-    )
+    fields = {key: _field(entry, key, kind, where) for key, kind in _VIDEO_KEYS.items()}
+    return VideoRecord(**fields, labels=labels)
 
 
 def _int8_labels(obj: dict) -> dict:
@@ -190,9 +183,10 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
 
     Each video's labels become an int8 array that owns its bytes as the
     parser finishes that video, so the records hold the labels once, at
-    one byte per frame.  Every structural fault (wrong JSON type, missing
-    key, a count or offset outside [0, 2**63)) raises DataError naming the
-    video index and the key; the checks run once per video, not per frame.
+    one byte per frame.  A version other than the JSON integer 1 raises
+    DataError, and so does every structural fault (wrong JSON type, missing
+    key, a count or offset outside [0, 2**63)), naming the video index and
+    the key; the checks run once per video, not per frame.
     The records' consistency (offsets, segment counts, labels) is checked
     once by the stage that uses them: load_features through validate,
     evaluate through validate_manifest.  The text is decoded as UTF-8
@@ -206,8 +200,8 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
         raise DataError(f"manifest is not valid JSON: {e}") from e
     if type(doc) is not dict:
         raise DataError(f"manifest must be a JSON object, got {_json_type(doc)}")
-    if doc.get("version") != _MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {doc.get('version')!r}")
+    if type(version := doc.get("version")) is not int or version != _MANIFEST_VERSION:
+        raise DataError(f"unsupported manifest version {version!r}")
     videos = _field(doc, "videos", list, "manifest")
     manifest = [_video_record(i, entry) for i, entry in enumerate(videos)]
     segment_len = doc.get("segment_len", SEGMENT_LEN)

@@ -10,11 +10,9 @@ frame-level midrank (Mann-Whitney) AUC.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -211,20 +209,3 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return doc
-
-
-def write_frames_csv(path, scores: np.ndarray, manifest: list[VideoRecord],
-                     segment_len: int) -> None:
-    """Optional per-frame dump for external plotting: each segment's score
-    (`scores` in manifest order, as evaluate checked them) for every frame
-    it covers, expanded one video at a time, so it holds no more than one
-    video's frames."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "frame_index", "score", "label"])
-        for rec in manifest:
-            seg = slice(rec.segment_offset, rec.segment_offset + rec.segment_count)
-            frames = np.repeat(scores[seg], segment_len)[:rec.frame_count].tolist()
-            labels = np.asarray(rec.labels, dtype=np.int8).tolist()
-            writer.writerows(zip(repeat(rec.video_id), range(len(labels)), map(repr, frames),
-                                 labels))

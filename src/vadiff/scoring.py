@@ -188,12 +188,17 @@ def _raise_first_fault(path) -> None:
                 if len(row) != len(_CSV_HEADER):
                     raise DataError(f"{where}: expected {len(_CSV_HEADER)} fields, "
                                     f"got {row!r:.80}")
-                for name, field, kind, noun in (("segment_index", row[1], int, "an integer"),
+                for name, field, kind, noun in (("segment_index", row[1], int, "an int64 integer"),
                                                 ("mse", row[2], float, "a number")):
+                    # as np.loadtxt reads it: past the surrounding whitespace, ASCII
+                    # without the underscores int and float take, and within int64
+                    text = field.strip()
                     try:
-                        kind(field)
+                        value = kind(text) if text.isascii() and "_" not in text else None
                     except ValueError:
-                        raise DataError(f"{where}: {name} {field!r:.40} is not {noun}") from None
+                        value = None
+                    if value is None or kind is int and not -2**63 <= value < 2**63:
+                        raise DataError(f"{where}: {name} {field!r:.40} is not {noun}")
         except csv.Error as e:
             raise DataError(f"score CSV line {reader.line_num}: {e}") from None
         except UnicodeDecodeError as e:

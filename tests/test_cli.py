@@ -333,8 +333,8 @@ def test_score_one_row_tail_joins_previous_batch(tmp_path, batch_size):
 
 def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
     """A video id outside ASCII goes through score and eval in fresh
-    processes whose locale encoding is ASCII: the score CSV, the report
-    and the frame dump are written and read as UTF-8, as the manifest is."""
+    processes whose locale encoding is ASCII: the score CSV and the report
+    are written and read as UTF-8, as the manifest is."""
     f, m = make_data(tmp_path)
     fs = load_features(f, m)
     fs.manifest[0] = dataclasses.replace(fs.manifest[0], video_id="vidéo")
@@ -344,16 +344,14 @@ def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    scores, report, frames = tmp_path / "s.csv", tmp_path / "r.json", tmp_path / "fr.csv"
+    scores, report = tmp_path / "s.csv", tmp_path / "r.json"
     for argv in (["score", "--features", f, "--manifest", m, "--checkpoint", ck,
                   "--out", scores],
-                 ["eval", "--scores", scores, "--manifest", m, "--out", report,
-                  "--frames-csv", frames]):
+                 ["eval", "--scores", scores, "--manifest", m, "--out", report]):
         done = subprocess.run([sys.executable, "-m", "vadiff", *map(str, argv)], env=env,
                               capture_output=True, text=True, encoding="utf-8")
         assert done.returncode == 0, done.stderr
     assert scores.read_bytes().splitlines()[1].startswith("vidéo,0,".encode())
-    assert frames.read_bytes().splitlines()[1].startswith("vidéo,0,".encode())
     assert json.loads(report.read_text(encoding="utf-8"))["frame_count"] == sum(
         r.frame_count for r in fs.manifest)
 
@@ -1146,7 +1144,7 @@ _SURFACE = {
               "--batch-size", "--epochs", "--lr", "--ema-decay", "--center"},
     "score": {"--features", "--manifest", "--checkpoint", "--out", "--sigma-min", "--sigma-max",
               "--rho", "--steps", "--start-t", "--k", "--batch-size", "--raw-weights"},
-    "eval": {"--scores", "--manifest", "--out", "--frames-csv"},
+    "eval": {"--scores", "--manifest", "--out"},
 }
 
 
@@ -1172,7 +1170,7 @@ _HELP_SHA256 = {
     ("synth",): "3bf27092946761f1e66967d071d71efba72a552516f26e74738f70b73b77a1c9",
     ("train",): "b22033894f833549a25dfee080120bc1f0652513b176160e27bac601e6b12f97",
     ("score",): "00cf01380f16f4379578028128429befff900e72cb5d1fba564b6b915de97a11",
-    ("eval",): "c6858acdb40ecc01b77835a53e2a1f72634da75a771e586347777c0da2653cd7",
+    ("eval",): "f213eed1547a9bd9a36d083734313c2bb6b4010d66b9696f8cb4fc787a4fc48f",
 }
 
 

@@ -313,9 +313,11 @@ def test_load_manifest_rejects_invalid_json(tmp_path):
                                      "labels": [256] + doc["videos"][0]["labels"][1:]}]},
      "manifest video 0: labels must be an array of 0/1"),
     (lambda doc: {**doc, "segment_len": 0}, "segment_len must be a positive integer"),
+    (lambda doc: {**doc, "version": True}, "unsupported manifest version True"),
+    (lambda doc: {**doc, "version": 1.0}, "unsupported manifest version 1.0"),
 ], ids=["list", "videos-object", "video-integer", "missing-key", "string-count",
         "integer-id", "nested-labels", "fractional-labels", "string-labels", "null-label",
-        "label-256", "zero-segment-len"])
+        "label-256", "zero-segment-len", "boolean-version", "float-version"])
 def test_load_manifest_shape_errors_name_the_fault(tmp_path, edit, message):
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"

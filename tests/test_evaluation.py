@@ -12,32 +12,11 @@ from vadiff import (
     evaluate,
     join_scores,
     roc_auc,
-    write_frames_csv,
     write_report_json,
 )
 
 
 # --- segment-to-frame expansion -----------------------------------------------
-
-def frame_rows(tmp_path, scores, manifest, segment_len):
-    """(score, label) of each frame row write_frames_csv dumps."""
-    path = tmp_path / "frames.csv"
-    write_frames_csv(path, np.array(scores), manifest, segment_len)
-    return [(float(row[2]), int(row[3]))
-            for row in (line.split(",") for line in path.read_text().splitlines()[1:])]
-
-
-def test_expand_full_segments(tmp_path):
-    manifest = [VideoRecord("a", 32, 0, 2, labels=[0] * 16 + [1] * 16)]
-    frames = frame_rows(tmp_path, [0.5, 0.9], manifest, 16)
-    assert frames == [(0.5, 0)] * 16 + [(0.9, 1)] * 16
-
-
-def test_expand_truncated_tail(tmp_path):
-    manifest = [VideoRecord("a", 20, 0, 2, labels=[0] * 16 + [1] * 4)]
-    frames = frame_rows(tmp_path, [0.5, 0.9], manifest, 16)
-    assert frames == [(0.5, 0)] * 16 + [(0.9, 1)] * 4
-
 
 def test_expand_count_consistency_enforced():
     labels = [0] * 20 + [1] * 20
@@ -47,12 +26,6 @@ def test_expand_count_consistency_enforced():
         evaluate(np.array([0.5, 0.9]), [VideoRecord("a", 40, 0, 3, labels=labels)], 16)
     with pytest.raises(DataError, match="2 scores for the manifest's 1 segments"):
         evaluate(np.array([0.5, 0.9]), [VideoRecord("a", 16, 0, 1, labels=[0] * 8 + [1] * 8)], 16)
-
-
-def test_expand_preserves_distinct_values(tmp_path):
-    manifest = [VideoRecord("a", 14, 0, 4, labels=[0] * 7 + [1] * 7)]
-    frames = frame_rows(tmp_path, [1.0, 2.0, 2.0, 3.0], manifest, 4)
-    assert {score for score, _ in frames} == {1.0, 2.0, 3.0}
 
 
 # --- rank AUC -------------------------------------------------------------------
@@ -297,39 +270,3 @@ def test_report_json_round_trip(tmp_path):
     assert back["positive_count"] == 16
     assert back["negative_count"] == 36
     assert back["config"] == {"k": 1.0}
-
-
-def test_frames_csv_layout(tmp_path):
-    path = tmp_path / "frames.csv"
-    write_frames_csv(path, SCORES, labeled_manifest(), 16)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "video_id,frame_index,score,label"
-    assert len(lines) == 1 + 52
-    assert lines[1].startswith("a,0,")
-    assert lines[-1].split(",")[:2] == ["b", "19"]
-
-
-def test_frames_csv_bytes(tmp_path):
-    path = tmp_path / "frames.csv"
-    write_frames_csv(path, SCORES, labeled_manifest(), 16)
-    rows = ([f"a,{i},0.2,0" for i in range(16)] + [f"a,{i},0.8,1" for i in range(16, 32)]
-            + [f"b,{i},0.5,0" for i in range(16)] + [f"b,{i},0.1,0" for i in range(16, 20)])
-    want = "".join(f"{row}\r\n" for row in ["video_id,frame_index,score,label"] + rows)
-    assert path.read_bytes() == want.encode()
-
-
-def test_frames_csv_peak_heap_is_one_video(tmp_path, peak_heap):
-    """The dump expands one video at a time: 1500 videos of 160 frames and
-    one of 3200 peak at 0.29 MiB (about 0.13 of it the open file and the
-    csv writer), where expanding every frame's score at once took 2.04."""
-    sizes = [160] * 1500 + [3200]
-    labels = Rng(50).uniform(0.0, 1.0, sum(sizes)) < 0.1
-    manifest, first = [], 0
-    for i, frames in enumerate(sizes):
-        manifest.append(VideoRecord(f"v{i}", frames, first // 16, frames // 16,
-                                    labels=labels[first : first + frames].astype(np.int8)))
-        first += frames
-    scores = Rng(51).standard_normal(first // 16)
-    path = tmp_path / "frames.csv"
-    _, peak = peak_heap(lambda: write_frames_csv(path, scores, manifest, 16))
-    assert peak < 64 * max(sizes) + 2**19, peak / 2**20

@@ -548,7 +548,16 @@ def test_scores_csv_rejects_wrong_header(tmp_path):
 @pytest.mark.parametrize("index, mse, field", [("x1", "0.5", "segment_index"),
                                                 ("1", "abc", "mse"),
                                                 ("1.5", "0.5", "segment_index"),
-                                                ("1e0", "0.5", "segment_index")])
+                                                ("1e0", "0.5", "segment_index"),
+                                                # int and float read these, np.loadtxt does not
+                                                ("99999999999999999999", "0.5", "segment_index"),
+                                                ("9223372036854775808", "0.5", "segment_index"),
+                                                ("-9223372036854775809", "0.5", "segment_index"),
+                                                ("1_0", "0.5", "segment_index"),
+                                                ("\u0663", "0.5", "segment_index"),
+                                                ("1", "1_0", "mse"),
+                                                ("1", "\u0663", "mse"),
+                                                ("1", "\uff11", "mse")])
 def test_scores_csv_non_numeric_field_names_the_line(tmp_path, index, mse, field):
     path = tmp_path / "scores.csv"
     path.write_text(
@@ -680,6 +689,20 @@ def test_scores_csv_malformed_row_names_the_line(tmp_path, line):
                                    "a,0,0.5,0,0,1.0", line, "a,1,0.6,0,0,1.0", ""]).encode())
         with pytest.raises(DataError, match="line 3: expected 6 fields"):
             read_scores_csv(path)
+
+
+def test_scores_csv_rescan_accepts_what_loadtxt_reads(tmp_path):
+    """A quoted line end leaves fewer rows than lines, so the file is
+    rescanned; fields np.loadtxt reads, whitespace it skips and int64's
+    ends included, pass the rescan too."""
+    path = tmp_path / "scores.csv"
+    path.write_text("video_id,segment_index,mse,flagged,batch_id,l_th\n"
+                    '"two\nlines",\x1c-9223372036854775808,\u2003Infinity\u2003,0,0,1.0\n'
+                    "a,\t9223372036854775807\xa0,+.5e-3,0,0,1.0\n", encoding="utf-8")
+    ids, index, mse = read_scores_csv(path)
+    assert ids.tolist() == ["two\nlines", "a"]
+    assert index.tolist() == [-2**63, 2**63 - 1]
+    assert mse.tolist() == [np.inf, 0.0005]
 
 
 @pytest.mark.parametrize("scan", [1, 2, 3, 2**18])
