@@ -32,6 +32,7 @@ from .data import (
     synth_generate,
 )
 from .evaluation import evaluate, join_scores, write_report_json
+from .files import replacing
 from .network import CheckpointError, NetworkConfig, init_params, load_checkpoint, save_checkpoint
 from .rng import Rng
 from .sampling import ScheduleConfig, TrainNoiseConfig, karras_schedule, noise_bounds
@@ -202,7 +203,7 @@ def cmd_train(args) -> int:
     ema, log = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
     save_checkpoint(args.checkpoint, params, ema, p, noise)
     log_path = args.out or args.checkpoint + ".log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "step", "lr", "mean_loss"])
         for entry in log:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, VideoRecord, validate_manifest
+from .files import replacing
 
 
 @dataclass
@@ -205,7 +206,7 @@ def write_report_json(path, report: EvalReport, config_echo: dict | None = None)
     }
     if config_echo:
         doc["config"] = config_echo
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return doc

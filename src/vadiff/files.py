@@ -3,9 +3,10 @@
 Every reader maps its input with `map_file` rather than copying it into
 private memory, so a loaded feature matrix or weight set is a view of
 clean file pages, not heap.  Both binary files are .npy files, whose
-header `read_npy_header` reads from that map.  Every writer of a file that
-may be mapped writes through `replacing`, which never changes the bytes of
-an existing file in place: a live map of the old file keeps its contents.
+header `read_npy_header` reads from that map.  Every writer writes through
+`replacing`, which never changes the bytes of an existing file in place: a
+live map of the old file keeps its contents, and a write that fails leaves
+the old file as it was.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Per-batch anomaly decisions from reconstruction error.
 
-Each batch, a range of consecutive segments in manifest order, is
-centred as the preconditioner says, partially noised, reconstructed
-through the reverse process, and scored by per-instance MSE.  The
-decision threshold is data-driven and batch-local: l_th = mu_p + k *
-sigma_p over the batch's own losses, with strictly-greater comparison
-for the abnormal flag.  Raw MSE doubles as the continuous score for ROC
+Each segment is centred as the preconditioner says, partially noised
+with its own rows of one noise stream, reconstructed through the reverse
+process, and scored by its mean squared error.  Batches, ranges of
+consecutive segments in manifest order, only set the decision threshold,
+which is data-driven and batch-local: l_th = mu_p + k * sigma_p over the
+batch's own losses, with strictly-greater comparison for the abnormal
+flag.  Raw MSE doubles as the continuous score for ROC
 evaluation; k moves only the flags.
 `DatasetScores` is the one record of a scoring run: per segment its
 score, flag, batch and threshold (the score CSV's columns), and per
@@ -25,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import DataError, FeatureSet
-from .files import map_file
+from .files import map_file, replacing
 from .network import DenoiserParams, Preconditioner, as_denoiser
 from .rng import Rng
 from .sampling import lms_sample
@@ -54,13 +55,15 @@ def batch_threshold(losses: np.ndarray, k: float) -> tuple[float, float, float]:
     return mu, sigma, mu + k * sigma
 
 
-# The most rows one sampling chain integrates at once, so that scoring's
-# heap does not grow with the batch size.  A batch of m rows runs as
-# ceil(m / _BLOCK) blocks (np.array_split: sizes one row apart, the larger
-# first), so above _BLOCK rows no block is below _BLOCK / 2: rows enough
-# to keep GEMM efficient, and for OpenBLAS to give each row the bits it
-# gets in one pass over the whole batch.
+# The most rows one sampling chain integrates at once, so that the sampler's
+# heap does not grow with the row count.  n rows run as ceil(n / _BLOCK)
+# blocks (np.array_split: sizes one row apart, the larger first), so above
+# _BLOCK rows no block is below _BLOCK / 2: rows enough to keep GEMM
+# efficient, and for OpenBLAS to give each row the bits it gets in one
+# pass over all rows.
 _BLOCK = 512
+
+_NOISE_STREAM = "batch0"  # the label batch 0's own stream had: one-batch runs keep their scores
 
 
 def _noised_start(noise: Rng, block: np.ndarray, sigmas: np.ndarray, t: int, dtype):
@@ -90,11 +93,15 @@ class DatasetScores:
 
 def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
                   cfg: ScoringConfig, fs: FeatureSet, rng: Rng) -> DatasetScores:
-    """Score every segment, in batches of consecutive rows in manifest order.
+    """Score every segment, then threshold it within its batch of
+    consecutive rows in manifest order.
 
-    Each batch is reconstructed in blocks of at most _BLOCK rows, each a
-    view of fs.features, or a copy centred by p.center, if set, the same
-    way fit centres its batches; only the threshold reads the whole batch.
+    The rows are reconstructed in ceil(n / _BLOCK) blocks of consecutive
+    rows, each a view of fs.features, or a copy centred by p.center, if
+    set, the same way fit centres its batches.  Every block draws its noise
+    in turn from one stream split off `rng`, so each segment's noise is its
+    own rows of that stream, and its loss depends neither on the batch size
+    nor on where its batch starts.
     The corruption is additive, x + eps * sigmas[t] with standard normal
     eps and t = cfg.start_index, so t close to the end of the grid perturbs
     only slightly; LMS integration from sigmas[t] back to 0 reconstructs it.
@@ -107,14 +114,11 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     the block by about 6e-8 of its scale, which at a late start is the
     scale of the reconstruction error itself; the displacement keeps the
     error at float32's relative precision.  A start that overflows the
-    dtype raises FloatingPointError naming the level.  The thresholds are
-    reduced in float64.
-    A final short batch still gets its own mu_p / sigma_p, unless it holds
-    a single row: a threshold needs at least two losses, so a one-row tail
-    joins the batch before it.  Each batch draws its noise from an
-    independent stream split off `rng`, so batch results do not depend on
-    scoring order; its blocks draw from that stream in turn, which gives
-    each row the noise of one draw for the whole batch.
+    dtype raises FloatingPointError naming the level, and a non-finite loss
+    raises FloatingPointError at the block that gave it.
+    Each batch gets its own mu_p / sigma_p, reduced in float64; a final
+    short batch too, unless it holds a single row: a threshold needs at
+    least two losses, so a one-row tail joins the batch before it.
     """
     t = cfg.start_index
     if not 0 <= t < len(sigmas) - 1:
@@ -123,39 +127,36 @@ def score_dataset(params: DenoiserParams, p: Preconditioner, sigmas: np.ndarray,
     n = x.shape[0]
     if n < 2:
         raise DataError(f"scoring needs at least 2 segments, got {n}")
-    bounds = [*range(0, n - 1, cfg.batch_size), n]  # none at n - 1: no one-row tail
+    noise, blocks = rng.split(_NOISE_STREAM), -(-n // _BLOCK)
     mse = np.empty(n, dtype=np.float64)
-    batch_ids = np.empty(n, dtype=np.int64)
-    l_th = np.empty(n, dtype=np.float64)
-    batch_stats = []
     denoiser = as_denoiser(params, p)  # its activation buffers serve every block
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        noise, blocks = rng.split(f"batch{b}"), -(-(hi - lo) // _BLOCK)
-        for rows, out in zip(np.array_split(x[lo:hi], blocks),
-                             np.array_split(mse[lo:hi], blocks)):
-            block = rows if p.center is None else rows - p.center
-            # the state is the displacement from block: it ends as the error,
-            # and no start or error outlives its block
-            err = lms_sample(partial(denoiser, base=block),
-                             _noised_start(noise, block, sigmas, t, params.dtype), sigmas,
-                             start_index=t)
-            out[:] = np.mean(np.square(err, dtype=np.float64), axis=1)
-            del err
-        losses = mse[lo:hi]
-        if not np.isfinite(losses).all():
+    for rows, out in zip(np.array_split(x, blocks), np.array_split(mse, blocks)):
+        block = rows if p.center is None else rows - p.center
+        # the state is the displacement from block: it ends as the error,
+        # and no start or error outlives its block
+        err = lms_sample(partial(denoiser, base=block),
+                         _noised_start(noise, block, sigmas, t, params.dtype), sigmas,
+                         start_index=t)
+        out[:] = np.mean(np.square(err, dtype=np.float64), axis=1)
+        del err
+        if not np.isfinite(out).all():
             raise FloatingPointError("non-finite reconstruction loss")
-        mu_p, sigma_p, l_th[lo:hi] = batch_threshold(losses, cfg.k)
-        batch_ids[lo:hi] = b
-        batch_stats.append((mu_p, sigma_p))
-    return DatasetScores(mse, mse > l_th, batch_ids, l_th, batch_stats)
+    bounds = [*range(0, n - 1, cfg.batch_size), n]  # none at n - 1: no one-row tail
+    stats = [batch_threshold(mse[lo:hi], cfg.k) for lo, hi in zip(bounds, bounds[1:])]
+    sizes = np.diff(bounds)
+    l_th = np.repeat([th for _, _, th in stats], sizes)
+    return DatasetScores(mse, mse > l_th, np.repeat(np.arange(sizes.size), sizes), l_th,
+                         [(mu_p, sigma_p) for mu_p, sigma_p, _ in stats])
 
 
 _CSV_HEADER = ["video_id", "segment_index", "mse", "flagged", "batch_id", "l_th"]
 
 
 def write_scores_csv(path, fs: FeatureSet, scores: DatasetScores) -> None:
-    """One row per segment: video_id, index within the video, score, decision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """One row per segment: video_id, index within the video, score, decision.
+    The file replaces `path` whole (files.replacing), so a live map of an old
+    one keeps its bytes, and a write that fails leaves it as it was."""
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for rec in fs.manifest:

@@ -7,7 +7,7 @@ minutes; everything else finishes in seconds.
 Criterion 7 departs from the stock pipeline in two places only.  It scores at
 `start_index=0`, the heaviest corruption on the grid: the default last index
 sits at sigma ~7.5e-4, where c_skip ~ 1 - 5.6e-7 and the reconstruction returns
-its input whatever the weights are (frame AUC ~0.507 at every shift).  Its
+its input whatever the weights are (frame AUC ~0.50 at every shift).  Its
 corpus uses cluster shift 7.0 instead of the generator's 3.0: in 64
 dimensions no label-free distance score reaches 0.85 at shift 3.0 (the
 squared-distance ceiling is ~0.70), while at 7.0 the ceiling is ~0.99 and a

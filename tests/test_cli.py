@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from vadiff import (
     validate_manifest,
     write_scores_csv,
 )
-from vadiff import data, evaluation
+from vadiff import cli, data, evaluation
 from vadiff.cli import build_parser, main
 from vadiff.sampling import MAX_STEPS
 
@@ -354,6 +355,41 @@ def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert scores.read_bytes().splitlines()[1].startswith("vidéo,0,".encode())
     assert json.loads(report.read_text(encoding="utf-8"))["frame_count"] == sum(
         r.frame_count for r in fs.manifest)
+
+
+def _fail_scores_csv(tmp_path, monkeypatch, out):
+    n = 3000  # rows enough to reach the file before the second video fails
+    scores = DatasetScores(np.ones(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                           np.ones(n), [])
+    write_scores_csv(out, SimpleNamespace(manifest=[VideoRecord("a", n * 16, 0, n), None]),
+                     scores)
+
+
+def _fail_report_json(tmp_path, monkeypatch, out):
+    evaluation.write_report_json(out, evaluation.EvalReport(0.5, 10, 5), {"scores": object()})
+
+
+def _fail_train_log(tmp_path, monkeypatch, out):
+    f, m = make_data(tmp_path)
+    entry = SimpleNamespace(epoch=1, step=1, lr=1e-3, mean_loss=0.5)
+    monkeypatch.setattr(cli, "fit", lambda fs, params, *_, **__: (params, [entry] * 3000 + [None]))
+    run("train", "--features", str(f), "--manifest", str(m),
+        "--checkpoint", str(tmp_path / "c.npy"), "--out", str(out))
+
+
+@pytest.mark.parametrize("fail", [_fail_scores_csv, _fail_report_json, _fail_train_log],
+                         ids=["scores-csv", "report-json", "train-log"])
+def test_failed_text_write_leaves_the_old_file(tmp_path, monkeypatch, fail):
+    """The score CSV, the report and the training log each replace their
+    path whole: a write that raises partway leaves the old file's bytes,
+    and no temporary file beside it."""
+    out = tmp_path / "out" / "old.txt"
+    out.parent.mkdir()
+    out.write_bytes(b"old contents\n")
+    with pytest.raises((AttributeError, TypeError)):
+        fail(tmp_path, monkeypatch, out)
+    assert out.read_bytes() == b"old contents\n"
+    assert os.listdir(out.parent) == ["old.txt"]
 
 
 def test_score_one_segment_is_data_error(tmp_path, capsys):

@@ -257,7 +257,11 @@ def test_dataset_batches_follow_manifest_order():
     assert scores.l_th[8:].tolist() == [tail[2]] * 2
 
 
-def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
+def test_dataset_short_tail_matches_fresh_denoiser_per_batch(monkeypatch):
+    """With blocks of at most 8 rows, the 23 rows run as blocks of 8, 8 and
+    a short 7 in the one denoiser's buffers, and each block scores as a
+    fresh denoiser does on its rows, the blocks drawing from the one stream
+    in turn; each batch of 8, 8 and 7 rows thresholds its own losses."""
     # uniform float32 weights, so every NFE runs in the reused buffers
     cfg_net = NetworkConfig(input_dim=4, encoder_widths=(16, 8), decoder_widths=(8, 16),
                             embed_dim=8)
@@ -268,19 +272,23 @@ def test_dataset_short_tail_matches_fresh_denoiser_per_batch():
     feats = Rng(23).standard_normal((23, 4)).astype(np.float32)
     fs = FeatureSet(feats, [VideoRecord("a", 23 * 16, 0, 23)])
     cfg = ScoringConfig(start_index=0, batch_size=8)  # batches of 8, 8 and 7 rows
+    monkeypatch.setattr(scoring, "_BLOCK", 8)
     scores = score_dataset(params, p, sig, cfg, fs, Rng(24))
     assert scores.batch_ids.tolist() == [0] * 8 + [1] * 8 + [2] * 7
-    for b, lo in enumerate(range(0, 23, 8)):
+    noise = Rng(24).split("batch0")
+    for lo in range(0, 23, 8):
         want = reference_losses(lambda v, s, base: denoise(params, p, v, s, base=base),
-                                feats[lo : lo + 8], Rng(24).split(f"batch{b}"), sig, 0,
-                                params.dtype)
+                                feats[lo : lo + 8], noise, sig, 0, params.dtype)
         assert np.array_equal(scores.mse[lo : lo + 8], want)
+        assert scores.l_th[lo] == batch_threshold(want, cfg.k)[2]
 
 
 def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
-    """score_dataset makes one denoiser, whose buffers serve all three
-    batches (the last, with the one-row tail joined, the largest), and
-    writes the score CSV a fresh buffer set per evaluation writes."""
+    """score_dataset makes one denoiser, whose buffers serve every block
+    (with blocks of at most 8 rows, 25 rows run as 7, 6, 6 and 6), and
+    writes the score CSV a fresh buffer set per evaluation writes; the
+    three batches (the last with the one-row tail joined) still threshold
+    apart."""
     cfg_net = NetworkConfig(input_dim=4, encoder_widths=(16, 8), decoder_widths=(8, 16),
                             embed_dim=8)
     params = init_params(cfg_net, Rng(31), dtype=np.float32)
@@ -301,6 +309,7 @@ def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
         assert len(scores.batch_stats) == 3
         return path.read_bytes()
 
+    monkeypatch.setattr(scoring, "_BLOCK", 8)
     monkeypatch.setattr(scoring, "as_denoiser", counted)
     once = score_csv("once.csv")
     assert len(built) == 1
@@ -311,9 +320,9 @@ def test_dataset_builds_one_denoiser_for_every_batch(tmp_path, monkeypatch):
 
 
 def test_dataset_batches_are_views_of_the_features(monkeypatch):
-    """Without a center, each batch reaches the denoiser as its base, a
-    slice of the features, not a copy; the one-row tail joins the batch
-    before it."""
+    """Without a center, the rows reach the denoiser as its base, a slice
+    of the features, not a copy: 9 rows run as one block, whatever the
+    batch size; the one-row tail joins the batch before it."""
     params, p = small_model()
     feats = Rng(27).standard_normal((9, 4)).astype(np.float32)
     fs = FeatureSet(feats, [VideoRecord("v", 9 * 16, 0, 9)])
@@ -324,10 +333,11 @@ def test_dataset_batches_are_views_of_the_features(monkeypatch):
         return lms_sample(denoiser, x, sigmas, start_index=start_index)
 
     monkeypatch.setattr(scoring, "lms_sample", recording)
-    score_dataset(params, p, short_schedule(), ScoringConfig(start_index=1, batch_size=4),
-                  fs, Rng(28))
-    assert [b.shape[0] for b in batches] == [4, 5]
+    scores = score_dataset(params, p, short_schedule(),
+                           ScoringConfig(start_index=1, batch_size=4), fs, Rng(28))
+    assert [b.shape[0] for b in batches] == [9]
     assert all(np.shares_memory(b, feats) for b in batches)
+    assert scores.batch_ids.tolist() == [0] * 4 + [1] * 5
 
 
 def test_dataset_determinism():
@@ -353,7 +363,7 @@ def test_dataset_centering_changes_scores():
 
 
 def test_dataset_centres_each_batch_as_pre_centred_rows():
-    """Centring by the record's float32 center as each batch is sliced gives
+    """Centring by the record's float32 center as each block is sliced gives
     the same bits as scoring rows centred beforehand."""
     params, _ = small_model()
     sig = short_schedule()
@@ -380,16 +390,15 @@ def default_model(dim=64, seed=40):
 
 
 def whole_batch_scores(params, p, sigmas, cfg, fs, rng):
-    """(mse, flags, l_th) with each batch integrated in one lms_sample call,
-    as score_dataset did before it split batches into row blocks."""
+    """(mse, flags, l_th) with all rows integrated in one lms_sample call on
+    the one noise stream, and each batch thresholded on its slice."""
     t, x = cfg.start_index, fs.features
     bounds = [*range(0, len(x) - 1, cfg.batch_size), len(x)]
-    mse, l_th = np.empty(len(x)), np.empty(len(x))
-    denoiser = as_denoiser(params, p)
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        batch = x[lo:hi] if p.center is None else x[lo:hi] - p.center
-        mse[lo:hi] = reference_losses(denoiser, batch, rng.split(f"batch{b}"), sigmas, t,
-                                      params.dtype)
+    rows = x if p.center is None else x - p.center
+    mse = reference_losses(as_denoiser(params, p), rows, rng.split("batch0"), sigmas, t,
+                           params.dtype)
+    l_th = np.empty(len(x))
+    for lo, hi in zip(bounds, bounds[1:]):
         l_th[lo:hi] = batch_threshold(mse[lo:hi], cfg.k)[2]
     return mse, mse > l_th, l_th
 
@@ -397,9 +406,9 @@ def whole_batch_scores(params, p, sigmas, cfg, fs, rng):
 @pytest.mark.parametrize("center", [False, True])
 @pytest.mark.parametrize("batch_size", [512, 700, 1100])
 def test_dataset_row_blocks_give_the_whole_batch_bits(batch_size, center):
-    """Blocks of 1 (512), 2 (350 + 350 and 351 + 350 at 700; 501 + 500 at
-    1100's tail of 1001) and 3 (367 + 367 + 366 at 1100) rows each score
-    every row as one integration of its whole batch does."""
+    """At every batch size the 2101 rows run as five blocks (421 + 4 x 420),
+    and each row scores as one integration of all rows does; batches of
+    512, 700 and 1100 rows (the 1100 tail 1001) each threshold their own."""
     params = default_model()
     sigmas = karras_schedule(ScheduleConfig(steps=5))  # 4 NFE from index 0, up to order 4
     feats = (Rng(42).standard_normal((2101, 64)) + 0.5).astype(np.float32)
@@ -411,6 +420,32 @@ def test_dataset_row_blocks_give_the_whole_batch_bits(batch_size, center):
     assert np.array_equal(got.mse, mse)
     assert np.array_equal(got.flags, flags)
     assert np.array_equal(got.l_th, l_th)
+
+
+def test_dataset_mse_does_not_depend_on_the_batch_size():
+    """Past 8192 rows, batch sizes 64, 1000 and 8192 give every segment the
+    same mse bits; only the batch ids, thresholds and flags follow the
+    batches, each batch thresholded on its own losses."""
+    cfg_net = NetworkConfig(input_dim=4, encoder_widths=(8,), decoder_widths=(8,), embed_dim=8)
+    params = init_params(cfg_net, Rng(60))
+    params.out_w[...] = Rng(61).standard_normal(params.out_w.shape) * 0.1
+    n = 8300
+    feats = Rng(62).standard_normal((n, 4)).astype(np.float32)
+    fs = FeatureSet(feats, [VideoRecord("a", 5000 * 16, 0, 5000),
+                            VideoRecord("b", 3300 * 16, 5000, 3300)])
+    mses = []
+    for batch_size in (64, 1000, 8192):
+        cfg = ScoringConfig(start_index=0, batch_size=batch_size)
+        got = score_dataset(params, Preconditioner(1.0), short_schedule(), cfg, fs, Rng(63))
+        bounds = [*range(0, n - 1, batch_size), n]
+        assert len(got.batch_stats) == len(bounds) - 1
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            mu_p, sigma_p, l_th = batch_threshold(got.mse[lo:hi], cfg.k)
+            assert got.batch_stats[b] == (mu_p, sigma_p)
+            assert (got.l_th[lo:hi] == l_th).all() and (got.batch_ids[lo:hi] == b).all()
+        assert np.array_equal(got.flags, got.mse > got.l_th)
+        mses.append(got.mse)
+    assert all(m.tobytes() == mses[0].tobytes() for m in mses[1:])
 
 
 @pytest.mark.parametrize("m", [2, 511, 512, 513, 1001, 1024, 1025, 1100, 1537, 4096, 8191])
