@@ -201,13 +201,16 @@ def cmd_train(args) -> int:
     rng = Rng(args.seed)
     params = init_params(NetworkConfig(input_dim=fs.features.shape[1]), rng)
     ema, log = fit(fs, params, p, train_cfg, noise, rng, on_epoch=progress)
-    save_checkpoint(args.checkpoint, params, ema, p, noise)
     log_path = args.out or args.checkpoint + ".log.csv"
+    # the checkpoint replaces its path inside the log's block, once the log is
+    # flushed: if either write fails, both old files stay as they were
     with replacing(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "step", "lr", "mean_loss"])
         for entry in log:
             writer.writerow([entry.epoch, entry.step, repr(entry.lr), repr(entry.mean_loss)])
+        fh.flush()
+        save_checkpoint(args.checkpoint, params, ema, p, noise)
     print(f"checkpoint written to {args.checkpoint}; log at {log_path}")
     return EXIT_OK
 

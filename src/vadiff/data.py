@@ -28,6 +28,7 @@ _VIDEO_SEGS = 40  # segments in the longest synthetic video
 
 _MANIFEST_VERSION = 1
 _STAT_CHUNK = 2**20  # float64 elements per row chunk of estimate_sigma_data
+_LABEL_GROUP = 2**18  # frame labels checked or counted at once
 
 
 class DataError(ValueError):
@@ -50,12 +51,31 @@ class FeatureSet:
     segment_len: int = SEGMENT_LEN
 
 
+def label_groups(arrays):
+    """(first index, group) for the concatenation of `arrays` in consecutive
+    groups of _LABEL_GROUP to 2 * _LABEL_GROUP elements, the last one
+    shorter: short arrays are joined and long ones cut, so a group's size
+    does not grow with the arrays'."""
+    parts, size, start = [], 0, 0
+    for a in arrays:
+        for piece in (a,) if a.size <= _LABEL_GROUP else (
+                a[at : at + _LABEL_GROUP] for at in range(0, a.size, _LABEL_GROUP)):
+            parts.append(piece)
+            size += piece.size
+            if size >= _LABEL_GROUP:
+                yield start, np.concatenate(parts)
+                parts, size, start = [], 0, start + size
+    if parts:
+        yield start, np.concatenate(parts)
+
+
 def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
     """Per-video consistency checks; returns the total segment count.
 
     Raises DataError naming the offending video, or a segment_len outside
-    [1, 2**63).  The label values of all videos are checked at once, after
-    every per-video check.
+    [1, 2**63).  The label values are checked after every per-video check,
+    across videos in label_groups, so the check's arrays do not grow with
+    the frame count.
     """
     if not 1 <= segment_len < 2**63:
         raise DataError(f"segment_len {segment_len} is not in [1, 2**63)")
@@ -82,13 +102,12 @@ def validate_manifest(manifest: list[VideoRecord], segment_len: int) -> int:
             labelled.append(rec)
             labels_of.append(labels)
         offset += rec.segment_count
-    if labelled:
-        flat = np.concatenate(labels_of)
-        bad = flat != 0
-        bad &= flat != 1
+    for start, group in label_groups(labels_of):
+        bad = group != 0
+        bad &= group != 1
         if bad.any():
             ends = np.cumsum([a.size for a in labels_of])
-            v = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            v = int(np.searchsorted(ends, start + np.argmax(bad), side="right"))
             raise DataError(f"video {labelled[v].video_id!r}: labels must be 0 or 1")
     return offset
 
@@ -108,7 +127,9 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
     The feature file is np.save's output for the rows as a C-order <f4
     array: a version 1.0 .npy header padded to a multiple of 64 bytes,
     then the rows.  The manifest is one line of JSON from one json.dumps
-    call (the C encoder, default separators), labels as JSON integers 0/1.
+    call (the C encoder) with no space after a separator, labels as JSON
+    integers 0/1: load_manifest decodes the whole text into one str, so
+    every byte saved there is heap that eval does not take.
     """
     validate(fs)
     arr = np.ascontiguousarray(fs.features, dtype="<f4")
@@ -122,7 +143,7 @@ def save_features(features_path, manifest_path, fs: FeatureSet) -> None:
         videos.append(entry)
     doc = {"version": _MANIFEST_VERSION, "segment_len": fs.segment_len, "videos": videos}
     with replacing(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -189,8 +210,9 @@ def load_manifest(manifest_path) -> tuple[list[VideoRecord], int]:
     the key; the checks run once per video, not per frame.
     The records' consistency (offsets, segment counts, labels) is checked
     once by the stage that uses them: load_features through validate,
-    evaluate through validate_manifest.  The text is decoded as UTF-8
-    straight from a map of the file, so no copy of its bytes is held.
+    evaluate through validate_manifest.  The text is decoded as UTF-8 from
+    a map of the file into one str, the largest allocation of `vadiff eval`,
+    which is why save_features writes it without spaces.
     """
     try:
         doc = json.loads(str(map_file(manifest_path), "utf-8"), object_hook=_int8_labels)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, VideoRecord, validate_manifest
+from .data import DataError, VideoRecord, label_groups, validate_manifest
 from .files import replacing
 
 
@@ -30,13 +30,16 @@ class EvalReport:
 
 def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
     """AUC of finite `scores` where score i stands for pos[i] positive and
-    neg[i] negative items (int64 counts), ties counted one half.
+    neg[i] negative items (int64 counts), ties counted one half.  pos and
+    neg are overwritten.
 
     Per tie group g: sum P_g * (N_below_g + N_through_g) / (2 * P * N), with
     N_through_g = N_below_g + N_g.  The counts through each group's end are
-    the cumulative sums in score order, read at the group's last index.
-    The pair counts are summed in int64, exact while 2 * P * N < 2**63, so
-    the final division is the only rounding.
+    the cumulative sums in score order, read at the group's last index, each
+    formed in place of its input: beside pos and neg, only the sort order
+    and one sorted or permuted copy are of their size.  The pair counts are
+    summed in int64, exact while 2 * P * N < 2**63, so the final division
+    is the only rounding.
     """
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
@@ -45,11 +48,13 @@ def _tied_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
     ordered = scores[order]
     is_last = np.append(ordered[1:] != ordered[:-1], True)  # at each tie group's end
     del ordered
-    neg_through = np.cumsum(neg[order])[is_last]
-    run = pos[order]
-    del order
-    pos_g = np.cumsum(run, out=run)[is_last]
-    del run, is_last
+    groups = np.count_nonzero(is_last)
+    for counts in (pos, neg):
+        counts[...] = counts[order]
+        np.cumsum(counts, out=counts)
+        counts[:groups] = counts[is_last]
+    del order, is_last
+    pos_g, neg_through = pos[:groups], neg[:groups]
     pos_g[1:] -= pos_g[:-1]  # numpy buffers the overlapping operand
     twice = int(np.dot(pos_g, neg_through)) + int(np.dot(pos_g[1:], neg_through[:-1]))
     return twice / (2 * n_pos * n_neg)
@@ -83,44 +88,48 @@ def join_scores(rows, manifest: list[VideoRecord]) -> np.ndarray:
     Each manifest video id must be unique, every scored video must appear
     in the manifest, every manifest video with segments must be scored, and
     each of its segments exactly once; a fault raises DataError naming the
-    video.
+    video.  Beyond per-run arrays, a join that succeeds holds two row-sized
+    arrays at a time: each row's place in manifest order, and then its hit
+    counts or the joined scores.
     """
     ids, index, mse = rows
+    n = ids.size
     by_id = {rec.video_id: v for v, rec in enumerate(manifest)}
     if len(by_id) < len(manifest):
         listed = Counter(rec.video_id for rec in manifest)
-        repeated = next(vid for vid, n in listed.items() if n > 1)
+        repeated = next(vid for vid, times in listed.items() if times > 1)
         raise DataError(f"manifest lists video {repeated!r} more than once")
-    # the video of each row, hashing one id per run of rows
-    starts = np.flatnonzero(np.concatenate(([ids.size > 0], ids[1:] != ids[:-1])))
+    # the video of each run of rows, hashing one id per run
+    starts = np.flatnonzero(np.concatenate(([n > 0], ids[1:] != ids[:-1])))
     run_ids = ids[starts].tolist()
     missing = sorted(set(run_ids) - by_id.keys())
     if missing:
         raise DataError(f"{len(missing)} scored videos missing from manifest: {_some(missing)}")
-    run_videos = [by_id[vid] for vid in run_ids]
-    scored = set(run_videos)
-    unscored = sorted(rec.video_id for v, rec in enumerate(manifest)
-                      if rec.segment_count and v not in scored)
+    runs = np.array([by_id[vid] for vid in run_ids], dtype=np.int64)
+    del by_id, run_ids  # a dict and a list per video, not held beside the row arrays
+    counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
+    unscored = counts > 0
+    unscored[runs] = False
+    unscored = sorted(manifest[v].video_id for v in np.flatnonzero(unscored))
     if unscored:
         raise DataError(f"{len(unscored)} manifest videos missing from scores: {_some(unscored)}")
 
-    video = np.repeat(np.array(run_videos, dtype=np.int64), np.diff(np.append(starts, ids.size)))
-    counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
-    bad = np.flatnonzero((index < 0) | (index >= counts[video]))
-    if bad.size:
-        r = bad[0]
+    lengths = np.diff(np.append(starts, n))
+    # each run's smallest and largest index show whether any row's is out of range
+    if ((np.minimum.reduceat(index, starts) < 0)
+            | (np.maximum.reduceat(index, starts) >= counts[runs])).any():
+        video = np.repeat(runs, lengths)
+        r = np.flatnonzero((index < 0) | (index >= counts[video]))[0]
         raise DataError(f"video {ids[r]!r}: segment_index {index[r]} is not in "
                         f"[0, {counts[video[r]]})")
     # every count is now >= 0: a scored video's is at least 1, and any other is 0.
     # The first segment not scored once lies among the first n + 1 in manifest
     # order, so counts and positions are capped at n + 1: the arrays stay
     # O(rows + videos) whatever counts the manifest declares
-    n = ids.size
     np.minimum(counts, n + 1, out=counts)
     ends = np.cumsum(counts)
     offsets = ends - counts
-    where = offsets[video]
-    del video
+    where = np.repeat(offsets[runs], lengths)
     where += np.minimum(index, n + 1)
     np.minimum(where, n + 1, out=where)
     size = min(int(counts.sum()), n + 1)
@@ -145,23 +154,18 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
     frame labels, and together they must hold both classes.  A non-finite
     segment score raises FloatingPointError naming its video and segment.
 
-    Beyond per-segment arrays it holds one int8 copy of the frame labels,
-    then only the positive frames' positions, which it counts per segment
-    and frees before the AUC.
+    Its arrays are per segment (at most four at a time) or per group of
+    frame labels (data.label_groups): one group at a time, and the
+    positions of that group's positive frames, which it counts per
+    segment.  So its heap does not grow with the frame count.
     """
     total = validate_manifest(manifest, segment_len)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (total,):
         raise DataError(f"{scores.size} scores for the manifest's {total} segments")
-    labels = []
     for rec in manifest:
         if rec.labels is None:
             raise DataError(f"video {rec.video_id!r} has no frame labels")
-        labels.append(np.asarray(rec.labels, dtype=np.int8))
-    # validate_manifest checked every label is 0 or 1, so the positives are the nonzero frames
-    frame_labels = np.concatenate(labels or [np.empty(0, dtype=np.int8)])
-    n_frames, positives = frame_labels.size, np.flatnonzero(frame_labels)
-    del frame_labels
 
     counts = np.array([rec.segment_count for rec in manifest], dtype=np.int64)
     ends = np.cumsum(counts)
@@ -173,25 +177,29 @@ def evaluate(scores: np.ndarray, manifest: list[VideoRecord], segment_len: int) 
             f"non-finite score {scores[bad[0]]}"
         )
 
-    n_pos = positives.size
-    absent = [name for name, count in (("anomalous (1)", n_pos),
-                                       ("normal (0)", n_frames - n_pos)) if count == 0]
-    if absent:
-        raise DataError(f"AUC undefined: the manifest labels no {' or '.join(absent)} "
-                        f"frames; both classes must be present")
-
     # frames per segment: segment_len, except each video's truncated last one
     width = np.full(scores.size, segment_len, dtype=np.int64)
     frames = np.array([rec.frame_count for rec in manifest], dtype=np.int64)
     has = counts > 0
     width[ends[has] - 1] = frames[has] - (counts[has] - 1) * segment_len
-    first_frame = np.cumsum(width) - width
-    # positive frames per segment, from the positives' positions alone
-    pos = np.bincount(np.searchsorted(first_frame, positives, side="right") - 1,
-                      minlength=scores.size)
-    del first_frame, positives
+    # positive frames per segment: validate_manifest checked every label is 0 or
+    # 1, so the positives are the nonzero frames, each in the first segment
+    # that ends after it
+    last = np.cumsum(width)
+    pos = np.zeros(scores.size, dtype=np.int64)
+    for start, group in label_groups(np.asarray(rec.labels) for rec in manifest):
+        np.add.at(pos, np.searchsorted(last, np.flatnonzero(group) + start, side="right"), 1)
+    del last
+
+    n_frames, n_pos = int(frames.sum()), int(pos.sum())
+    absent = [name for name, count in (("anomalous (1)", n_pos),
+                                       ("normal (0)", n_frames - n_pos)) if count == 0]
+    if absent:
+        raise DataError(f"AUC undefined: the manifest labels no {' or '.join(absent)} "
+                        f"frames; both classes must be present")
+    width -= pos  # the negative frames per segment
     return EvalReport(
-        auc=_tied_auc(scores, pos, width - pos),
+        auc=_tied_auc(scores, pos, width),
         frame_count=n_frames,
         positive_count=n_pos,
     )

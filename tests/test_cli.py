@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import importlib.util
 import io
@@ -392,6 +393,41 @@ def test_failed_text_write_leaves_the_old_file(tmp_path, monkeypatch, fail):
     assert os.listdir(out.parent) == ["old.txt"]
 
 
+class _DiskFullRepr:
+    """A log value whose text fails to form, as a write on a full disk fails."""
+
+    def __repr__(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _raise_disk_full(*_):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["log", "checkpoint"])
+def test_failed_train_write_leaves_the_old_checkpoint_and_log(tmp_path, monkeypatch, capsys,
+                                                              failing):
+    """`train` writes a checkpoint and the log that describes it: when either
+    write fails, the run exits 2 with both old files as they were, so an old
+    log never sits beside new weights, and no temporary file is left."""
+    f, m = make_data(tmp_path / "data")
+    out = tmp_path / "out"
+    out.mkdir()
+    ck, log = out / "c.npy", out / "c.npy.log.csv"
+    ck.write_bytes(b"old checkpoint\n")
+    log.write_bytes(b"old log\n")
+    lr = _DiskFullRepr() if failing == "log" else 1e-3
+    entry = SimpleNamespace(epoch=1, step=1, lr=lr, mean_loss=0.5)
+    monkeypatch.setattr(cli, "fit", lambda fs, params, *_, **__: (params, [entry]))
+    if failing == "checkpoint":
+        monkeypatch.setattr(cli, "save_checkpoint", _raise_disk_full)
+    capsys.readouterr()
+    code = run("train", "--features", str(f), "--manifest", str(m), "--checkpoint", str(ck))
+    _assert_data_error(code, capsys, "No space left on device")
+    assert ck.read_bytes() == b"old checkpoint\n" and log.read_bytes() == b"old log\n"
+    assert sorted(os.listdir(out)) == ["c.npy", "c.npy.log.csv"]
+
+
 def test_score_one_segment_is_data_error(tmp_path, capsys):
     f, m = tmp_path / "one.vadf", tmp_path / "one.json"
     save_features(f, m, FeatureSet(np.ones((1, 6), dtype=np.float32),
@@ -754,7 +790,9 @@ def test_eval_manifest_count_outside_int64_is_data_error(tmp_path, capsys, video
 
 def test_eval_manifest_integer_past_the_digit_limit_is_data_error(tmp_path, capsys):
     _, m = make_data(tmp_path, n_normal=40)
-    m.write_text(m.read_text().replace('"frame_count": ', '"frame_count": ' + "9" * 5000, 1))
+    text = m.read_text()
+    assert text.count('"frame_count":') == text.count('"video_id":') > 0  # compact, no space
+    m.write_text(text.replace('"frame_count":', '"frame_count":' + "9" * 5000, 1))
     capsys.readouterr()
     code = run("eval", "--scores", str(tmp_path / "unused.csv"), "--manifest", str(m),
                "--out", str(tmp_path / "r.json"))

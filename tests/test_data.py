@@ -271,9 +271,10 @@ def test_load_rejects_manifest_feature_mismatch(tmp_path):
     fs = two_video_set()
     fpath, mpath = tmp_path / "x.vadf", tmp_path / "x.json"
     save_features(fpath, mpath, fs)
-    doc = mpath.read_text().replace('"segment_count": 2', '"segment_count": 3')
-    doc = doc.replace('"frame_count": 20', '"frame_count": 36')
-    mpath.write_text(doc)
+    doc = json.loads(mpath.read_text())
+    assert doc["videos"][1]["segment_count"] == 2 and doc["videos"][1]["frame_count"] == 20
+    doc["videos"][1].update(segment_count=3, frame_count=36)
+    mpath.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_features(fpath, mpath)
 
@@ -345,7 +346,7 @@ def test_save_features_writes_the_manifest_as_one_line(tmp_path):
     save_features(fpath, mpath, fs)
     text = mpath.read_text()
     assert text.endswith("}\n") and text.count("\n") == 1
-    assert '"labels": [0, 0, ' in text
+    assert '"labels":[0,0,' in text and " " not in text
 
 
 def test_load_manifest_reads_the_indented_layout_alike(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vadiff import data
 from vadiff import (
     DataError,
     Rng,
@@ -12,6 +13,7 @@ from vadiff import (
     evaluate,
     join_scores,
     roc_auc,
+    validate_manifest,
     write_report_json,
 )
 
@@ -218,8 +220,8 @@ def test_evaluate_equals_frame_auc_and_pairwise_oracle(case):
 
 
 def test_evaluate_peak_heap_below_eight_bytes_per_frame(peak_heap):
-    """A million frames: evaluate holds one int8 copy of the labels and the
-    positives' positions, never a frame-sized int64 array."""
+    """A million frames in short videos: evaluate holds one group of labels
+    and its positives' positions at a time, never a frame-sized array."""
     n_videos, frames_per_video = 4000, 250  # 16 segments each, the last of 10 frames
     labels = (Rng(40).uniform(0.0, 1.0, (n_videos, frames_per_video)) < 0.05).astype(np.int8)
     manifest = [VideoRecord(f"v{i}", frames_per_video, 16 * i, 16, labels=labels[i])
@@ -229,6 +231,33 @@ def test_evaluate_peak_heap_below_eight_bytes_per_frame(peak_heap):
     report, peak = peak_heap(lambda: evaluate(scores, manifest, 16))
     assert report.frame_count == frames and report.positive_count == int(labels.sum())
     assert peak < 8 * frames, peak / frames
+
+
+def test_eval_heap_does_not_grow_with_the_frame_count(peak_heap):
+    """About 4 M frames in four long videos, each with one anomalous interval
+    of a twentieth of its frames.  The label check holds one group of labels
+    (under 2 * _LABEL_GROUP frames) and two masks of it; evaluate adds four
+    per-segment int64 arrays and the positions of one group's positive
+    frames (16 bytes each, a tenth of the group at most here).  Neither
+    grows with the 4 MB of labels, which the manifest already holds."""
+    segment_len = 1024
+    lengths = [2**20 + 1000 * i + 7 for i in range(4)]
+    labels = np.zeros(sum(lengths), dtype=np.int8)
+    manifest, offset, at = [], 0, 0
+    for i, n in enumerate(lengths):
+        labels[at + n // 4 : at + n // 4 + n // 20] = 1
+        count = -(-n // segment_len)
+        manifest.append(VideoRecord(f"v{i}", n, offset, count, labels=labels[at : at + n]))
+        offset, at = offset + count, at + n
+    scores = Rng(42).standard_normal(offset)
+    total, check_peak = peak_heap(lambda: validate_manifest(manifest, segment_len))
+    report, peak = peak_heap(lambda: evaluate(scores, manifest, segment_len))
+    assert total == offset
+    assert report.frame_count == labels.size and report.positive_count == int(labels.sum())
+    group = data._LABEL_GROUP
+    assert labels.size > 16 * group  # the labels, not the bound, are what is large
+    assert check_peak < 3 * 2 * group, check_peak
+    assert peak < 8 * group + 64 * offset, peak
 
 
 def test_evaluate_names_at_most_five_missing_videos():

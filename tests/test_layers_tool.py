@@ -20,18 +20,22 @@ def test_layers_tool_writes_its_record_at_tiny_sizes(tmp_path):
                                                             "adam_ema")]
     assert [(r["layer"], r["dim"]) for r in record["layers"]] == training + [
         ("hidden_layer", 1024), ("nfe", 4), ("nfe", 6), ("lms_sample", 4), ("roc_auc", 1),
-        ("load_manifest", 1), ("read_scores_csv", 1), ("load_features", 8),
-        ("load_checkpoint", 8)]
-    for r in record["layers"]:
-        assert set(r) == {"layer", "rows", "dim", "median_s", "quartiles_s", "reps"}
-        assert r["reps"] == 1 and r["median_s"] > 0
+        ("load_manifest", 1), ("read_scores_csv", 1), ("join_scores", 1), ("evaluate", 1),
+        ("load_features", 8), ("load_checkpoint", 8)]
+    timed = {"layer", "rows", "dim", "median_s", "quartiles_s", "reps"}
+    for i, r in enumerate(record["layers"]):
+        io = i >= len(training) + 5  # from load_manifest on, each row has its heap peak
+        assert set(r) == timed | ({"heap_peak_mib"} if io else set())
+        assert r["reps"] == 1 and r["median_s"] > 0 and (not io or r["heap_peak_mib"] > 0)
     # 42 segments: 40 normal and 5 % as many anomalous
-    assert [r["rows"] for r in record["layers"]] == [8] * 10 + [10, 42, 42, 42, 1]
+    assert [r["rows"] for r in record["layers"]] == [8] * 10 + [10, 42, 42, 42, 42, 42, 1]
     scale = record["scale"]
     assert set(scale) == {"rows", "dim", "wall_s", "wall_quartiles_s", "reps", "heap_peak_mib",
                           "rss_setup_mib", "rss_peak_mib"}
     assert (scale["rows"], scale["dim"]) == (16, 4)
     assert 0 < scale["heap_peak_mib"] and 0 < scale["rss_setup_mib"] <= scale["rss_peak_mib"]
-    assert printed.splitlines()[0].split() == ["layer", "rows", "dim", "median", "s", "q1", "s",
-                                               "q3", "s"]
+    lines = printed.splitlines()
+    assert lines[0].split() == ["layer", "rows", "dim", "median", "s", "q1", "s", "q3", "s",
+                                "heap", "MiB"]
+    assert len(lines[1].split()) == 6 and len(lines[-2].split()) == 7  # dsm_loss_fold, I/O
     assert printed.splitlines()[-1].startswith("scale: one 16 x 4 batch at start_index 0")

@@ -31,14 +31,21 @@ that is the displacement from float32 rows, about those rows:
   schedule (10 NFE) on --rows x --lms-dim
 - roc_auc: one roc_auc call on --auc-scores standard normal scores, each
   labelled positive with probability 0.1
-- load_manifest, read_scores_csv and load_features: one call each on the
-  manifest, a score CSV and the feature file of a synth corpus of
-  --io-normal normal segments at dim 8, and 5 % as many anomalous ones, as
-  `vadiff synth` makes by default; 119 000 is the eval-frames benchmark's
-  size, about 2 M labelled frames.  The score is each row's distance from
-  the origin, the normal cluster's mean
+- load_manifest, read_scores_csv, join_scores, evaluate and load_features:
+  one call each on the manifest, a score CSV and the feature file of a
+  synth corpus of --io-normal normal segments at dim 8, and 5 % as many
+  anomalous ones, as `vadiff synth` makes by default; 119 000 is the
+  eval-frames benchmark's size, about 2 M labelled frames.  The score is
+  each row's distance from the origin, the normal cluster's mean.
+  join_scores joins the rows read_scores_csv returned to the manifest
+  load_manifest returned, and evaluate takes the AUC of the joined scores,
+  so the first four are `vadiff eval` layer by layer
 - load_checkpoint: one call on a checkpoint of the default network at
   dim 8 (2.39 M weights, twice: raw and EMA)
+
+Each of these I/O rows also records the tracemalloc heap peak of one more,
+untimed call: what that call allocates beyond the inputs it is given, its
+result included.
 
 The layers take turns within each of --reps rounds, so that a slow spell
 of a shared host falls on all of them alike; the table gives the median
@@ -86,8 +93,10 @@ from vadiff import (  # noqa: E402
     as_denoiser,
     batch_threshold,
     dsm_loss,
+    evaluate,
     init_params,
     fourier_embed,
+    join_scores,
     karras_schedule,
     lms_sample,
     load_checkpoint,
@@ -117,8 +126,9 @@ def network(dim: int):
 
 
 def io_probes(n_normal: int, tmp: Path):
-    """(name, rows, dim, fn) for load_manifest, read_scores_csv,
-    load_features and load_checkpoint on files written into directory `tmp`."""
+    """(name, rows, dim, fn) for load_manifest, read_scores_csv, join_scores,
+    evaluate, load_features and load_checkpoint on files written into
+    directory `tmp`."""
     fs = synth_generate(SynthConfig(n_normal=n_normal, n_anomalous=round(0.05 * n_normal),
                                     dim=IO_DIM, seed=SEED))
     features, manifest, scores = tmp / "f.npy", tmp / "m.json", tmp / "s.csv"
@@ -130,8 +140,13 @@ def io_probes(n_normal: int, tmp: Path):
                                                np.full(n, l_th), []))
     checkpoint, params = tmp / "c.npy", network(IO_DIM)
     save_checkpoint(checkpoint, params, params, Preconditioner(1.0), TrainNoiseConfig())
+    records, segment_len = load_manifest(manifest)
+    rows = read_scores_csv(scores)
+    joined = join_scores(rows, records)
     return [("load_manifest", n, 1, partial(load_manifest, manifest)),
             ("read_scores_csv", n, 1, partial(read_scores_csv, scores)),
+            ("join_scores", n, 1, partial(join_scores, rows, records)),
+            ("evaluate", n, 1, partial(evaluate, joined, records, segment_len)),
             ("load_features", n, IO_DIM, partial(load_features, features, manifest)),
             ("load_checkpoint", 1, IO_DIM, partial(load_checkpoint, checkpoint))]
 
@@ -202,16 +217,31 @@ def layer_probes(rows: int, dims: list[int], lms_dim: int, auc_scores: int):
 def time_layers(rows: int, dims: list[int], lms_dim: int, auc_scores: int, io_normal: int,
                 reps: int) -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
-        probes = layer_probes(rows, dims, lms_dim, auc_scores) + io_probes(io_normal, Path(tmp))
+        io = io_probes(io_normal, Path(tmp))
+        probes = layer_probes(rows, dims, lms_dim, auc_scores) + io
         times = [[] for _ in probes]
         for _ in range(reps):
             for (*_, fn), ts in zip(probes, times):
                 t0 = time.perf_counter()
                 fn()
                 ts.append(time.perf_counter() - t0)
-    return [{"layer": name, "rows": n, "dim": dim, "median_s": statistics.median(ts),
-             "quartiles_s": quartiles(ts), "reps": reps}
-            for (name, n, dim, _), ts in zip(probes, times)]
+        heaps = [heap_peak_mib(fn) for *_, fn in io]
+    records = [{"layer": name, "rows": n, "dim": dim, "median_s": statistics.median(ts),
+                "quartiles_s": quartiles(ts), "reps": reps}
+               for (name, n, dim, _), ts in zip(probes, times)]
+    for record, heap in zip(records[-len(io):], heaps):
+        record["heap_peak_mib"] = heap
+    return records
+
+
+def heap_peak_mib(fn) -> float:
+    """The tracemalloc heap peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(ts: list[float]) -> list[float]:
@@ -277,11 +307,12 @@ def environment() -> dict:
 
 def table(record: dict) -> str:
     lines = [f"{'layer':15s} {'rows':>8s} {'dim':>5s} {'median s':>10s} {'q1 s':>10s} "
-             f"{'q3 s':>10s}"]
+             f"{'q3 s':>10s} {'heap MiB':>9s}"]
     for r in record["layers"]:
         q1, _, q3 = r["quartiles_s"]
+        heap = f" {r['heap_peak_mib']:9.2f}" if "heap_peak_mib" in r else ""
         lines.append(f"{r['layer']:15s} {r['rows']:8d} {r['dim']:5d} {r['median_s']:10.4f} "
-                     f"{q1:10.4f} {q3:10.4f}")
+                     f"{q1:10.4f} {q3:10.4f}{heap}")
     s = record["scale"]
     lines.append(f"scale: one {s['rows']} x {s['dim']} batch at start_index 0: "
                  f"{s['wall_s']:.3f} s, heap peak {s['heap_peak_mib']:.1f} MiB, RSS "
